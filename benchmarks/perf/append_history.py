@@ -38,14 +38,9 @@ def history_line(report: dict) -> dict:
     par = report.get("parallel", {})
     tr = report.get("transfer", {})
     fig = report.get("figure_pipeline", {})
-    # ``hot_path_acc_per_sec`` is the long-lived legacy metric name; it
-    # reads the array-kernel engine throughput (falling back to the
-    # pre-kernel key so old reports still append cleanly).  The gate has
-    # moved to ``engine_flat_txn_acc_per_sec`` — the flat-txn runtime's
-    # micro-batched engine throughput, the number the default stack ships.
-    hot = hp.get("kernel_array_accesses_per_sec")
-    if hot is None:
-        hot = hp.get("optimized_accesses_per_sec")
+    # The gate metric is ``engine_flat_txn_acc_per_sec``: the flat
+    # kernel's micro-batched engine throughput, the stack a default run
+    # ships on.  Both speedups are object-model time over flat time.
     return {
         "sha": git_sha(),
         "utc": datetime.datetime.now(datetime.timezone.utc).strftime(
@@ -55,10 +50,8 @@ def history_line(report: dict) -> dict:
         "cpu_count": report.get("meta", {}).get("cpu_count"),
         "python": report.get("meta", {}).get("python"),
         "engine_flat_txn_acc_per_sec": hp.get("engine_flat_txn_acc_per_sec"),
-        "hot_path_acc_per_sec": hot,
-        "hot_path_speedup": hp.get("speedup"),
-        "speedup_flat_vs_array": hp.get("speedup_flat_vs_array"),
-        "kernel_replay_acc_per_sec": ker.get("kernel_array_accesses_per_sec"),
+        "speedup_flat_vs_object": hp.get("speedup_flat_vs_object"),
+        "kernel_replay_acc_per_sec": ker.get("kernel_flat_accesses_per_sec"),
         "kernel_speedup": ker.get("speedup"),
         "parallel_speedup": par.get("speedup"),
         "transfer_speedup": tr.get("speedup"),

@@ -26,10 +26,10 @@ import sys
 
 HISTORY = os.path.join(os.path.dirname(__file__), "history", "perf_history.jsonl")
 
-#: The gate metric: the flat-txn runtime's micro-batched engine
-#: throughput on the contended hot-path bench (higher is better).  This
-#: is the stack a default run ships on; the array/object numbers stay in
-#: the trends below as differential baselines only.
+#: The gate metric: the flat kernel's micro-batched engine throughput on
+#: the contended hot-path bench (higher is better).  This is the stack a
+#: default run ships on; the object-model ratios stay in the trends below
+#: as differential baselines only.
 GATE_METRIC = "engine_flat_txn_acc_per_sec"
 
 #: Allowed fractional drop of the gate metric vs the history median.
@@ -38,15 +38,17 @@ GATE_DROP = 0.20
 #: Metrics worth a trend line, in display order.
 TREND_METRICS = (
     "engine_flat_txn_acc_per_sec",
-    "speedup_flat_vs_array",
-    "hot_path_acc_per_sec",
-    "hot_path_speedup",
+    "speedup_flat_vs_object",
     "kernel_replay_acc_per_sec",
     "kernel_speedup",
     "parallel_speedup",
     "transfer_speedup",
     "simulate_seconds",
     "figures_seconds",
+    # Retired keys (no longer appended); kept so older rows still chart.
+    "hot_path_acc_per_sec",
+    "hot_path_speedup",
+    "speedup_flat_vs_array",
 )
 
 _TICKS = "▁▂▃▄▅▆▇█"

@@ -3,11 +3,8 @@
 Each benchmark isolates one of the speedups so regressions are visible
 in isolation:
 
-* sharer-filtered probes vs the legacy broadcast scan (same machine,
-  ``use_sharer_index`` toggled — counters are asserted identical, the
-  benchmark times the optimized path),
-* the flat-txn kernel + micro-batched engine (the default stack) vs the
-  array and object kernels, and batched vs stepwise event loops,
+* the flat kernel + micro-batched engine (the default stack) vs the
+  object kernel, and batched vs stepwise event loops,
 * detail-off stats recording vs the full detail layer,
 * compile-once script caching vs per-point recompilation,
 * parallel ``run_many`` dispatch overhead at ``jobs=1`` (the serial
@@ -33,36 +30,6 @@ def _contended_scripts(txns: int = 30, seed: int = 5):
     return w, cfg, w.build(cfg.n_cores, seed)
 
 
-def _run(cfg, scripts, *, sharer_index: bool, record_detail: bool = True):
-    engine = SimulationEngine(
-        cfg, scripts, seed=5, check_atomicity=False, record_detail=record_detail
-    )
-    engine.machine.use_sharer_index = sharer_index
-    return engine.run()
-
-
-def test_sharer_index_throughput(benchmark):
-    """Contended run with sharer-filtered probes (the optimized default)."""
-    _, cfg, scripts = _contended_scripts()
-    stats = benchmark(lambda: _run(cfg, scripts, sharer_index=True))
-    assert stats.txn_commits == cfg.n_cores * 30
-
-
-def test_broadcast_probe_throughput(benchmark):
-    """Same run on the legacy all-cores probe scan, for comparison."""
-    _, cfg, scripts = _contended_scripts()
-    stats = benchmark(lambda: _run(cfg, scripts, sharer_index=False))
-    assert stats.txn_commits == cfg.n_cores * 30
-
-
-def test_sharer_index_counters_identical():
-    """The filter changes who gets probed, never what the run computes."""
-    _, cfg, scripts = _contended_scripts()
-    fast = _run(cfg, scripts, sharer_index=True)
-    slow = _run(cfg, scripts, sharer_index=False)
-    assert fast.summary() == slow.summary()
-
-
 def _run_kernel(cfg, scripts, *, kernel: str, micro_batch: bool = True):
     return SimulationEngine(
         cfg.with_kernel(kernel), scripts, seed=5,
@@ -72,19 +39,10 @@ def _run_kernel(cfg, scripts, *, kernel: str, micro_batch: bool = True):
 
 
 def test_flat_txn_engine_throughput(benchmark):
-    """Contended run on the flat-txn kernel + batched engine (the default
+    """Contended run on the flat kernel + batched engine (the default
     stack; this is the perf-history gate metric's workload shape)."""
     _, cfg, scripts = _contended_scripts()
     stats = benchmark(lambda: _run_kernel(cfg, scripts, kernel="flat"))
-    assert stats.txn_commits == cfg.n_cores * 30
-
-
-def test_array_kernel_throughput(benchmark):
-    """Same run on the flat-array kernel, the differential baseline."""
-    _, cfg, scripts = _contended_scripts()
-    stats = benchmark(
-        lambda: _run_kernel(cfg, scripts, kernel="array", micro_batch=False)
-    )
     assert stats.txn_commits == cfg.n_cores * 30
 
 
@@ -101,9 +59,8 @@ def test_kernel_counters_identical():
     """The kernel changes the representation, never the simulated run."""
     _, cfg, scripts = _contended_scripts()
     flat = _run_kernel(cfg, scripts, kernel="flat")
-    arr = _run_kernel(cfg, scripts, kernel="array")
     obj = _run_kernel(cfg, scripts, kernel="object")
-    assert flat.summary() == arr.summary() == obj.summary()
+    assert flat.summary() == obj.summary()
 
 
 def test_micro_batch_counters_identical():

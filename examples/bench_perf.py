@@ -4,11 +4,11 @@
 Five measurements, each with its built-in honesty check:
 
 1. **Hot path** — one contended 8-core vacation run through the full
-   engine on three stacks: flat-txn kernel + micro-batched loop, the
-   PR6 array kernel + stepwise loop, and the reference object model
-   (``record_detail`` off).  All three runs' stats summaries are
-   asserted identical before any speedup is reported (the kernel
-   changes the *representation*, never the simulated machine).
+   engine on two stacks: the flat kernel + micro-batched loop (the
+   default) and the reference object model + stepwise loop
+   (``record_detail`` off).  Both runs' stats summaries are asserted
+   identical before any speedup is reported (the kernel changes the
+   *representation*, never the simulated machine).
 2. **Kernel** — the vacation hot-path replay microbench: the recorded
    single-core vacation access stream driven straight through
    ``machine.access`` on both kernels.  This isolates the per-access
@@ -65,17 +65,15 @@ def _timed(fn):
 
 
 def bench_hot_path(txns: int, seed: int = 5, reps: int = 5) -> dict:
-    """Flat-txn engine vs the PR6 array baseline vs the object model.
+    """Flat engine vs the object model on one contended run.
 
-    Three full-engine configurations of the same contended run:
+    Two full-engine configurations of the same run:
 
-    * ``flat`` + micro-batched engine loop — the current default stack;
-    * ``array`` + stepwise (heap-per-op) engine — the prior release's
-      fastest stack, kept verbatim as the differential baseline;
-    * ``object`` + stepwise engine — the reference object model.
+    * ``flat`` + micro-batched engine loop — the default stack;
+    * ``object`` + stepwise (heap-per-op) engine — the reference model.
 
-    Each is timed warm, best-of-``reps``; all three summaries are
-    asserted identical before any ratio is reported.
+    Each is timed warm, best-of-``reps``; both summaries are asserted
+    identical before the ratio is reported.
     """
     w = VacationWorkload(txns_per_core=txns)
     cfg = default_system(DetectionScheme.SUBBLOCK, 4)
@@ -98,25 +96,18 @@ def bench_hot_path(txns: int, seed: int = 5, reps: int = 5) -> dict:
         return stats, best
 
     flat, flat_s = best_of("flat", True)
-    fast, fast_s = best_of("array", False)
     slow, slow_s = best_of("object", False)
-    if not (flat.summary() == fast.summary() == slow.summary()):
+    if flat.summary() != slow.summary():
         raise AssertionError("kernel runs diverged on the hot-path workload")
     accesses = flat.l1_hits + flat.l1_misses
     return {
         "workload": f"vacation x{txns} txns/core, 8 cores, subblock N=4",
         "simulated_accesses": accesses,
         "engine_flat_txn_seconds": round(flat_s, 4),
-        "kernel_array_seconds": round(fast_s, 4),
         "kernel_object_seconds": round(slow_s, 4),
         "engine_flat_txn_acc_per_sec": round(accesses / flat_s),
-        "kernel_array_accesses_per_sec": round(accesses / fast_s),
         "kernel_object_accesses_per_sec": round(accesses / slow_s),
-        "speedup_flat_vs_array": round(fast_s / flat_s, 3),
         "speedup_flat_vs_object": round(slow_s / flat_s, 3),
-        # Kept for history continuity: the headline speedup is now the
-        # flat-txn stack over the PR6 array baseline.
-        "speedup": round(fast_s / flat_s, 3),
         "counters_identical": True,
     }
 
@@ -128,8 +119,9 @@ def bench_kernel(txns: int, seed: int = 7, replays: int = 15) -> dict:
     replayed non-transactionally through ``machine.access`` on each
     kernel (after one warm pass that faults the footprint into the L1).
     Reads dominate the stream and hit in L1 after warm-up, so the number
-    measured is the per-access hot path itself — the part the flat-array
-    refactor targets — not the shared token/redo plumbing.
+    measured is the per-access hot path itself — the part the flat
+    kernel's array representation targets — not the shared token/redo
+    plumbing.
     """
     from repro.htm.ops import OpKind
     from repro.kernel import build_machine
@@ -162,13 +154,10 @@ def bench_kernel(txns: int, seed: int = 7, replays: int = 15) -> dict:
     obj_s, obj_sum = min(
         (replay("object") for _ in range(3)), key=lambda r: r[0]
     )
-    arr_s, arr_sum = min(
-        (replay("array") for _ in range(3)), key=lambda r: r[0]
-    )
     flat_s, flat_sum = min(
         (replay("flat") for _ in range(3)), key=lambda r: r[0]
     )
-    if not (obj_sum == arr_sum == flat_sum):
+    if obj_sum != flat_sum:
         raise AssertionError("kernel replay counters diverged")
     accesses = len(stream) * replays
     return {
@@ -177,12 +166,10 @@ def bench_kernel(txns: int, seed: int = 7, replays: int = 15) -> dict:
         "stream_ops": len(stream),
         "replayed_accesses": accesses,
         "kernel_object_seconds": round(obj_s, 4),
-        "kernel_array_seconds": round(arr_s, 4),
         "kernel_flat_seconds": round(flat_s, 4),
         "kernel_object_accesses_per_sec": round(accesses / obj_s),
-        "kernel_array_accesses_per_sec": round(accesses / arr_s),
         "kernel_flat_accesses_per_sec": round(accesses / flat_s),
-        "speedup": round(obj_s / arr_s, 3),
+        "speedup": round(obj_s / flat_s, 3),
         "counters_identical": True,
     }
 
@@ -318,14 +305,11 @@ def main(argv: list[str] | None = None) -> int:
     ker = report["kernel"]
     print(f"wrote {args.out}")
     print(f"  hot path : {hp['engine_flat_txn_acc_per_sec']:>9,} acc/s flat "
-          f"(array {hp['kernel_array_accesses_per_sec']:,}, object "
-          f"{hp['kernel_object_accesses_per_sec']:,}; "
-          f"{hp['speedup_flat_vs_array']}x vs array, "
-          f"{hp['speedup_flat_vs_object']}x vs object, counters identical)")
+          f"(object {hp['kernel_object_accesses_per_sec']:,}; "
+          f"{hp['speedup_flat_vs_object']}x, counters identical)")
     print(f"  kernel   : {ker['kernel_flat_accesses_per_sec']:>9,} acc/s "
-          f"replay flat (array {ker['kernel_array_accesses_per_sec']:,}, "
-          f"object {ker['kernel_object_accesses_per_sec']:,}; "
-          f"counters identical)")
+          f"replay flat (object {ker['kernel_object_accesses_per_sec']:,}; "
+          f"{ker['speedup']}x, counters identical)")
     if par.get("skipped"):
         print(f"  parallel : skipped ({par['reason']})")
     else:

@@ -784,17 +784,19 @@ def build_parser() -> argparse.ArgumentParser:
             "(lazy detection only)",
         )
 
+    def kernel_flag(p):
+        p.add_argument(
+            "--kernel", choices=KERNELS, default=SystemConfig().kernel,
+            help="machine kernel implementation: the flat-array default or "
+            "the reference object model (bit-identical results)",
+        )
+
     def common(p, bench=True, seeds=False, checkpoint=False, trace_dir=False):
         if bench:
             p.add_argument("benchmark", choices=BENCHMARK_NAMES)
         p.add_argument("--txns", type=int, default=200)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument(
-            "--kernel", choices=KERNELS, default="flat",
-            help="machine kernel implementation: the flat-txn default, the "
-            "flat-array kernel, or the reference object model "
-            "(bit-identical results)",
-        )
+        kernel_flag(p)
         policy_flags(p)
         p.add_argument(
             "--executor", metavar="SPEC", default=None,
@@ -979,11 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="simulate a serialized program")
     p_replay.add_argument("path")
     p_replay.add_argument("--seed", type=int, default=1)
-    p_replay.add_argument(
-        "--kernel", choices=KERNELS, default="array",
-        help="machine kernel implementation: the flat-array default or "
-        "the reference object model (bit-identical results)",
-    )
+    kernel_flag(p_replay)
     p_replay.add_argument("--subblocks", type=int, default=4)
     p_replay.add_argument("--check", action="store_true")
     p_replay.add_argument("--all-schemes", action="store_true")

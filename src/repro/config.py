@@ -43,7 +43,7 @@ __all__ = [
 TELEMETRY_SINKS = ("auto", "counters", "detail", "trace")
 
 #: Valid values of :attr:`SystemConfig.kernel`.
-KERNELS = ("object", "array", "flat")
+KERNELS = ("object", "flat")
 
 
 class ConflictResolution(enum.Enum):
@@ -117,7 +117,7 @@ class HtmPolicy:
     The default instance *is* AMD ASF: lazy versioning, eager
     line-granular detection, requester-wins resolution.  Every other
     combination is a design-space excursion the engine runs through the
-    same three kernels.  The stall knobs only matter under
+    same two kernels.  The stall knobs only matter under
     ``ConflictResolution.STALL_BACKOFF``; ``lazy_arbitration`` only
     under ``DetectionTiming.LAZY``.
 
@@ -372,9 +372,8 @@ class SystemConfig:
     track_values: bool = True
     # Which machine implementation the engine builds: "flat" (default)
     # is the struct-of-arrays kernel plus the flat transactional runtime
-    # (recycled per-core txn views, inlined commit); "array" the same
-    # arrays with per-attempt Transaction objects; "object" the per-line
-    # object model both mirror bit-for-bit.  All three produce identical
+    # (recycled per-core txn views, inlined commit); "object" the per-line
+    # object model it mirrors bit-for-bit.  Both produce identical
     # telemetry — the kernel-parity suite asserts it.
     kernel: str = "flat"
 

@@ -116,7 +116,6 @@ class HtmMachine:
         stats: EventSink | None = None,
         checker=None,
         detector: ConflictDetector | None = None,
-        use_sharer_index: bool = True,
     ) -> None:
         self.config = config
         # All measurement goes through the EventSink protocol; ``stats``
@@ -159,13 +158,9 @@ class HtmMachine:
         ]
         # Per-line index of cores holding *any* speculative side state for
         # the line (mirror of spec_tables keys, as a bitmask).  Probes and
-        # piggy-back collection visit only these cores instead of scanning
-        # all n_cores side tables.  ``use_sharer_index=False`` falls back
-        # to the original broadcast scan — observable behaviour is
-        # identical (the parity tests assert it); only the visit set
-        # shrinks.
+        # piggy-back collection visit only these cores, in the bus's snoop
+        # order (see _rr_order), instead of scanning all n_cores tables.
         self.spec_holders: dict[int, int] = {}
-        self.use_sharer_index = use_sharer_index
         self.active: list[Transaction | None] = [None] * config.n_cores
         self._txn_uid = NON_TXN_UID  # allocate() pre-increments
 
@@ -268,7 +263,7 @@ class HtmMachine:
         detection scheme's granularity — against every other running
         transaction's speculative state; overlapping victims abort with
         an ``at_commit`` conflict record.  Lines are walked in sorted
-        order and victims in snoop delivery order so all three kernels
+        order and victims in snoop delivery order so both kernels
         arbitrate identically.
         """
         for line_addr in sorted(txn.write_lines):
@@ -276,11 +271,7 @@ class HtmMachine:
             mask = st.write_mask if st is not None else 0
             if not mask:
                 continue
-            if self.use_sharer_index:
-                targets = self._rr_order(core, self.spec_holders.get(line_addr, 0))
-            else:
-                targets = self.bus.snoop_order(core)
-            for r in targets:
+            for r in self._rr_order(core, self.spec_holders.get(line_addr, 0)):
                 rst = self.spec_tables[r].get(line_addr)
                 if rst is None:
                     continue
@@ -586,11 +577,7 @@ class HtmMachine:
         )
         self.bus.count_probe(probe)
         records: list[ConflictRecord] = []
-        if self.use_sharer_index:
-            targets = self._rr_order(core, self.spec_holders.get(line_addr, 0))
-        else:
-            targets = self.bus.snoop_order(core)
-        for r in targets:
+        for r in self._rr_order(core, self.spec_holders.get(line_addr, 0)):
             rst = self.spec_tables[r].get(line_addr)
             if rst is None:
                 continue
@@ -658,15 +645,11 @@ class HtmMachine:
 
     def _holder_targets(self, core: int, line_addr: int) -> list[int]:
         """Cores that may hold a valid copy of the line (ascending order)."""
-        if self.use_sharer_index:
-            return self._iter_mask(self.mem.holders_mask(line_addr), core)
-        return [r for r in range(self.config.n_cores) if r != core]
+        return self._iter_mask(self.mem.holders_mask(line_addr), core)
 
     def _spec_targets(self, core: int, line_addr: int) -> list[int]:
         """Cores that may hold side state for the line (ascending order)."""
-        if self.use_sharer_index:
-            return self._iter_mask(self.spec_holders.get(line_addr, 0), core)
-        return [r for r in range(self.config.n_cores) if r != core]
+        return self._iter_mask(self.spec_holders.get(line_addr, 0), core)
 
     def _commit_invalidate(self, core: int, txn: Transaction) -> None:
         """Invalidate remote copies of a lazy-detection committer's write
@@ -721,30 +704,18 @@ class HtmMachine:
         always committed-clean in this model, so falling through is safe.
         """
         supplier: int | None = None
-        if self.use_sharer_index:
-            # O(1) supplier selection: the MOESI invariant admits at most
-            # one supply-capable (M/O/E) copy, and ``l1_owner`` tracks it,
-            # so there is nothing to walk — either the owner supplies or
-            # memory does.  An owner equal to the requester only happens
-            # on the dirty-refetch path, where no *other* supplier can
-            # exist either.
-            owner = self.mem.l1_owner.get(line_addr, -1)
-            if owner >= 0 and owner != core:
-                line = self.mem.l1s[owner].lookup(line_addr, touch=False)
-                if line is not None and line.valid and supplies_data(line.state):
-                    rst = self.spec_tables[owner].get(line_addr)
-                    if rst is None or not self.detector.abstains_from_supply(rst):
-                        supplier = owner
-        else:
-            for r in self.bus.snoop_order(core):
-                line = self.mem.l1s[r].lookup(line_addr, touch=False)
-                if line is None or not line.valid or not supplies_data(line.state):
-                    continue
-                rst = self.spec_tables[r].get(line_addr)
-                if rst is not None and self.detector.abstains_from_supply(rst):
-                    continue  # stale words present; let memory respond
-                supplier = r
-                break
+        # O(1) supplier selection: the MOESI invariant admits at most one
+        # supply-capable (M/O/E) copy, and ``l1_owner`` tracks it, so
+        # there is nothing to walk — either the owner supplies or memory
+        # does.  An owner equal to the requester only happens on the
+        # dirty-refetch path, where no *other* supplier can exist either.
+        owner = self.mem.l1_owner.get(line_addr, -1)
+        if owner >= 0 and owner != core:
+            line = self.mem.l1s[owner].lookup(line_addr, touch=False)
+            if line is not None and line.valid and supplies_data(line.state):
+                rst = self.spec_tables[owner].get(line_addr)
+                if rst is None or not self.detector.abstains_from_supply(rst):
+                    supplier = owner
         # Piggy-back bits are collected from every core holding
         # speculatively written sub-blocks of the line — including (for the
         # idealised perfect system) invalidated-but-retained speculative

@@ -26,7 +26,7 @@ def restore_undo(memory: dict[int, int], undo: dict[int, int]) -> None:
     """Roll an eager-versioning undo log back into backing memory.
 
     Writes every pre-transaction token back and clears the log.  Shared
-    by all three kernels' abort paths so rollback is bit-identical.
+    by both kernels' abort paths so rollback is bit-identical.
     Restoring an explicit 0 (word was untouched before the transaction)
     is equivalent to absence: token 0 is the initial value of all memory
     and every reader uses ``memory.get(word, 0)``.

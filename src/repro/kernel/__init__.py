@@ -1,21 +1,20 @@
-"""Flat struct-of-arrays machine kernels (see :mod:`repro.kernel.state`).
+"""Flat struct-of-arrays machine kernel (see :mod:`repro.kernel.state`).
 
-Three interchangeable machine implementations exist:
+Two interchangeable machine implementations exist:
 
 * ``kernel="object"`` — :class:`repro.htm.machine.HtmMachine`, the per-line
-  object model (dict-of-``CacheLine`` + ``SpecLineState`` side tables);
-* ``kernel="array"`` — :class:`repro.kernel.machine.ArrayKernelMachine`,
-  the same protocol on preallocated flat arrays (~an order of magnitude
-  faster on the per-access hot path);
-* ``kernel="flat"`` — :class:`repro.kernel.flat.FlatTxnMachine`, the array
-  kernel plus the flat transactional runtime: per-core recycled
+  object model (dict-of-``CacheLine`` + ``SpecLineState`` side tables):
+  the readable reference;
+* ``kernel="flat"`` — :class:`repro.kernel.flat.FlatTxnMachine`, the same
+  protocol on preallocated flat arrays with the scheme's rules inlined as
+  mask arithmetic, plus the flat transactional runtime: per-core recycled
   ``Transaction`` views aliasing the :class:`SimState` txn planes, inlined
   commit/abort cleanup, and checker-free load bookkeeping elision (the
-  default).
+  default, several times faster on the per-access hot path).
 
-:func:`build_machine` picks one from :attr:`SystemConfig.kernel`; all
-three emit bit-identical telemetry (asserted by the kernel-parity suite),
-so everything above the machine — engine, runner, analysis — is agnostic.
+:func:`build_machine` picks one from :attr:`SystemConfig.kernel`; both
+emit bit-identical telemetry (asserted by the kernel-parity suite), so
+everything above the machine — engine, runner, analysis — is agnostic.
 :class:`MachineProtocol` is the structural type of that shared surface,
 for annotating code that holds "some machine" without caring which.
 """
@@ -27,7 +26,6 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 from repro.config import SystemConfig
 from repro.htm.machine import AccessOutcome, HtmMachine
 from repro.kernel.flat import FlatTxnMachine
-from repro.kernel.machine import ArrayKernelMachine
 from repro.kernel.state import SimState
 
 if TYPE_CHECKING:
@@ -37,7 +35,6 @@ if TYPE_CHECKING:
     from repro.telemetry.events import EventSink
 
 __all__ = [
-    "ArrayKernelMachine",
     "FlatTxnMachine",
     "MachineProtocol",
     "SimState",
@@ -49,7 +46,7 @@ __all__ = [
 class MachineProtocol(Protocol):
     """The machine surface the engine (and anything above it) relies on.
 
-    Structural, so all kernels — and test doubles — satisfy it without
+    Structural, so both kernels — and test doubles — satisfy it without
     inheriting from :class:`HtmMachine`.
     """
 
@@ -86,6 +83,4 @@ def build_machine(config: SystemConfig, **kwargs) -> HtmMachine:
     """Construct the machine implementation selected by ``config.kernel``."""
     if config.kernel == "flat":
         return FlatTxnMachine(config, **kwargs)
-    if config.kernel == "array":
-        return ArrayKernelMachine(config, **kwargs)
     return HtmMachine(config, **kwargs)

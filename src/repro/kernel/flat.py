@@ -1,14 +1,43 @@
-"""The flat transactional runtime kernel.
+"""The flat kernel: the fast machine implementation.
 
-:class:`FlatTxnMachine` extends the array kernel with a flat *transaction*
-runtime: where :class:`~repro.kernel.machine.ArrayKernelMachine` flattened
-the per-line coherence and speculative side state into
-:class:`~repro.kernel.state.SimState` planes, this kernel also removes the
-per-attempt :class:`~repro.htm.txn.Transaction` allocations from the hot
-path.  Each core owns exactly one ``Transaction`` *view* whose container
-fields (read/write line sets, redo log, observed tokens) alias the
-``SimState`` txn planes; ``new_txn`` recycles the view in place via
-:meth:`Transaction.reset` instead of allocating a dataclass plus four
+:class:`FlatTxnMachine` is a drop-in :class:`~repro.htm.machine.HtmMachine`
+whose per-access path runs entirely on :class:`~repro.kernel.state.SimState`
+arrays: no :class:`CacheLine` objects, no :class:`SpecLineState` side
+tables, no MOESI enum dispatch, no detector method calls per access.  The
+detection scheme's record/check/piggy-back rules are inlined as integer
+mask arithmetic specialised once at construction time from the config.
+
+It is a *bit-exact mirror* of the object machine — same telemetry events
+in the same order, same latencies, same conflict records, same LRU and
+probe delivery order — which the kernel-parity grid and the hypothesis
+replay suite assert.  Anything off the hot path (``begin_txn``, read-set
+validation, uid allocation, the rare multi-line access split) is inherited
+from the base class unchanged; the base delegates its
+representation-touching steps to the private methods overridden here
+(``_access_line``, ``_abort``, ``_release_spec_lines``,
+``_commit_arbitrate``, ``_commit_invalidate``).
+
+Parity-critical mirroring rules (each encodes an observable behaviour of
+the object model — change them only together with the object path):
+
+* L1 LRU: the touch-on-lookup move happens only for *valid* lines, at the
+  top of the per-line access;
+* write miss: fetch (emitting ``on_fill``) before invalidating remotes;
+* probe targets visit in round-robin order starting after the requester
+  (:meth:`HtmMachine._rr_order` over ``spec_mask``); every other remote
+  walk (invalidate, demote, piggy-back, remote-spec collection) visits
+  ascending core ids of the ``holders``/``spec_mask`` bitmasks;
+* a set may grow ``SPEC_OVERFLOW_WAYS`` beyond nominal associativity to
+  host pinned speculative lines before a capacity abort fires;
+* non-transactional accesses to a fully pinned set bypass the cache at
+  memory latency without emitting ``on_access``.
+
+On top of the flat coherence state the kernel runs a flat *transaction*
+runtime: the per-attempt :class:`~repro.htm.txn.Transaction` allocations
+leave the hot path.  Each core owns exactly one ``Transaction`` *view*
+whose container fields (read/write line sets, redo log, observed tokens)
+alias the ``SimState`` txn planes; ``new_txn`` recycles the view in place
+via :meth:`Transaction.reset` instead of allocating a dataclass plus four
 containers per attempt.  The object-model API is unchanged — engine,
 telemetry, checker and tests still see a ``Transaction`` with the same
 fields — the view is just never reallocated.
@@ -33,7 +62,8 @@ On top of the view recycling the hot lifecycle is specialised:
   guard re-check after ``_require_txn``;
 * fast L1 hits return one preallocated :class:`AccessOutcome` (the engine
   and the access log consume its scalars immediately and never retain
-  it); miss outcomes stay per-call because their fields vary;
+  it); miss outcomes reuse a second preallocated outcome whose fields are
+  all rewritten per call;
 * when no atomicity checker is attached and the scheme does not need
   commit-time validation, transactional *loads* skip token bookkeeping
   entirely — ``observed`` is consumed only by the checker and by lazy
@@ -43,18 +73,19 @@ On top of the view recycling the hot lifecycle is specialised:
 
 from __future__ import annotations
 
-from repro.config import SystemConfig
+from repro.config import ConflictResolution, DetectionScheme, SystemConfig
 from repro.errors import ProtocolError
+from repro.htm.conflict import ConflictRecord, classify_type
 from repro.htm.machine import (
     SPEC_OVERFLOW_WAYS,
     AccessOutcome,
+    HtmMachine,
     _RequesterAborted,
     _RequesterStalled,
 )
 from repro.htm.ops import TxnOp
 from repro.htm.txn import AbortCause, Transaction, TxnStatus
 from repro.htm.versioning import restore_undo
-from repro.kernel.machine import _WSHIFT, ArrayKernelMachine
 from repro.kernel.state import (
     MOESI_E,
     MOESI_I,
@@ -62,15 +93,20 @@ from repro.kernel.state import (
     MOESI_O,
     MOESI_S,
     NON_INVALIDATING_NEXT,
+    SimState,
 )
 from repro.mem.address import WORD_SIZE
 from repro.telemetry.events import EventSink
+from repro.util.bitops import reduce_mask
 
 __all__ = ["FlatTxnMachine"]
 
+#: offset -> word index shift (WORD_SIZE is a power of two).
+_WSHIFT = WORD_SIZE.bit_length() - 1
 
-class FlatTxnMachine(ArrayKernelMachine):
-    """Array kernel plus recycled per-core transaction views."""
+
+class FlatTxnMachine(HtmMachine):
+    """HtmMachine on SimState arrays with recycled per-core txn views."""
 
     def __init__(
         self,
@@ -78,16 +114,48 @@ class FlatTxnMachine(ArrayKernelMachine):
         stats: EventSink | None = None,
         checker=None,
         detector=None,
-        use_sharer_index: bool = True,
     ) -> None:
-        super().__init__(
-            config,
-            stats=stats,
-            checker=checker,
-            detector=detector,
-            use_sharer_index=use_sharer_index,
-        )
-        s = self.state
+        if detector is not None:
+            raise ProtocolError(
+                "the flat kernel inlines the configured detection scheme; "
+                "custom detector objects need kernel='object'"
+            )
+        super().__init__(config, stats=stats, checker=checker)
+        s = self.state = SimState(config)
+        scheme = config.htm.scheme
+        # Scheme specialisation: which family of inlined mask rules runs.
+        self._sub = scheme in (DetectionScheme.SUBBLOCK, DetectionScheme.PERFECT)
+        self._decoupled = scheme is DetectionScheme.DECOUPLED
+        if scheme is DetectionScheme.SUBBLOCK:
+            self._n_sub = config.htm.n_subblocks
+            self._dirty_en = config.htm.dirty_state_enabled
+            self._forced_waw = config.htm.forced_waw_abort
+        elif scheme is DetectionScheme.PERFECT:
+            self._n_sub = config.line_size
+            self._dirty_en = True
+            self._forced_waw = False
+        else:
+            self._n_sub = 1
+            self._dirty_en = False
+            self._forced_waw = False
+        if self._lazy_cd:
+            # Lazy detection neutralises the dirty/piggy-back machinery
+            # (it exists to make *eager* probe detection sound); the
+            # object model gets the same effect from LazyPolicyDetector
+            # inheriting the base no-op hooks.
+            self._dirty_en = False
+        self._sub_memo: dict[int, int] = {}
+        self._older_wins = config.htm.resolution is ConflictResolution.OLDER_WINS
+        lat = config.latency
+        self._lat_l1 = lat.l1_hit
+        self._lat_l2 = lat.l2_hit
+        self._lat_l3 = lat.l3_hit
+        self._lat_mem = lat.memory
+        self._lat_c2c = lat.cache_to_cache
+        self._lat_upgrade = lat.l1_hit + lat.cache_to_cache // 2
+        self._line_size = config.line_size
+        self._offset_mask = config.line_size - 1
+        self._wpl = self.amap.words_per_line
         # One reusable Transaction per core, aliasing the SimState planes.
         self._views: list[Transaction] = [
             Transaction(
@@ -124,9 +192,65 @@ class FlatTxnMachine(ArrayKernelMachine):
         # only when conflicts actually occurred.
         self._miss_out = AccessOutcome.__new__(AccessOutcome)
         self._no_conflicts: list = []
+        # Bound-method caches for the per-access hot path (the sink is
+        # fixed at construction; attach_access_log wraps ``access``, not
+        # the sink, so these cannot go stale).
+        self._on_access = self.sink.on_access
         self._on_fill = self.sink.on_fill
         self._count_response = self.bus.count_response
         self._bstats = self.bus.stats
+
+    # ------------------------------------------------------------------ helpers
+
+    def _subblocks(self, mask: int) -> int:
+        """Byte mask -> packed sub-block mask, memoized per machine."""
+        memo = self._sub_memo
+        sub = memo.get(mask)
+        if sub is None:
+            sub = reduce_mask(mask, self._line_size, self._n_sub)
+            memo[mask] = sub
+        return sub
+
+    def _ensure_entry(self, core: int, li: int) -> None:
+        """Create the (zeroed) side-state slot for ``(core, li)``.
+
+        Mirrors ``_spec_state`` creating a fresh ``SpecLineState``: slots
+        are zero-on-create (discard only clears the membership bit; every
+        plane read is membership-guarded, so stale values are inert).
+        """
+        s = self.state
+        s.spec_mask[li] |= 1 << core
+        s.rmask[core][li] = 0
+        s.wmask[core][li] = 0
+        s.spec[core][li] = 0
+        s.wr[core][li] = 0
+        s.rr[core][li] = 0
+        s.sowner[core][li] = -1
+
+    def _any_spec(self, core: int, li: int) -> bool:
+        """SpecLineState.any_spec on planes (membership already checked)."""
+        s = self.state
+        if self._sub:
+            return s.spec[core][li] != 0
+        return s.rmask[core][li] != 0 or s.wmask[core][li] != 0
+
+    def _remove_l1(self, core: int, li: int) -> None:
+        """Valid-copy removal bookkeeping shared by evict/drop/invalidate."""
+        s = self.state
+        if s.moesi[core][li] != MOESI_I:
+            s.moesi[core][li] = MOESI_I
+            s.holders[li] &= ~(1 << core)
+            if s.owner[li] == core:
+                s.owner[li] = -1
+
+    def _spec_written(self, r: int, li: int) -> bool:
+        """has_spec_write on planes: does ``r`` hold speculatively written
+        (uncommitted) words of the line?  Used by the lazy-detection
+        supplier abstention — such data must never be forwarded."""
+        s = self.state
+        if self._sub:
+            return (s.spec[r][li] & s.wr[r][li]) != 0
+        return s.wmask[r][li] != 0
 
     # ------------------------------------------------------------------ txns
 
@@ -176,13 +300,14 @@ class FlatTxnMachine(ArrayKernelMachine):
     def access(
         self, core: int, addr: int, size: int, is_write: bool, time: int
     ) -> AccessOutcome:
-        """Array-kernel access with the no-traffic hit fully inlined.
+        """Per-access entry with the no-traffic L1 hit fully inlined.
 
-        One flat method replaces the array kernel's guard + ``_hit_fast``
-        dispatch: the fast-path conditions and the hit body share locals,
-        the sub-block memo is probed inline, and the hit returns the
-        machine's preallocated outcome.  Misses (and the rare multi-line
-        access) fall through to :meth:`_access_line` / the array splitter.
+        A valid L1 hit that needs neither a probe nor a fill — a read of
+        reliable data, or a silent store on an M/E copy — is served here:
+        every condition is checked before any state is touched, the
+        sub-block memo is probed inline, and the hit returns the machine's
+        preallocated outcome.  Misses fall through to :meth:`_access_line`;
+        the rare multi-line access goes to the base class splitter.
         """
         if self._stall_res and self._stalled[core]:
             # The stall delay elapsed; the core leaves the queue and
@@ -191,9 +316,9 @@ class FlatTxnMachine(ArrayKernelMachine):
             self._stall_count -= 1
         offset = addr & self._offset_mask
         if offset + size > self._line_size or size <= 0:
-            # Multi-line or degenerate access: array splitter handles it
-            # (its own stall-queue re-entry check is a no-op by now).
-            return ArrayKernelMachine.access(self, core, addr, size, is_write, time)
+            # Multi-line or degenerate access: the base splitter handles
+            # it (its own stall-queue re-entry check is a no-op by now).
+            return super().access(core, addr, size, is_write, time)
         s = self.state
         line_addr = addr - offset
         li = s.intern_map.get(line_addr)
@@ -232,7 +357,7 @@ class FlatTxnMachine(ArrayKernelMachine):
                     return self._access_line(
                         core, line_addr, offset, size, is_write, time, txn, li
                     )
-        # ---- no-traffic L1 hit (mirrors ArrayKernelMachine._hit_fast) ----
+        # ---- no-traffic L1 hit (the hit legs of _access_line) ----
         set_d = s.l1_sets[core][s.set1[li]]
         del set_d[li]
         set_d[li] = None
@@ -349,13 +474,9 @@ class FlatTxnMachine(ArrayKernelMachine):
         return self._fast_out
 
     def _invalidate_remote_copies(self, core: int, li: int) -> None:
-        """Array-kernel walk with the target-list allocation inlined away
-        (ascending bit iteration == ``_iter_mask`` order)."""
+        """Invalidate every other valid copy, ascending core ids."""
         s = self.state
-        if self.use_sharer_index:
-            m = s.holders[li] & ~(1 << core)
-        else:
-            m = ((1 << s.n_cores) - 1) & ~(1 << core)
+        m = s.holders[li] & ~(1 << core)
         while m:
             low = m & -m
             r = low.bit_length() - 1
@@ -386,30 +507,14 @@ class FlatTxnMachine(ArrayKernelMachine):
                     # Dirty-only info dies with the discarded copy.
                     s.spec_mask[li] &= ~(1 << r)
 
-    def _demote_remote_copies(self, core: int, li: int) -> None:
-        s = self.state
-        if self.use_sharer_index:
-            m = s.holders[li] & ~(1 << core)
-        else:
-            m = ((1 << s.n_cores) - 1) & ~(1 << core)
-        while m:
-            low = m & -m
-            r = low.bit_length() - 1
-            m ^= low
-            code = s.moesi[r][li]
-            if code == MOESI_I:
-                continue
-            if code == MOESI_E and s.owner[li] == r:
-                # E→S loses supply capability; M→O keeps it.
-                s.owner[li] = -1
-            s.moesi[r][li] = NON_INVALIDATING_NEXT[code]
-
     def _abort(self, core: int, time: int, cause: AbortCause) -> Transaction:
-        """Array-kernel abort with ``_clear_spec_entry`` inlined.
+        """Abort with the gang-clear inlined.
 
-        Identical per-line cleanup; the plane rows and the gang-clear body
-        are hoisted out of the loop so each footprint line costs a handful
-        of list indexings instead of two method calls.
+        The plane rows and the gang-clear body are hoisted out of the loop
+        so each footprint line costs a handful of list indexings instead
+        of method calls.  Written lines first, then read-only lines: that
+        avoids allocating the footprint union set, and per-line cleanup
+        only touches that line's state, so the order is unobservable.
         """
         txn = self._require_txn(core)
         self.versions.on_abort(txn.uid)
@@ -475,7 +580,7 @@ class FlatTxnMachine(ArrayKernelMachine):
         return txn
 
     def _release_spec_lines(self, core: int, txn: Transaction) -> None:
-        """Commit-path cleanup with ``_clear_spec_entry`` inlined."""
+        """Commit-path cleanup: unpin and gang-clear (inlined) spec state."""
         s = self.state
         imap = s.intern_map
         moesi_c = s.moesi[core]
@@ -524,11 +629,11 @@ class FlatTxnMachine(ArrayKernelMachine):
         """Fused post-probe walk: probe-survivor sub-block snapshot and
         piggy-back Dirty bits in one pass.
 
-        The array kernel walks the line's speculative holders twice after
-        a probe — once inside ``_fetch`` for the piggy-back mask, once for
-        the ``rr`` survivor snapshot.  Both walks read the same post-probe
-        state (nothing between them mutates ``spec``/``wr``/``active`` for
-        this line), so one pass yields both values.
+        The object model walks the line's speculative holders twice after
+        a probe — once inside ``_fetch_line`` for the piggy-back mask,
+        once for the ``rr`` survivor snapshot.  Both walks read the same
+        post-probe state (nothing between them mutates ``spec``/``wr``/
+        ``active`` for this line), so one pass yields both values.
         """
         if not self._sub or self._lazy_cd:
             # Lazy detection: no rr snapshot (probes never check
@@ -561,33 +666,25 @@ class FlatTxnMachine(ArrayKernelMachine):
     def _fetch_piggy(
         self, core: int, li: int, line_addr: int, piggy: int
     ) -> tuple[list[int], int]:
-        """``ArrayKernelMachine._fetch`` with the piggy-back walk hoisted
-        out (the fused :meth:`_post_probe_walk` already produced it)."""
+        """Fetch line data: the owner's cache, local L2/L3, or memory.
+
+        The object model's ``_fetch_line`` with the piggy-back walk hoisted
+        out (the fused :meth:`_post_probe_walk` already produced it).  The
+        MOESI invariant admits at most one supply-capable copy and
+        ``owner`` tracks it, so supplier selection is O(1).
+        """
         s = self.state
         supplier = -1
-        lazy_cd = self._lazy_cd
-        if self.use_sharer_index:
-            ow = s.owner[li]
-            if ow >= 0 and ow != core and s.moesi[ow][li] >= MOESI_O:
-                if not (
-                    (s.spec_mask[li] >> ow) & 1
-                    and (
-                        s.wr[ow][li] & ~s.spec[ow][li]
-                        or (lazy_cd and self._spec_written(ow, li))
-                    )
-                ):
-                    supplier = ow
-        else:
-            for r in self.bus.snoop_order(core):
-                if s.moesi[r][li] < MOESI_O:
-                    continue
-                if (s.spec_mask[li] >> r) & 1 and (
-                    s.wr[r][li] & ~s.spec[r][li]
-                    or (lazy_cd and self._spec_written(r, li))
-                ):
-                    continue  # stale/uncommitted words; let memory respond
-                supplier = r
-                break
+        ow = s.owner[li]
+        if ow >= 0 and ow != core and s.moesi[ow][li] >= MOESI_O:
+            if not (
+                (s.spec_mask[li] >> ow) & 1
+                and (
+                    s.wr[ow][li] & ~s.spec[ow][li]
+                    or (self._lazy_cd and self._spec_written(ow, li))
+                )
+            ):
+                supplier = ow
         on_fill = self._on_fill
         if supplier >= 0:
             src = s.data[supplier][li]
@@ -638,7 +735,7 @@ class FlatTxnMachine(ArrayKernelMachine):
         s = self.state
         if li < 0:
             # Callers that already interned the line (our own ``access``)
-            # pass ``li``; the shared multi-line splitter does not.
+            # pass ``li``; the base class multi-line splitter does not.
             li0 = s.intern_map.get(line_addr)
             li = s.add_line(line_addr) if li0 is None else li0
         moesi_c = s.moesi[core]
@@ -759,15 +856,10 @@ class FlatTxnMachine(ArrayKernelMachine):
                 data, fill_lat = self._fetch_piggy(core, li, line_addr, piggy)
                 # Demote does not touch holder bits, so the sharer test
                 # may be hoisted above it to gate the (often no-op) walk.
-                others = s.holders[li] & ~bit
-                if others:
-                    # _demote_remote_copies inlined: M->O / E,S->S on every
-                    # remote valid copy, releasing E supply capability.
-                    m = (
-                        others
-                        if self.use_sharer_index
-                        else ((1 << s.n_cores) - 1) & ~bit
-                    )
+                m = s.holders[li] & ~bit
+                if m:
+                    # Demote walk: M->O / E,S->S on every remote valid
+                    # copy, releasing E supply capability.
                     owner_l = s.owner
                     moesi = s.moesi
                     while m:
@@ -786,8 +878,8 @@ class FlatTxnMachine(ArrayKernelMachine):
                     fill_code = MOESI_E
 
         if fill_code >= 0:
-            # ---- _fill inlined (single shared site for both miss legs;
-            # the walks above already ran in their leg-specific order) ----
+            # ---- L1 fill (single shared site for both miss legs; the
+            # walks above already ran in their leg-specific order) ----
             if txn is not None and line_addr in txn.write_lines:
                 # Overlay the transaction's own buffered stores.
                 redo = txn.redo
@@ -846,8 +938,12 @@ class FlatTxnMachine(ArrayKernelMachine):
             raise ProtocolError(f"line {line_addr:#x} not resident after access")
 
         if probed and self._sub and not self._lazy_cd:
-            # Probe-survivor snapshot (computed by the fused walk above;
-            # see ArrayKernelMachine._access_line).
+            # Snapshot which sub-blocks other running transactions still
+            # hold speculative state on (probe survivors, computed by the
+            # fused walk above); see SpecLineState.rr_bits.  The union is
+            # zero outside the sub-block family, where the object path's
+            # walk is a no-op.  (Moot under lazy detection: probes never
+            # check conflicts.)
             if remote_spec or (member and s.rr[core][li]):
                 if not member:
                     self._ensure_entry(core, li)
@@ -955,8 +1051,8 @@ class FlatTxnMachine(ArrayKernelMachine):
         elif txn is not None:
             checker = self.checker
             if checker is not None or self._lazy:
-                # Same elision as _hit_fast: observed tokens feed only the
-                # checker and lazy commit validation.
+                # Same elision as the access() hit path: observed tokens
+                # feed only the checker and lazy commit validation.
                 data_line = s.data[core][li]
                 w0 = offset >> _WSHIFT
                 w1 = (offset + size - 1) >> _WSHIFT
@@ -973,4 +1069,202 @@ class FlatTxnMachine(ArrayKernelMachine):
                                 checker.observe_read(txn, word_addr, token)
 
         self._on_access(core, line_addr, offset, is_write, out.hit_l1)
+        return out
+
+    # ------------------------------------------------------- probe and commit
+
+    def _probe(
+        self,
+        core: int,
+        li: int,
+        line_addr: int,
+        mask: int,
+        invalidating: bool,
+        time: int,
+        txn: Transaction | None,
+        is_write: bool,
+    ) -> list[ConflictRecord]:
+        """Deliver a probe to the line's speculative holders.
+
+        Plane-based mirror of ``HtmMachine._broadcast_probe``: targets come
+        from ``spec_mask`` in round-robin snoop order, and the scheme's
+        check rule is inlined.
+        """
+        s = self.state
+        bstats = self._bstats
+        if invalidating:
+            bstats.probes_invalidating += 1
+        else:
+            bstats.probes_non_invalidating += 1
+        records: list[ConflictRecord] = []
+        if self._lazy_cd:
+            # Lazy detection: the probe goes out (bus counted above) but
+            # never checks conflicts — resolution waits for commit.
+            return records
+        sub_family = self._sub
+        sub = self._subblocks(mask) if sub_family else 0
+        active = self.active
+        for r in self._rr_order(core, s.spec_mask[li]):
+            victim = active[r]
+            if victim is None or s.sowner[r][li] != victim.uid:
+                continue  # dirty-only or stale state: no active speculation
+            forced_waw = False
+            if sub_family:
+                spec_r = s.spec[r][li]
+                if invalidating:
+                    if sub & spec_r:
+                        pass
+                    elif self._forced_waw and spec_r & s.wr[r][li]:
+                        forced_waw = True
+                    else:
+                        continue
+                elif not (sub & spec_r & s.wr[r][li]):
+                    continue
+            else:
+                wm = s.wmask[r][li]
+                if invalidating:
+                    if self._decoupled:
+                        if not wm:
+                            continue
+                    elif not (wm or s.rmask[r][li]):
+                        continue
+                elif not wm:
+                    continue
+            rmask_r = s.rmask[r][li]
+            wmask_r = s.wmask[r][li]
+            victim_footprint = wmask_r | (rmask_r if invalidating else 0)
+            is_false = (mask & victim_footprint) == 0
+            rec = ConflictRecord(
+                time=time,
+                requester_core=core,
+                victim_core=r,
+                requester_txn=txn.uid if txn is not None else -1,
+                victim_txn=victim.uid,
+                line_addr=line_addr,
+                line_index=self.amap.line_index(line_addr),
+                ctype=classify_type(is_write, rmask_r, wmask_r),
+                is_false=is_false,
+                requester_is_write=is_write,
+                requester_mask=mask,
+                victim_read_mask=rmask_r,
+                victim_write_mask=wmask_r,
+                forced_waw=forced_waw,
+            )
+            cause = AbortCause.CONFLICT_FALSE if is_false else AbortCause.CONFLICT_TRUE
+            if self._stall_res and txn is not None:
+                # Stall/backoff resolution: nobody aborts if the requester
+                # can park.  The decision is made at the first conflicting
+                # victim, before any abort, so a stalled access is
+                # side-effect-free and replayable.
+                if (
+                    self._stall_budget[core] > 0
+                    and self._stall_count < self.policy.stall_queue_depth
+                ):
+                    self._stall_budget[core] -= 1
+                    delay = self.policy.stall_cycles * (1 + self._stall_count)
+                    self._stalled[core] = True
+                    self._stall_count += 1
+                    self.sink.on_stall(core, time, delay, False)
+                    raise _RequesterStalled(delay)
+                # Deadlock avoidance: budget or queue exhausted — the
+                # requester aborts itself instead of waiting forever.
+                records.append(rec)
+                self.sink.on_conflict(rec)
+                self.sink.on_stall(core, time, 0, True)
+                self._abort(core, time, cause)
+                raise _RequesterAborted(cause, records)
+            records.append(rec)
+            self.sink.on_conflict(rec)
+            if (
+                self._older_wins
+                and txn is not None
+                and victim.start_time < txn.start_time
+            ):
+                # Age-based resolution: the younger *requester* yields.
+                self._abort(core, time, cause)
+                raise _RequesterAborted(cause, records)
+            self._abort(r, time, cause)
+        return records
+
+    def _commit_arbitrate(self, core: int, txn: Transaction, time: int) -> None:
+        """Plane-based mirror of ``HtmMachine._commit_arbitrate``.
+
+        Same sorted-line walk and snoop-ordered victim visits; the scheme's
+        invalidating-probe rule is inlined exactly as in :meth:`_probe`.
+        """
+        s = self.state
+        imap = s.intern_map
+        active = self.active
+        sub_family = self._sub
+        for line_addr in sorted(txn.write_lines):
+            li = imap[line_addr]
+            if not (s.spec_mask[li] >> core) & 1:
+                continue
+            mask = s.wmask[core][li]
+            if not mask:
+                continue
+            sub = self._subblocks(mask) if sub_family else 0
+            for r in self._rr_order(core, s.spec_mask[li]):
+                victim = active[r]
+                if victim is None or s.sowner[r][li] != victim.uid:
+                    continue
+                forced_waw = False
+                rmask_r = s.rmask[r][li]
+                wmask_r = s.wmask[r][li]
+                if sub_family:
+                    spec_r = s.spec[r][li]
+                    if sub & spec_r:
+                        pass
+                    elif self._forced_waw and spec_r & s.wr[r][li]:
+                        forced_waw = True
+                    else:
+                        continue
+                elif self._decoupled:
+                    if not wmask_r:
+                        continue
+                elif not (wmask_r or rmask_r):
+                    continue
+                is_false = (mask & (wmask_r | rmask_r)) == 0
+                rec = ConflictRecord(
+                    time=time,
+                    requester_core=core,
+                    victim_core=r,
+                    requester_txn=txn.uid,
+                    victim_txn=victim.uid,
+                    line_addr=line_addr,
+                    line_index=self.amap.line_index(line_addr),
+                    ctype=classify_type(True, rmask_r, wmask_r),
+                    is_false=is_false,
+                    requester_is_write=True,
+                    requester_mask=mask,
+                    victim_read_mask=rmask_r,
+                    victim_write_mask=wmask_r,
+                    forced_waw=forced_waw,
+                    at_commit=True,
+                )
+                self.sink.on_conflict(rec)
+                cause = (
+                    AbortCause.CONFLICT_FALSE if is_false else AbortCause.CONFLICT_TRUE
+                )
+                self._abort(r, time, cause)
+
+    def _commit_invalidate(self, core: int, txn) -> None:
+        intern = self.state.intern_map
+        for line_addr in sorted(txn.write_lines):
+            li = intern.get(line_addr)
+            if li is not None:
+                self._invalidate_remote_copies(core, li)
+
+    def _capacity_bypass_or_abort(
+        self, core: int, time: int, out: AccessOutcome
+    ) -> AccessOutcome:
+        txn = self.active[core]
+        if txn is None:
+            # Non-transactional access to a set full of pinned lines:
+            # bypass the cache (serve uncached at memory latency).
+            out.latency += self._lat_mem
+            out.self_abort = None
+            return out
+        self._abort(core, time, AbortCause.CAPACITY)
+        out.self_abort = AbortCause.CAPACITY
         return out

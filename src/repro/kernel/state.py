@@ -1,4 +1,4 @@
-"""Flat struct-of-arrays state for the array machine kernel.
+"""Flat struct-of-arrays state for the flat machine kernel.
 
 The object model spends most of the hot path chasing pointers: a dict
 lookup to a :class:`~repro.mem.cache.CacheLine`, an attribute read for the
@@ -234,9 +234,14 @@ class SimState:
         bad = n_o > 1
         if bad.any():
             raise ProtocolError(f"line {_first_bad(bad):#x}: multiple O copies")
-        # holders bitmask mirrors the set of valid copies exactly.
+        # holders bitmask mirrors the set of valid copies exactly: bit r
+        # is set iff core r holds a valid copy.
         hold = np.array(self.holders, dtype=np.uint64)
-        bad = np.bitwise_count(hold) != n_valid
+        shifts = np.arange(self.n_cores, dtype=np.uint64)[:, None]
+        expected = np.bitwise_or.reduce(
+            (m != MOESI_I).astype(np.uint64) << shifts, axis=0
+        )
+        bad = hold != expected
         if bad.any():
             raise ProtocolError(
                 f"line {_first_bad(bad):#x}: holders bitmask out of sync"

@@ -122,8 +122,8 @@ class SimulationEngine:
                 record_detail=record_detail,
                 metadata={"seed": seed},
             )
-        # config.kernel selects the machine implementation (flat-txn
-        # kernel by default; array/object models for differential testing).
+        # config.kernel selects the machine implementation (flat kernel by
+        # default; the object model for differential testing).
         self.machine: MachineProtocol = build_machine(config, stats=self.sink)
         self.checker: AtomicityChecker | None = None
         if check_atomicity:

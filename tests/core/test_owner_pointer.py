@@ -4,7 +4,7 @@ point at the unique supply-capable (MOESI M/O/E) copy of a line.
 The fill path trusts this map instead of walking sharers, so a stale or
 missing entry would silently change supplier selection — these tests pin
 the invariant across schemes and full engine runs, complementing the
-sharer-index parity suite.
+sharer-index delivery oracles.
 """
 
 from __future__ import annotations
@@ -87,17 +87,43 @@ def test_owner_map_exact_mid_run():
 
 
 def test_owner_pointer_parity_with_legacy_walk():
-    """Supplier selection via the owner pointer must reproduce the
-    legacy snoop-order walk bit-for-bit (MOESI admits one supplier)."""
-    cfg = default_system(DetectionScheme.ASF_BASELINE, 4)
-    workload = get_workload("vacation", 12)
-    scripts = workload.build(cfg.n_cores, 1)
+    """Supplier selection via the owner pointer reproduces the snoop-order
+    walk it replaced.  Before every fetch the walk is recomputed from the
+    caches — the first core after the requester with a valid
+    supply-capable copy that does not abstain — and the fetch must take
+    its data from exactly that core, or from memory when there is none
+    (MOESI admits one supplier)."""
+    cfg = default_system(DetectionScheme.ASF_BASELINE, 4).with_kernel("object")
+    scripts = get_workload("vacation", 12).build(cfg.n_cores, 1)
+    engine = SimulationEngine(cfg, scripts, seed=1, check_atomicity=False)
+    machine = engine.machine
+    fetch = machine._fetch_line
+    counts = {"fetches": 0, "remote": 0}
 
-    fast = SimulationEngine(cfg, scripts, seed=1, check_atomicity=False)
-    legacy = SimulationEngine(cfg, scripts, seed=1, check_atomicity=False)
-    legacy.machine.use_sharer_index = False
+    def legacy_walk(core, line_addr):
+        for r in machine.bus.snoop_order(core):
+            line = machine.mem.l1s[r].lookup(line_addr, touch=False)
+            if line is None or not line.valid or not supplies_data(line.state):
+                continue
+            rst = machine.spec_tables[r].get(line_addr)
+            if rst is not None and machine.detector.abstains_from_supply(rst):
+                continue
+            return list(line.data)
+        return None
 
-    fast_stats = fast.run()
-    legacy_stats = legacy.run()
-    assert fast_stats.summary() == legacy_stats.summary()
-    assert fast_stats.per_core_cycles == legacy_stats.per_core_cycles
+    def checked_fetch(core, line_addr):
+        expected = legacy_walk(core, line_addr)
+        before = machine.bus.stats.data_responses_cache
+        data, latency, piggy = fetch(core, line_addr)
+        from_cache = machine.bus.stats.data_responses_cache - before
+        assert from_cache == (expected is not None)
+        if expected is not None:
+            assert data == expected
+            counts["remote"] += 1
+        counts["fetches"] += 1
+        return data, latency, piggy
+
+    machine._fetch_line = checked_fetch
+    engine.run()
+    assert counts["fetches"] > 100
+    assert counts["remote"] > 0

@@ -1,215 +1,240 @@
-"""Sharer-filtered probes must be observationally identical to broadcast.
+"""Sharer-index delivery: direct oracles for probe order and the index.
 
-The machine keeps per-line sharer indexes (valid L1 copies and spec-table
-entries) so probes, invalidations and fetch snoops visit only potential
-responders.  That is purely a who-gets-visited optimization: every
-scenario here runs twice — ``use_sharer_index=True`` vs the legacy
-all-cores scan — and asserts identical observable behaviour, including
-the *order* of conflict records (multi-victim aborts and the older-wins
-early exit depend on round-robin delivery order).
+Both kernels deliver probes only to the cores a per-line index names
+(``spec_holders`` in the object model, ``spec_mask`` in the flat kernel),
+in the bus's round-robin snoop order, and walk remote copies through the
+valid-copy ``holders`` index.  The index is the only delivery path, so
+these tests check it against oracles that do not depend on it:
 
-Scenarios follow the protocol tests: the Figure 6 dirty-reprobe hazard,
-Figure 7-style sub-block interleavings, multi-victim write probes, and
-both resolution policies; an engine-level sweep closes with full-run
-stats equality on contended workloads under all three schemes.
+* ``_rr_order`` equals :meth:`SnoopBus.snoop_order` filtered to the mask,
+  and ``_iter_mask`` is ascending without the excluded core, for every
+  requester and every mask on 1-8 cores;
+* protocol scenarios — the Figure 6 dirty re-probe, Figure 7 disjoint
+  sub-blocks, forced WAW, multi-victim and wrap-around victim order, the
+  older-wins early exit — run on each kernel and assert the expected
+  victims *in order* (multi-victim aborts and the older-wins early exit
+  depend on round-robin delivery order);
+* at the end of every scenario the object model's ``spec_holders`` equals
+  a ground-truth scan of ``spec_tables``, and the flat kernel's state
+  passes the exact MOESI/holders audit;
+* contended full runs agree across kernels, event stream included.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.config import ConflictResolution, DetectionScheme, default_system
-from repro.htm.txn import TxnStatus
+from repro.htm.machine import HtmMachine
+from repro.htm.txn import AbortCause, TxnStatus
+from repro.kernel import FlatTxnMachine, build_machine
+from repro.mem.bus import SnoopBus
+from repro.sim.atomicity import AtomicityChecker
 from repro.sim.engine import SimulationEngine
 from repro.workloads.kmeans import KmeansWorkload
 from repro.workloads.vacation import VacationWorkload
-from tests.conftest import TxnDriver, make_machine
+from tests.conftest import TxnDriver
 
 L = 0x70000
 L2 = 0x71000
 SB = 16
+KERNELS = ("object", "flat")
 
 
-def mirrored_drivers(config) -> tuple[TxnDriver, TxnDriver]:
-    fast = make_machine(config, check=True)
-    slow = make_machine(config, check=True)
-    assert fast.use_sharer_index
-    slow.use_sharer_index = False
-    return TxnDriver(fast), TxnDriver(slow)
+def assert_index_exact(machine) -> None:
+    """The sharer indexes agree with a scan that does not use them."""
+    if isinstance(machine, FlatTxnMachine):
+        machine.state.audit_coherence()
+        return
+    truth: dict[int, int] = {}
+    for c, table in enumerate(machine.spec_tables):
+        for line in table:
+            truth[line] = truth.get(line, 0) | (1 << c)
+    assert machine.spec_holders == truth
 
 
-class Mirror:
-    """Applies every driver step to both machines and compares outcomes."""
+def driver(config, kernel: str) -> TxnDriver:
+    """A checked single machine of the given kernel."""
+    machine = build_machine(config.with_kernel(kernel))
+    machine.checker = AtomicityChecker(
+        tokens=machine.tokens, versions=machine.versions
+    )
+    return TxnDriver(machine)
 
-    def __init__(self, config) -> None:
-        self.fast, self.slow = mirrored_drivers(config)
 
-    def _both(self, method: str, *args):
-        a = getattr(self.fast, method)(*args)
-        b = getattr(self.slow, method)(*args)
-        if method in ("read", "write"):
-            assert a.conflicts == b.conflicts, method
-            assert a.self_abort == b.self_abort
-            assert a.dirty_reprobe == b.dirty_reprobe
-            assert a.hit_l1 == b.hit_l1
-            assert a.latency == b.latency
-        elif method in ("begin", "commit", "abort"):
-            assert a.status == b.status
-        return a
+def victims(out) -> list[int]:
+    return [r.victim_core for r in out.conflicts]
 
-    def begin(self, core):
-        return self._both("begin", core)
 
-    def read(self, core, addr, size=8):
-        return self._both("read", core, addr, size)
+@pytest.mark.parametrize("n_cores", range(1, 9))
+def test_rr_order_is_snoop_order_filtered_to_mask(n_cores):
+    machine = HtmMachine(default_system())
+    bus = SnoopBus(n_cores)
+    for requester in range(n_cores):
+        order = bus.snoop_order(requester)
+        for mask in range(1 << n_cores):
+            expected = [c for c in order if (mask >> c) & 1]
+            assert machine._rr_order(requester, mask) == expected
 
-    def write(self, core, addr, size=8):
-        return self._both("write", core, addr, size)
 
-    def commit(self, core):
-        return self._both("commit", core)
-
-    def abort(self, core):
-        return self._both("abort", core)
-
-    def finish(self):
-        """Final cross-machine invariants after the scenario."""
-        fm, sm = self.fast.machine, self.slow.machine
-        assert fm.stats.summary() == sm.stats.summary()
-        for c in range(fm.config.n_cores):
-            fa, sa = fm.active[c], sm.active[c]
-            assert (fa is None) == (sa is None)
-            if fa is not None:
-                assert fa.status == sa.status
-        # The index itself must agree with a ground-truth scan.
-        for line, mask in fm.spec_holders.items():
-            truth = 0
-            for c, table in enumerate(fm.spec_tables):
-                if line in table:
-                    truth |= 1 << c
-            assert mask == truth
+@pytest.mark.parametrize("n_cores", range(1, 9))
+def test_iter_mask_is_ascending_without_exclude(n_cores):
+    machine = HtmMachine(default_system())
+    for exclude in range(n_cores):
+        for mask in range(1 << n_cores):
+            expected = [
+                c for c in range(n_cores) if (mask >> c) & 1 and c != exclude
+            ]
+            assert machine._iter_mask(mask, exclude) == expected
 
 
 @pytest.fixture(params=[DetectionScheme.ASF_BASELINE, DetectionScheme.SUBBLOCK])
-def mirror(request):
-    return Mirror(default_system(request.param, 4))
+def config(request):
+    return default_system(request.param, 4)
 
 
 class TestProtocolScenarios:
     def test_figure6_dirty_reprobe(self):
-        """T1's deferred read of T0's sub-block re-probes identically."""
-        m = Mirror(default_system(DetectionScheme.SUBBLOCK, 4))
-        t0 = m.begin(0)
-        m.write(0, L, 8)
-        m.begin(1)
-        m.read(1, L + 2 * SB, 8)
-        out = m.read(1, L, 8)
-        assert out.dirty_reprobe
-        assert t0.status is TxnStatus.ABORTED
-        m.commit(1)
-        m.finish()
+        """T1's deferred read of T0's sub-block re-probes and kills T0."""
+        cfg = default_system(DetectionScheme.SUBBLOCK, 4)
+        for kernel in KERNELS:
+            d = driver(cfg, kernel)
+            t0 = d.begin(0)
+            d.write(0, L, 8)
+            d.begin(1)
+            assert not d.read(1, L + 2 * SB, 8).conflicts
+            out = d.read(1, L, 8)
+            assert out.dirty_reprobe, kernel
+            assert victims(out) == [0]
+            assert t0.status is TxnStatus.ABORTED
+            assert d.commit(1).status is TxnStatus.COMMITTED
+            assert_index_exact(d.machine)
 
     def test_figure7_disjoint_subblocks_commute(self):
         """A writer and a reader of different sub-blocks never see each
         other (writer-writer would hit the forced-WAW rule instead)."""
-        m = Mirror(default_system(DetectionScheme.SUBBLOCK, 4))
-        m.begin(0)
-        m.begin(1)
-        m.write(0, L, 8)
-        out = m.read(1, L + 3 * SB, 8)
-        assert not out.conflicts
-        m.commit(0)
-        m.commit(1)
-        m.finish()
+        cfg = default_system(DetectionScheme.SUBBLOCK, 4)
+        for kernel in KERNELS:
+            d = driver(cfg, kernel)
+            d.begin(0)
+            d.begin(1)
+            d.write(0, L, 8)
+            assert not d.read(1, L + 3 * SB, 8).conflicts, kernel
+            assert d.commit(0).status is TxnStatus.COMMITTED
+            assert d.commit(1).status is TxnStatus.COMMITTED
+            assert_index_exact(d.machine)
 
     def test_forced_waw_between_disjoint_writers(self):
-        """Disjoint sub-block writers trip the forced-WAW rule — on the
-        filtered path exactly as on broadcast."""
-        m = Mirror(default_system(DetectionScheme.SUBBLOCK, 4))
-        m.begin(0)
-        m.begin(1)
-        m.write(0, L, 8)
-        out = m.write(1, L + 3 * SB, 8)
-        assert [r.forced_waw for r in out.conflicts] == [True]
-        assert out.conflicts[0].is_false
-        m.commit(1)
-        m.finish()
+        """Disjoint sub-block writers trip the forced-WAW rule: one false
+        conflict, the earlier writer dies."""
+        cfg = default_system(DetectionScheme.SUBBLOCK, 4)
+        for kernel in KERNELS:
+            d = driver(cfg, kernel)
+            t0 = d.begin(0)
+            d.begin(1)
+            d.write(0, L, 8)
+            out = d.write(1, L + 3 * SB, 8)
+            assert [(r.victim_core, r.forced_waw, r.is_false)
+                    for r in out.conflicts] == [(0, True, True)], kernel
+            assert t0.status is TxnStatus.ABORTED
+            assert d.commit(1).status is TxnStatus.COMMITTED
+            assert_index_exact(d.machine)
 
-    def test_multi_victim_abort_order(self, mirror):
-        """A write probing three readers aborts them in identical order."""
-        for reader in (1, 2, 3):
-            mirror.begin(reader)
-            mirror.read(reader, L, 8)
-        mirror.begin(0)
-        out = mirror.write(0, L, 8)
-        assert [r.victim_core for r in out.conflicts] == [1, 2, 3]
-        mirror.commit(0)
-        mirror.finish()
+    def test_multi_victim_abort_order(self, config):
+        """A write probing three readers aborts them in snoop order."""
+        for kernel in KERNELS:
+            d = driver(config, kernel)
+            for reader in (1, 2, 3):
+                d.begin(reader)
+                d.read(reader, L, 8)
+            d.begin(0)
+            out = d.write(0, L, 8)
+            assert victims(out) == [1, 2, 3], kernel
+            assert all(d.txn(r) is None for r in (1, 2, 3))
+            assert d.commit(0).status is TxnStatus.COMMITTED
+            assert_index_exact(d.machine)
 
-    def test_round_robin_order_from_mid_requester(self, mirror):
-        """Requester 2 probes 3,...,n-1,0,1 — wrap-around must survive
-        the bitmask iteration."""
-        for reader in (0, 1, 3):
-            mirror.begin(reader)
-            mirror.read(reader, L, 8)
-        mirror.begin(2)
-        out = mirror.write(2, L, 8)
-        assert [r.victim_core for r in out.conflicts] == [3, 0, 1]
-        mirror.finish()
+    def test_round_robin_order_from_mid_requester(self, config):
+        """Requester 2 probes 3, 0, 1 — the wrap-around survives the
+        bitmask iteration."""
+        for kernel in KERNELS:
+            d = driver(config, kernel)
+            for reader in (0, 1, 3):
+                d.begin(reader)
+                d.read(reader, L, 8)
+            d.begin(2)
+            out = d.write(2, L, 8)
+            assert victims(out) == [3, 0, 1], kernel
+            assert_index_exact(d.machine)
 
-    def test_war_then_waw_mix(self, mirror):
-        """Reader + writer victims in one probe, plus a second line."""
-        mirror.begin(1)
-        mirror.read(1, L, 8)
-        mirror.write(1, L2, 8)
-        mirror.begin(3)
-        mirror.read(3, L, 8)
-        mirror.begin(0)
-        mirror.write(0, L, 8)   # WARs against 1 and 3
-        mirror.read(0, L2, 8)   # RAW against nobody (1 already aborted)
-        mirror.commit(0)
-        mirror.finish()
+    def test_war_then_waw_mix(self, config):
+        """Two WAR victims in one probe, then a read of a line whose only
+        writer already died."""
+        for kernel in KERNELS:
+            d = driver(config, kernel)
+            d.begin(1)
+            d.read(1, L, 8)
+            d.write(1, L2, 8)
+            d.begin(3)
+            d.read(3, L, 8)
+            d.begin(0)
+            assert victims(d.write(0, L, 8)) == [1, 3], kernel
+            assert not d.read(0, L2, 8).conflicts
+            assert d.commit(0).status is TxnStatus.COMMITTED
+            assert_index_exact(d.machine)
 
-    def test_abort_and_reuse_line(self, mirror):
-        """Spec-table teardown on abort clears the index symmetrically."""
-        mirror.begin(0)
-        mirror.write(0, L, 8)
-        mirror.abort(0)
-        mirror.begin(1)
-        out = mirror.write(1, L, 8)
-        assert not out.conflicts
-        mirror.commit(1)
-        mirror.finish()
+    def test_abort_and_reuse_line(self, config):
+        """Abort tears down the index entry: the next writer sees nobody."""
+        for kernel in KERNELS:
+            d = driver(config, kernel)
+            d.begin(0)
+            d.write(0, L, 8)
+            d.abort(0)
+            assert_index_exact(d.machine)
+            d.begin(1)
+            assert not d.write(1, L, 8).conflicts, kernel
+            assert d.commit(1).status is TxnStatus.COMMITTED
+            assert_index_exact(d.machine)
 
     def test_older_wins_requester_abort(self):
         """Under OLDER_WINS a young requester self-aborts at the first
-        older holder — the early exit point must not move."""
+        older holder and the holder keeps running."""
         cfg = default_system(DetectionScheme.SUBBLOCK, 4).with_policy(
             resolution=ConflictResolution.OLDER_WINS
         )
-        m = Mirror(cfg)
-        m.begin(0)  # older
-        m.write(0, L, 8)
-        m.begin(1)  # younger
-        out = m.write(1, L, 8)
-        assert out.self_abort is not None
-        assert m.fast.txn(0).status is TxnStatus.RUNNING
-        m.commit(0)
-        m.finish()
+        for kernel in KERNELS:
+            d = driver(cfg, kernel)
+            d.begin(0)  # oldest
+            d.read(0, L, 8)
+            d.begin(2)  # older than 1
+            d.read(2, L, 8)
+            d.begin(1)  # youngest
+            out = d.write(1, L, 8)
+            assert out.self_abort is AbortCause.CONFLICT_TRUE, kernel
+            # Snoop order from core 1 is 2, 3, 0: the early exit happens
+            # at core 2, before core 0 is ever visited.
+            assert victims(out) == [2]
+            assert d.txn(1) is None
+            assert d.txn(0).status is TxnStatus.RUNNING
+            assert d.txn(2).status is TxnStatus.RUNNING
+            assert d.commit(0).status is TxnStatus.COMMITTED
+            assert_index_exact(d.machine)
 
-    def test_plain_accesses_between_txns(self, mirror):
+    def test_plain_accesses_between_txns(self, config):
         """Non-transactional traffic drives the L1-holder index only."""
-        m = mirror
-        m.write(0, L, 8)
-        m.read(1, L, 8)
-        m.read(2, L, 8)
-        m.begin(3)
-        m.write(3, L, 8)  # invalidates the three plain copies
-        m.commit(3)
-        m.read(0, L, 8)
-        m.finish()
+        for kernel in KERNELS:
+            d = driver(config, kernel)
+            d.write(0, L, 8)
+            d.read(1, L, 8)
+            d.read(2, L, 8)
+            d.begin(3)
+            assert not d.write(3, L, 8).conflicts, kernel
+            assert d.commit(3).status is TxnStatus.COMMITTED
+            out = d.read(0, L, 8)
+            # Core 3 owns the only valid copy: a cache-to-cache fill.
+            assert not out.hit_l1
+            assert out.latency == config.latency.cache_to_cache
+            assert_index_exact(d.machine)
 
 
 SCHEMES = (
@@ -226,18 +251,21 @@ SCHEMES = (
     ids=["vacation", "kmeans"],
 )
 def test_engine_parity_full_run(workload, scheme):
-    """Contended full runs: identical stats, event lists and event order."""
+    """Contended full runs: identical stats, event lists and event order
+    on both kernels."""
     cfg = default_system(scheme, 4)
     scripts = workload.build(cfg.n_cores, 9)
 
-    def run(sharer_index: bool):
+    def run(kernel: str):
         engine = SimulationEngine(
-            cfg, scripts, seed=9, check_atomicity=True, record_events=True
+            cfg.with_kernel(kernel), scripts, seed=9, check_atomicity=True,
+            record_events=True,
         )
-        engine.machine.use_sharer_index = sharer_index
-        return engine.run()
+        stats = engine.run()
+        assert_index_exact(engine.machine)
+        return stats
 
-    fast, slow = run(True), run(False)
-    assert fast.summary() == slow.summary()
-    assert fast.conflict_events == slow.conflict_events
-    assert fast.per_core_cycles == slow.per_core_cycles
+    obj, flat = run("object"), run("flat")
+    assert obj.summary() == flat.summary()
+    assert obj.conflict_events == flat.conflict_events
+    assert obj.per_core_cycles == flat.per_core_cycles

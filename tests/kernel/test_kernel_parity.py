@@ -1,14 +1,12 @@
-"""Kernel-parity grid: the array and flat-txn kernels are bit-identical
-to the object model.
+"""Kernel-parity grid: the flat kernel is bit-identical to the object model.
 
-The array kernel (:mod:`repro.kernel`) re-implements the entire per-access
-protocol on flat arrays, and the flat-txn kernel layers the recycled
-transaction planes and fused hot paths on top of it; these tests are the
-safety net both refactors lean on.  Every case runs the same workload
-through all three kernels and requires *exact* equality of the counter
-summaries — not statistical closeness — plus, for the deep cases, the bus
-statistics, the committed memory image, and a clean MOESI invariant audit
-of the final array state.
+The flat kernel (:mod:`repro.kernel`) re-implements the entire per-access
+protocol on flat arrays, with recycled transaction planes and fused hot
+paths; these tests are the safety net it leans on.  Every case runs the
+same workload through both kernels and requires *exact* equality of the
+counter summaries — not statistical closeness — plus, for the deep cases,
+the bus statistics, the committed memory image, and a clean MOESI
+invariant audit of the final array state.
 """
 
 from __future__ import annotations
@@ -18,7 +16,9 @@ import dataclasses
 import pytest
 
 from repro.config import DetectionScheme, default_system
-from repro.kernel import ArrayKernelMachine, FlatTxnMachine, build_machine
+from repro.errors import ProtocolError
+from repro.htm.machine import HtmMachine
+from repro.kernel import FlatTxnMachine, build_machine
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import run_workload
 from repro.workloads import get_workload
@@ -38,13 +38,9 @@ def _run(config, workload_name, *, txns=10, seed=3):
 
 def test_build_machine_dispatches_on_config():
     cfg = default_system()
-    arr = build_machine(cfg.with_kernel("array"))
-    assert isinstance(arr, ArrayKernelMachine)
-    assert not isinstance(arr, FlatTxnMachine)
     assert isinstance(build_machine(cfg.with_kernel("flat")), FlatTxnMachine)
-    assert not isinstance(
-        build_machine(cfg.with_kernel("object")), ArrayKernelMachine
-    )
+    obj = build_machine(cfg.with_kernel("object"))
+    assert type(obj) is HtmMachine
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -53,9 +49,8 @@ def test_kernel_parity_grid(scheme, workload):
     """3 schemes x 3 workloads: bit-identical counter summaries."""
     cfg = default_system().with_scheme(scheme)
     obj = _run(cfg.with_kernel("object"), workload)
-    arr = _run(cfg.with_kernel("array"), workload)
     flat = _run(cfg.with_kernel("flat"), workload)
-    assert obj.stats.summary() == arr.stats.summary() == flat.stats.summary()
+    assert obj.stats.summary() == flat.stats.summary()
 
 
 @pytest.mark.parametrize("scheme", SCHEMES + (DetectionScheme.DECOUPLED,),
@@ -65,23 +60,21 @@ def test_kernel_parity_deep(scheme):
     the array state passes the vectorized MOESI audit."""
     wl = get_workload("vacation", txns_per_core=12)
     engines = {}
-    for kernel in ("object", "array", "flat"):
+    for kernel in ("object", "flat"):
         cfg = default_system().with_scheme(scheme).with_kernel(kernel)
         scripts = wl.build(cfg.n_cores, 3)
         eng = SimulationEngine(cfg, scripts, seed=3, check_atomicity=True)
         eng.run()
         engines[kernel] = eng
-    obj, arr, flat = engines["object"], engines["array"], engines["flat"]
-    assert isinstance(arr.machine, ArrayKernelMachine)
+    obj, flat = engines["object"], engines["flat"]
     assert isinstance(flat.machine, FlatTxnMachine)
-    assert not isinstance(obj.machine, ArrayKernelMachine)
-    assert obj.stats.summary() == arr.stats.summary() == flat.stats.summary()
-    for fast in (arr, flat):
-        assert dataclasses.asdict(obj.machine.bus.stats) == dataclasses.asdict(
-            fast.machine.bus.stats
-        )
-        assert dict(obj.machine.mem.memory) == dict(fast.machine.mem.memory)
-        fast.machine.state.audit_coherence()
+    assert type(obj.machine) is HtmMachine
+    assert obj.stats.summary() == flat.stats.summary()
+    assert dataclasses.asdict(obj.machine.bus.stats) == dataclasses.asdict(
+        flat.machine.bus.stats
+    )
+    assert dict(obj.machine.mem.memory) == dict(flat.machine.mem.memory)
+    flat.machine.state.audit_coherence()
 
 
 @pytest.mark.parametrize(
@@ -105,13 +98,10 @@ def test_kernel_parity_subblock_ablations(overrides):
     obj = run_workload(
         wl, config=cfg.with_kernel("object"), seed=3, check_atomicity=check
     )
-    arr = run_workload(
-        wl, config=cfg.with_kernel("array"), seed=3, check_atomicity=check
-    )
     flat = run_workload(
         wl, config=cfg.with_kernel("flat"), seed=3, check_atomicity=check
     )
-    assert obj.stats.summary() == arr.stats.summary() == flat.stats.summary()
+    assert obj.stats.summary() == flat.stats.summary()
 
 
 @pytest.mark.parametrize("workload", ("vacation", "intruder"))
@@ -121,6 +111,26 @@ def test_kernel_parity_older_wins(workload):
     base = default_system().with_scheme(DetectionScheme.SUBBLOCK, 4)
     cfg = base.with_policy(resolution=ConflictResolution.OLDER_WINS)
     obj = _run(cfg.with_kernel("object"), workload)
-    arr = _run(cfg.with_kernel("array"), workload)
     flat = _run(cfg.with_kernel("flat"), workload)
-    assert obj.stats.summary() == arr.stats.summary() == flat.stats.summary()
+    assert obj.stats.summary() == flat.stats.summary()
+
+
+def test_audit_rejects_holders_bit_on_wrong_core():
+    """The holders mask must name exactly the cores with valid copies —
+    a mask with the right popcount but the wrong core fails the audit."""
+    cfg = default_system().with_scheme(DetectionScheme.SUBBLOCK)
+    eng = SimulationEngine(
+        cfg, get_workload("vacation", txns_per_core=6).build(cfg.n_cores, 3),
+        seed=3, check_atomicity=False,
+    )
+    eng.run()
+    state = eng.machine.state
+    state.audit_coherence()
+    full = (1 << cfg.n_cores) - 1
+    li = next(i for i, h in enumerate(state.holders) if h and h != full)
+    held = state.holders[li]
+    src = (held & -held).bit_length() - 1
+    dst = ((~held & full) & -(~held & full)).bit_length() - 1
+    state.holders[li] = held & ~(1 << src) | (1 << dst)
+    with pytest.raises(ProtocolError, match="holders"):
+        state.audit_coherence()

@@ -1,13 +1,13 @@
-"""Property test: random access scripts agree across all three kernels.
+"""Property test: random access scripts agree across both kernels.
 
 Hypothesis generates small multi-core transactional programs over a hot
-address space and replays each through the object machine, the flat-array
-kernel, and the flat-txn kernel; the three :class:`RunSummary` dicts must
-be identical — every counter, not a statistical envelope.  This covers
-interleavings the curated parity grid cannot enumerate: conflicting
-sub-block overlaps, user-requested aborts, capacity pressure up to the
-deterministic give-up point, retained speculative state, piggybacked
-fills, and abort/retry cascades.
+address space and replays each through the object machine and the flat
+kernel; the two :class:`RunSummary` dicts must be identical — every
+counter, not a statistical envelope.  This covers interleavings the
+curated parity grid cannot enumerate: conflicting sub-block overlaps,
+user-requested aborts, capacity pressure up to the deterministic give-up
+point, retained speculative state, piggybacked fills, and abort/retry
+cascades.
 
 Capacity pressure is generated directly: a burst of K distinct lines in
 one L1 set (stride = sets x line = 32 KiB) all written by one
@@ -47,7 +47,7 @@ SIZES = (1, 4, 8)
 SET_STRIDE = 512 * 64
 CAP_BASE = 0x100000  # clear of LINES so bursts don't alias the hot space
 
-KERNELS = ("object", "array", "flat")
+KERNELS = ("object", "flat")
 
 # Every valid point of the policy matrix (eager VM + lazy CD is rejected
 # by HtmPolicy itself); lazy detection is sampled under both arbitration
@@ -180,7 +180,7 @@ def _outcome_policy(kernel, policy, scheme, n_cores, core_scripts, seed):
     seed=st.integers(0, 3),
 )
 def test_random_policy_points_identical_summaries(program, policy, scheme, seed):
-    """Any valid policy point must agree across all three kernels —
+    """Any valid policy point must agree across both kernels —
     stall counters, arbitration aborts, everything in the summary."""
     n_cores, core_scripts = program
     ref = _outcome_policy(KERNELS[0], policy, scheme, n_cores, core_scripts, seed)
@@ -204,4 +204,4 @@ def test_capacity_burst_is_fatal_identically_on_all_kernels():
         for k in KERNELS
     ]
     assert outcomes[0][0] == "SimulationError"
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1]

@@ -16,8 +16,8 @@ _SPEC.loader.exec_module(plot_history)
 
 
 def line(acc: float, quick: bool = True, sha: str = "abc1234") -> dict:
-    # ``engine_flat_txn_acc_per_sec`` is the gate metric; the legacy
-    # array-kernel number rides along as a plain trend metric.
+    # ``engine_flat_txn_acc_per_sec`` is the gate metric; the retired
+    # hot-path key rides along as a plain trend metric.
     return {
         "sha": sha,
         "quick": quick,

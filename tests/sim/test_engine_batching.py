@@ -8,7 +8,7 @@ events and each core's finish time.  These tests record every sink hook
 invocation in order and require the two loops to produce byte-for-byte
 identical timelines, on a contended workload (where the heap actually
 interleaves cores) and on an uncontended synthetic one (where batching
-fires most often), for both the flat-txn and array kernels.
+fires most often), for both the flat and object kernels.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def _contended(n_cores):
     return get_workload("vacation", txns_per_core=30).build(n_cores, 1)
 
 
-@pytest.mark.parametrize("kernel", ("flat", "array"))
+@pytest.mark.parametrize("kernel", ("flat", "object"))
 @pytest.mark.parametrize(
     "scripts_for", (_contended, _uncontended_scripts),
     ids=("contended-vacation", "uncontended-synthetic"),

@@ -1,5 +1,7 @@
 """CLI smoke tests."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -81,10 +83,26 @@ class TestCommands:
     def test_run_kernel_flag(self, capsys):
         parser = build_parser()
         assert parser.parse_args(["run", "vacation"]).kernel == "flat"
-        for kernel in ("object", "array", "flat"):
+        for kernel in ("object", "flat"):
             assert parser.parse_args(
                 ["run", "vacation", "--kernel", kernel]
             ).kernel == kernel
+
+    def test_every_kernel_flag_defaults_to_the_config_kernel(self):
+        """No subcommand may silently run a non-default kernel."""
+        from repro.config import SystemConfig
+
+        def walk(parser, path):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from walk(sub, path + (name,))
+                elif "--kernel" in action.option_strings:
+                    yield path, action.default
+
+        found = dict(walk(build_parser(), ()))
+        assert {("run",), ("suite",), ("replay",), ("save-scripts",)} <= set(found)
+        assert found == {path: SystemConfig().kernel for path in found}
 
     def test_package_exports(self):
         import repro
