@@ -7,8 +7,8 @@ in isolation:
   object kernel, and batched vs stepwise event loops,
 * detail-off stats recording vs the full detail layer,
 * compile-once script caching vs per-point recompilation,
-* parallel ``run_many`` dispatch overhead at ``jobs=1`` (the serial
-  reference path must stay cheap).
+* ``run_many`` dispatch overhead on the serial executor (the reference
+  path must stay cheap).
 
 The assertions are parity/shape checks only — relative wall-clock claims
 live in ``examples/bench_perf.py`` where both sides are measured in one
@@ -101,7 +101,7 @@ def test_compiled_scripts_cache(benchmark):
 
 
 def test_run_many_serial_dispatch(benchmark):
-    """RunSpec + run_many at jobs=1 (the path every sweep point takes)."""
+    """RunSpec + run_many on the serial executor (every sweep point's path)."""
     cfg = default_system(DetectionScheme.SUBBLOCK, 4)
     specs = [
         RunSpec(workload="kmeans", config=cfg, seed=s, txns_per_core=15)

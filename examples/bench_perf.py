@@ -18,14 +18,14 @@ Five measurements, each with its built-in honesty check:
    representation's apparent gain.  Per-access counters are asserted
    identical across kernels before the ratio is reported.
 3. **Parallel orchestration** — ``compare_systems`` over several
-   benchmarks at ``jobs=1`` vs ``jobs=4``.  The observed speedup depends
+   benchmarks with ``executor="process:1"`` vs ``"process:4"``.  The observed speedup depends
    on the host: on a single-CPU container process-pool fan-out cannot
    beat serial, so the section is *skipped and marked as such* when
    ``cpu_count == 1`` (``cpu_count`` is recorded next to the numbers
    otherwise).
-4. **Summary transfer** — the same ``run_many(jobs=4)`` batch shipping
-   full collectors vs compact ``RunSummary`` objects across the process
-   boundary.  The per-result pickle payloads are measured and every
+4. **Summary transfer** — the same ``run_many(specs, "process:4")``
+   batch shipping full collectors (each spec's ``transfer="full"``) vs
+   compact ``RunSummary`` objects across the process boundary.  The per-result pickle payloads are measured and every
    summary's counters are asserted bit-identical to its full
    counterpart before the speedup is reported.
 5. **Figure pipeline** — a small ``run_suite`` plus
@@ -44,6 +44,7 @@ import pickle
 import platform
 import sys
 import time
+from dataclasses import replace
 
 from repro.analysis.experiments import run_suite
 from repro.analysis.figures import compute_all_figures
@@ -192,7 +193,7 @@ def bench_parallel(txns: int, jobs: int = 4, seed: int = 1) -> dict:
     def batch(n_jobs: int):
         return [
             compare_systems(w, seed=seed, check_atomicity=False,
-                            record_detail=False, jobs=n_jobs)
+                            executor=f"process:{n_jobs}")
             for w in workloads
         ]
 
@@ -230,12 +231,9 @@ def bench_transfer(txns: int, jobs: int = 4, seed: int = 1) -> dict:
         for scheme in (DetectionScheme.ASF_BASELINE, DetectionScheme.SUBBLOCK,
                        DetectionScheme.PERFECT)
     ]
-    full, full_s = _timed(
-        lambda: run_many(specs, ExecConfig(jobs=jobs, transfer="full"))
-    )
-    lean, lean_s = _timed(
-        lambda: run_many(specs, ExecConfig(jobs=jobs, transfer="summary"))
-    )
+    full_specs = [replace(spec, transfer="full") for spec in specs]
+    full, full_s = _timed(lambda: run_many(full_specs, ExecConfig(jobs=jobs)))
+    lean, lean_s = _timed(lambda: run_many(specs, ExecConfig(jobs=jobs)))
     identical = all(
         f.stats.summary() == s.stats.summary() for f, s in zip(full, lean)
     )

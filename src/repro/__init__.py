@@ -29,6 +29,13 @@ keep working across minor releases, with renames bridged by
 ``DeprecationWarning`` shims for one release before removal.  Deeper
 module paths are implementation detail.
 
+Version 2.0.0 is a major release because it removes keywords: a batch
+is configured only through ``executor=`` (an :class:`ExecConfig`, a spec
+string such as ``"process:8"``, a live executor or ``None``), so the
+per-call ``jobs=``/``store=``/``on_result=``/``transfer=`` keywords and
+the ``ExecConfig`` fields ``transfer``, ``resume`` and ``options`` are
+gone; a store or a progress callback rides on the :class:`ExecConfig`.
+
 Layering (each layer only depends on the ones above it):
 
 * :mod:`repro.util`, :mod:`repro.config`, :mod:`repro.errors`
@@ -94,7 +101,7 @@ from repro.store import MergeReport, ResultsStore, StoreEntry
 from repro.telemetry import RunSummary, aggregate_metrics, merge_summaries
 from repro.workloads.registry import BENCHMARK_NAMES, all_workloads, get_workload
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AtomicityViolation",

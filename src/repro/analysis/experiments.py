@@ -8,12 +8,13 @@ benchmark harness shares one suite per session via a fixture so the ten
 figure benches do not re-simulate.
 
 The suite is benchmarks × schemes independent simulations, so it fans out
-through the streaming :func:`repro.sim.parallel.run_many` path —
-``jobs>1`` runs them concurrently with bit-identical results, and the
-registry-name specs let each pool worker compile a benchmark once and
-reuse it for all three schemes.  ``store=`` checkpoints completions to a
-:class:`~repro.store.ResultsStore` (interrupted suites resume);
-``on_result=`` fires per completion for live progress.
+through the streaming :func:`repro.sim.parallel.run_many` path — a
+parallel ``executor=`` runs them concurrently with bit-identical results,
+and the registry-name specs let each pool worker compile a benchmark once
+and reuse it for all three schemes.  A ``store`` on the executor config
+checkpoints completions to a :class:`~repro.store.ResultsStore`
+(interrupted suites resume); its ``on_result`` fires per completion for
+live progress.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.config import DetectionScheme, SystemConfig, default_system
-from repro.sim.executors import as_exec_config
 from repro.sim.parallel import RunSpec, run_many
 from repro.sim.runner import RunResult
 from repro.telemetry.summary import MetricStats, aggregate_metrics
 from repro.workloads.registry import BENCHMARK_NAMES
 
 if TYPE_CHECKING:
-    from repro.store import ResultsStore
+    from repro.sim.executors import ExecConfig, Executor
 
 __all__ = [
     "BenchResult",
@@ -129,28 +129,22 @@ def run_suite(
     config: SystemConfig | None = None,
     check_atomicity: bool = False,
     record_events: bool = True,
-    jobs: int = 1,
-    store: "ResultsStore | None" = None,
-    on_result=None,
     trace_dir: str | None = None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> SuiteResults:
     """Run every benchmark under baseline/sub-block/perfect.
 
     ``check_atomicity`` defaults to off here (the correctness suite covers
     it; the figure harness favours wall-clock).  ``record_events`` keeps
     the baseline's conflict records for the open-loop Figure 5/8 analysis.
-    ``jobs>1`` distributes the benchmarks × schemes batch over a process
-    pool; every run is independently seeded so the results are identical
-    to a serial suite.  ``store`` checkpoints the summary-shaped runs
-    (the event-recording baselines re-run on resume — their event
-    streams cannot round-trip through JSON); ``on_result`` fires as each
-    run completes.  ``trace_dir`` records every run as a JSONL event
-    trace (``<bench>_<scheme>.jsonl``) for post-hoc forensics.
-    ``executor`` picks the execution backend (an
-    :class:`~repro.sim.executors.ExecConfig` or spec string like
-    ``process:8`` / ``remote:hosts.txt``); ``jobs``/``store``/
-    ``on_result`` overlay it.
+    ``executor`` says how the benchmarks × schemes batch runs (see
+    :func:`~repro.sim.parallel.run_many`); every run is independently
+    seeded so the results are identical to a serial suite.  A store on
+    the executor config checkpoints the summary-shaped runs (the
+    full-collector baselines re-run on resume — their detail cannot
+    round-trip through JSON).  ``trace_dir`` records every run as a
+    JSONL event trace (``<bench>_<scheme>.jsonl``) for post-hoc
+    forensics.
     """
     import os
 
@@ -186,8 +180,7 @@ def run_suite(
         for name in benchmarks
         for scheme in _SUITE_SCHEMES
     ]
-    cfg = as_exec_config(executor, jobs=jobs, store=store, on_result=on_result)
-    results = run_many(specs, cfg)
+    results = run_many(specs, executor)
     for i, name in enumerate(benchmarks):
         runs: dict[DetectionScheme, RunResult] = {
             scheme: results[i * len(_SUITE_SCHEMES) + j]
@@ -228,18 +221,16 @@ def run_seed_sweep(
     n_subblocks: int = 4,
     config: SystemConfig | None = None,
     schemes: tuple[DetectionScheme, ...] = _SUITE_SCHEMES,
-    jobs: int = 1,
-    store: "ResultsStore | None" = None,
-    on_result=None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> SeedSweepResults:
     """Repeat benchmarks × schemes over several seeds.
 
     Every run ships back as a compact summary (no per-event detail), so
     even a wide sweep is cheap to fan out over a pool; the per-metric
-    spread comes from :func:`repro.telemetry.aggregate_metrics`.
-    ``store`` checkpoints every completed (bench, scheme, seed) run, so
-    an interrupted sweep resumes with only the missing cells.
+    spread comes from :func:`repro.telemetry.aggregate_metrics`.  A
+    store on the ``executor`` config checkpoints every completed (bench,
+    scheme, seed) run, so an interrupted sweep resumes with only the
+    missing cells.
     """
     if not seeds:
         raise ValueError("run_seed_sweep needs at least one seed")
@@ -256,10 +247,7 @@ def run_seed_sweep(
         for scheme in schemes
         for seed in seeds
     ]
-    cfg = as_exec_config(
-        executor, jobs=jobs, transfer="summary", store=store, on_result=on_result
-    )
-    results = run_many(specs, cfg)
+    results = run_many(specs, executor)
     sweep = SeedSweepResults(
         txns_per_core=txns_per_core,
         seeds=tuple(seeds),

@@ -17,13 +17,14 @@ with everything else held fixed:
   retry contention manager.
 
 Every sweep is a batch of independent simulations, so each accepts
-``jobs`` and executes through the streaming
+``executor=`` and executes through the streaming
 :func:`repro.sim.parallel.run_many` path: points run concurrently when
 asked, results always come back in axis order, and the compiled workload
 is reused across every point that shares ``(n_cores, seed)`` instead of
-being rebuilt per point.  Each sweep also accepts ``store=`` (a
-:class:`~repro.store.ResultsStore`) to checkpoint completed points and
-skip them on resume, and ``on_result=`` for live progress.
+being rebuilt per point.  A ``store`` (a
+:class:`~repro.store.ResultsStore`) on the executor config checkpoints
+completed points and skips them on resume; its ``on_result`` reports
+live progress.
 """
 
 from __future__ import annotations
@@ -39,13 +40,12 @@ from repro.config import (
     SystemConfig,
     default_system,
 )
-from repro.sim.executors import as_exec_config
 from repro.sim.parallel import RunSpec, run_many
 from repro.sim.runner import RunResult
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:
-    from repro.store import ResultsStore
+    from repro.sim.executors import ExecConfig, Executor
 
 __all__ = [
     "AblationPoint",
@@ -76,12 +76,9 @@ def _run_points(
     workload: Workload,
     points: list[tuple[str, SystemConfig]],
     seed: int,
-    jobs: int = 1,
     check: bool = False,
     tolerate_violations: bool = False,
-    store: "ResultsStore | None" = None,
-    on_result=None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> list[AblationPoint]:
     """Run one spec per (label, config) point, preserving axis order."""
     specs = [
@@ -95,8 +92,7 @@ def _run_points(
         )
         for label, cfg in points
     ]
-    cfg = as_exec_config(executor, jobs=jobs, store=store, on_result=on_result)
-    results = run_many(specs, cfg)
+    results = run_many(specs, executor)
     return [
         AblationPoint(label=spec.label, result=res, violations=res.violations)
         for spec, res in zip(specs, results)
@@ -108,20 +104,14 @@ def sweep_subblocks(
     counts: tuple[int, ...] = (1, 2, 4, 8, 16),
     seed: int = 1,
     config: SystemConfig | None = None,
-    jobs: int = 1,
-    store: "ResultsStore | None" = None,
-    on_result=None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> list[AblationPoint]:
     """Closed-loop sub-block sweep (N=1 is the baseline by construction)."""
     base = config if config is not None else default_system()
     points = [
         (f"N={n}", base.with_scheme(DetectionScheme.SUBBLOCK, n)) for n in counts
     ]
-    return _run_points(
-        workload, points, seed, jobs=jobs, store=store, on_result=on_result,
-        executor=executor,
-    )
+    return _run_points(workload, points, seed, executor=executor)
 
 
 def sweep_cores(
@@ -129,10 +119,7 @@ def sweep_cores(
     core_counts: tuple[int, ...] = (2, 4, 8, 16),
     seed: int = 1,
     scheme: DetectionScheme = DetectionScheme.ASF_BASELINE,
-    jobs: int = 1,
-    store: "ResultsStore | None" = None,
-    on_result=None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> list[AblationPoint]:
     """How false-conflict pressure scales with the number of sharers."""
     points = [
@@ -142,10 +129,7 @@ def sweep_cores(
         )
         for n_cores in core_counts
     ]
-    return _run_points(
-        workload, points, seed, jobs=jobs, store=store, on_result=on_result,
-        executor=executor,
-    )
+    return _run_points(workload, points, seed, executor=executor)
 
 
 def ablation_forced_waw(
@@ -153,10 +137,7 @@ def ablation_forced_waw(
     seed: int = 1,
     n_subblocks: int = 4,
     config: SystemConfig | None = None,
-    jobs: int = 1,
-    store: "ResultsStore | None" = None,
-    on_result=None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> tuple[AblationPoint, AblationPoint]:
     """Sub-blocking with and without the forced-WAW abort rule.
 
@@ -172,9 +153,6 @@ def ablation_forced_waw(
         workload,
         [("forced-WAW on", base), ("forced-WAW off", relaxed_cfg)],
         seed,
-        jobs=jobs,
-        store=store,
-        on_result=on_result,
         executor=executor,
     )
     return with_rule, without_rule
@@ -185,10 +163,7 @@ def ablation_dirty_state(
     seed: int = 1,
     n_subblocks: int = 4,
     config: SystemConfig | None = None,
-    jobs: int = 1,
-    store: "ResultsStore | None" = None,
-    on_result=None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> tuple[AblationPoint, AblationPoint]:
     """Dirty handling on vs off; the off variant also reports how many
     atomicity violations the checker found (it is *incorrect* hardware,
@@ -213,8 +188,7 @@ def ablation_dirty_state(
             tolerate_violations=True,
         ),
     ]
-    cfg = as_exec_config(executor, jobs=jobs, store=store, on_result=on_result)
-    on_res, off_res = run_many(specs, cfg)
+    on_res, off_res = run_many(specs, executor)
     on = AblationPoint(label=specs[0].label, result=on_res)
     off = AblationPoint(
         label=specs[1].label, result=off_res, violations=off_res.violations
@@ -226,10 +200,7 @@ def sweep_resolution(
     workload: Workload,
     seed: int = 1,
     scheme: DetectionScheme = DetectionScheme.SUBBLOCK,
-    jobs: int = 1,
-    store: "ResultsStore | None" = None,
-    on_result=None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> list[AblationPoint]:
     """Requester-wins (ASF) vs older-wins vs stall/backoff resolution.
 
@@ -241,10 +212,7 @@ def sweep_resolution(
     for policy in ConflictResolution:
         cfg = default_system(scheme, 4).with_policy(resolution=policy)
         points.append((policy.value, cfg))
-    return _run_points(
-        workload, points, seed, jobs=jobs, check=True, store=store,
-        on_result=on_result, executor=executor,
-    )
+    return _run_points(workload, points, seed, check=True, executor=executor)
 
 
 def sweep_policy_matrix(
@@ -257,10 +225,7 @@ def sweep_policy_matrix(
     seed: int = 1,
     n_subblocks: int = 4,
     config: SystemConfig | None = None,
-    jobs: int = 1,
-    store: "ResultsStore | None" = None,
-    on_result=None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> list[AblationPoint]:
     """Scheme × policy grid: every detection scheme at every policy point.
 
@@ -282,10 +247,7 @@ def sweep_policy_matrix(
         for name, policy in policies.items():
             cfg = base.with_scheme(scheme, n_subblocks).with_policy(policy)
             points.append((f"{scheme.value}×{name}", cfg))
-    return _run_points(
-        workload, points, seed, jobs=jobs, store=store, on_result=on_result,
-        executor=executor,
-    )
+    return _run_points(workload, points, seed, executor=executor)
 
 
 def sweep_backoff(
@@ -293,10 +255,7 @@ def sweep_backoff(
     bases: tuple[int, ...] = (16, 64, 256, 1024),
     seed: int = 1,
     scheme: DetectionScheme = DetectionScheme.SUBBLOCK,
-    jobs: int = 1,
-    store: "ResultsStore | None" = None,
-    on_result=None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> list[AblationPoint]:
     """Backoff-base sensitivity (the paper's software-library knob)."""
     points = []
@@ -311,7 +270,4 @@ def sweep_backoff(
             ),
         )
         points.append((f"base={base_cycles}", cfg))
-    return _run_points(
-        workload, points, seed, jobs=jobs, store=store, on_result=on_result,
-        executor=executor,
-    )
+    return _run_points(workload, points, seed, executor=executor)

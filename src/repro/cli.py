@@ -20,11 +20,14 @@ Subcommands::
     repro-asf worker --connect HOST:PORT # join a remote sweep as a worker
 
 ``--executor SPEC`` on ``run``/``suite``/``sweep``/``ablate`` picks the
-execution backend: ``serial`` (in-process reference), ``process`` /
-``process:N`` (local pool, N workers), ``remote`` / ``remote:PORT`` /
-``remote:HOST:PORT`` / ``remote:HOSTS_FILE`` (TCP coordinator; workers
-join via ``repro-asf worker``).  ``--jobs N`` remains as a deprecated
-alias for ``process:N``.  See ``docs/DISTRIBUTED.md`` for the fabric.
+execution backend: ``serial`` (in-process reference, the default),
+``process`` / ``process:N`` (local pool, N workers), ``remote`` /
+``remote:PORT`` / ``remote:HOST:PORT`` / ``remote:HOSTS_FILE`` (TCP
+coordinator; workers join via ``repro-asf worker``).  See
+``docs/DISTRIBUTED.md`` for the fabric.
+
+A :class:`~repro.errors.ConfigError` (bad executor spec, non-trace file)
+ends in one ``repro-asf: error: ...`` line and exit status 2.
 
 ``--trace-dir DIR`` on ``run``/``suite`` records every run's event
 trace into DIR *and* writes a ``<run>.report.txt`` forensics report next
@@ -76,6 +79,7 @@ from repro.config import (
     default_system,
 )
 from repro.core.overhead import OverheadModel
+from repro.errors import ConfigError
 from repro.sim.runner import compare_systems, compare_systems_seeds, run_scripts
 from repro.telemetry import aggregate_metrics
 from repro.trace.scriptio import load_scripts, save_scripts
@@ -121,29 +125,11 @@ class _ProgressLine:
 
 
 def _executor_config(args: argparse.Namespace, store=None, on_result=None):
-    """The :class:`~repro.sim.executors.ExecConfig` the CLI flags select.
+    """The :class:`~repro.sim.executors.ExecConfig` ``--executor`` selects,
+    carrying the checkpoint store and the progress callback."""
+    from repro.sim.executors import parse_executor_spec
 
-    ``--executor SPEC`` wins; ``--jobs N`` (the deprecated alias) maps to
-    ``process:N`` with a :class:`DeprecationWarning` when it deviates
-    from the serial default.
-    """
-    import warnings
-
-    from repro.sim.executors import as_exec_config, parse_executor_spec
-
-    spec = getattr(args, "executor", None)
-    jobs = getattr(args, "jobs", 1)
-    if spec is not None:
-        cfg = parse_executor_spec(spec)
-    else:
-        if jobs != 1:
-            alias = f"process:{jobs}" if jobs > 0 else "process"
-            warnings.warn(
-                f"--jobs is deprecated; use --executor {alias}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        cfg = as_exec_config(None, jobs=jobs)
+    cfg = parse_executor_spec(args.executor)
     cfg.store = store
     cfg.on_result = on_result
     return cfg
@@ -791,26 +777,25 @@ def build_parser() -> argparse.ArgumentParser:
             "the reference object model (bit-identical results)",
         )
 
-    def common(p, bench=True, seeds=False, checkpoint=False, trace_dir=False):
+    def program_flags(p, bench=True):
         if bench:
             p.add_argument("benchmark", choices=BENCHMARK_NAMES)
         p.add_argument("--txns", type=int, default=200)
         p.add_argument("--seed", type=int, default=1)
+
+    # Every flag goes only to the subcommands whose handler reads it.
+    def common(p, bench=True, seeds=False, checkpoint=False, trace_dir=False):
+        program_flags(p, bench)
         kernel_flag(p)
         policy_flags(p)
         p.add_argument(
-            "--executor", metavar="SPEC", default=None,
-            help="execution backend: 'serial' (in-process reference), "
-            "'process' (pool, all cores), 'process:N' (pool, N workers), "
-            "'remote' (coordinator on an ephemeral loopback port), "
+            "--executor", metavar="SPEC", default="serial",
+            help="execution backend: 'serial' (in-process reference, the "
+            "default), 'process' (pool, all cores), 'process:N' (pool, N "
+            "workers), 'remote' (coordinator on an ephemeral loopback port), "
             "'remote:PORT' (bound to 0.0.0.0:PORT), 'remote:HOST:PORT', or "
             "'remote:HOSTS_FILE' (bind/launch lines; see docs/DISTRIBUTED.md)"
             "; every backend is bit-identical to serial",
-        )
-        p.add_argument(
-            "--jobs", "-j", type=int, default=1,
-            help="deprecated alias for --executor process:N "
-            "(1 = serial, 0 = all cores)",
         )
         if seeds:
             p.add_argument(
@@ -846,8 +831,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--profile", action="store_true",
         help="wrap the run in cProfile: print the top-20 cumulative "
-        "functions and a machine/engine/telemetry phase split (use "
-        "--jobs 1; subprocess work is invisible to the profiler)",
+        "functions and a machine/engine/telemetry phase split (keep the "
+        "default serial executor; subprocess work is invisible to the "
+        "profiler)",
     )
     p_run.set_defaults(func=_cmd_run)
 
@@ -858,7 +844,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", help="run one benchmark and export a JSONL event trace"
     )
-    common(p_trace)
+    program_flags(p_trace)
+    kernel_flag(p_trace)
+    policy_flags(p_trace)
     p_trace.add_argument("path", help="output .jsonl file")
     p_trace.add_argument("--scheme", default="subblock",
                          choices=[s.value for s in ALL_SCHEMES])
@@ -973,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.set_defaults(func=_cmd_ablate)
 
     p_save = sub.add_parser("save-scripts", help="compile + serialize a program")
-    common(p_save)
+    program_flags(p_save)
     p_save.add_argument("path")
     p_save.add_argument("--cores", type=int, default=8)
     p_save.set_defaults(func=_cmd_save_scripts)
@@ -995,6 +983,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"repro-asf: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output was piped to a consumer that closed early (e.g. `head`).
         # Redirect stdout to devnull so the interpreter's shutdown flush

@@ -6,15 +6,16 @@ Every sweep in this repo is a batch of independent, seeded simulations.
 and yields ``(index, result)`` pairs in completion order.  This module
 defines the executor layer:
 
-* :class:`ExecConfig` — one dataclass holding every execution knob that
-  used to sprawl across ``run_many``/``iter_many`` keyword arguments
-  (``jobs``, ``timeout``, ``transfer``, ``store``, retry knobs, …) plus
-  the remote-backend tuning (batching, heartbeats, deadlines, backoff).
+* :class:`ExecConfig` — one dataclass holding every execution knob of a
+  batch (``jobs``, ``timeout``, ``store``, retry knobs, …) plus the
+  remote-backend tuning (batching, heartbeats, deadlines, backoff).
 * :func:`parse_executor_spec` — the ``--executor`` grammar: ``serial``,
   ``process``, ``process:8``, ``remote``, ``remote:PORT``,
   ``remote:HOST:PORT``, ``remote:hosts.txt``.
-* :func:`build_executor` — resolves an :class:`ExecConfig` (or spec
-  string) into a concrete :class:`Executor`.
+* :func:`build_executor` — resolves an :class:`ExecConfig`, a spec
+  string, a live :class:`Executor` or ``None`` into a concrete
+  :class:`Executor`: the one ``executor=`` argument every batch entry
+  point takes.
 * :class:`SerialExecutor` — in-process, the deterministic reference.
 * :class:`ProcessExecutor` — today's ``ProcessPoolExecutor`` fan-out,
   with the bounded in-flight window, worker-death retries, per-spec
@@ -35,7 +36,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -61,7 +62,6 @@ __all__ = [
     "ProcessExecutor",
     "STREAM_BACKLOG",
     "SerialExecutor",
-    "as_exec_config",
     "build_executor",
     "mark_provenance",
     "parse_executor_spec",
@@ -88,11 +88,11 @@ def resolve_jobs(jobs: int | None) -> int:
 class ExecConfig:
     """Every execution knob of a sweep, in one place.
 
-    The first block is what used to be ``run_many``'s keyword sprawl;
-    the second is remote-fabric tuning that only the ``remote`` backend
-    reads.  Instances are plain mutable dataclasses — build one, tweak
-    fields, hand it to :func:`~repro.sim.parallel.run_many` — and
-    :func:`as_exec_config` merges legacy keyword arguments onto them.
+    The first block applies to every backend; the second is
+    remote-fabric tuning that only the ``remote`` backend reads.
+    Instances are plain mutable dataclasses — build one (or parse an
+    ``--executor`` spec), set fields, hand it to
+    :func:`~repro.sim.parallel.run_many` as ``executor=``.
     """
 
     #: ``"serial"`` | ``"process"`` | ``"remote"``.
@@ -100,18 +100,14 @@ class ExecConfig:
     #: Process-backend pool width (0/negative = all cores).  ``jobs=1``
     #: short-circuits to in-process execution, exactly like ``serial``.
     jobs: int = 1
-    #: Batch-wide transfer override (``None`` = per-spec ``auto``).
-    transfer: str | None = None
     #: Per-spec pool-residence budget in seconds (``None`` = unbounded).
     timeout: float | None = None
     #: Pool rebuilds granted to a spec after worker deaths before it
     #: falls back to in-process execution.
     worker_retries: int = 1
     #: Checkpoint store: completions are recorded as they arrive, and
-    #: (with ``resume``) already-stored specs are served without
-    #: re-simulating.
+    #: already-stored specs are served without re-simulating.
     store: "ResultsStore | None" = None
-    resume: bool = True
     #: Fires ``(index, result)`` on every completion (completion order).
     #: Read by ``run_many``; ``iter_many`` *is* the stream already.
     on_result: "Callable[[int, RunResult], None] | None" = None
@@ -142,12 +138,6 @@ class ExecConfig:
     #: Shared secret workers must echo in their hello; auto-generated
     #: for self-launched workers, empty = accept any (trusted network).
     token: str = ""
-    #: Free-form knobs for custom executors registered by name.
-    options: dict = field(default_factory=dict)
-
-    def merged(self, **overrides) -> "ExecConfig":
-        """A copy with the given fields replaced."""
-        return replace(self, **overrides)
 
 
 class ExecTask(NamedTuple):
@@ -222,11 +212,12 @@ def parse_executor_spec(text: str) -> ExecConfig:
             return cfg
         if os.path.exists(rest):
             return _read_hosts_file(rest, cfg)
-        if rest.isdigit():
-            return cfg.merged(bind=f"0.0.0.0:{int(rest)}")
+        source = f"executor {text!r}"
+        if rest.isdecimal():
+            return replace(cfg, bind=_address("0.0.0.0", rest, source))
         host, sep, port = rest.rpartition(":")
-        if sep and port.isdigit():
-            return cfg.merged(bind=f"{host}:{int(port)}")
+        if sep and port.isdecimal():
+            return replace(cfg, bind=_address(host, port, source))
         raise ConfigError(
             f"remote spec {text!r}: expected remote, remote:PORT, "
             "remote:HOST:PORT or remote:HOSTS_FILE (file not found?)"
@@ -235,6 +226,19 @@ def parse_executor_spec(text: str) -> ExecConfig:
         f"unknown executor {text!r}; expected one of {BACKENDS} "
         "(see `repro-asf run --help` for the spec grammar)"
     )
+
+
+def _address(host: str, port: str, source: str) -> str:
+    """``HOST:PORT`` once both parts are valid, else :class:`ConfigError`.
+
+    Checked at parse time so a bad address fails with the spec that
+    named it, not later inside ``socket.bind``.
+    """
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise ConfigError(
+            f"{source}: expected HOST:PORT with a host and a port in 0-65535"
+        )
+    return f"{host}:{int(port)}"
 
 
 def _read_hosts_file(path: str, cfg: ExecConfig) -> ExecConfig:
@@ -246,7 +250,8 @@ def _read_hosts_file(path: str, cfg: ExecConfig) -> ExecConfig:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("bind "):
-                bind = line[len("bind "):].strip()
+                host, _, port = line[len("bind "):].strip().rpartition(":")
+                bind = _address(host, port, f"hosts file {path!r}: {line!r}")
             else:
                 launch.append(line)
     if not launch:
@@ -255,75 +260,36 @@ def _read_hosts_file(path: str, cfg: ExecConfig) -> ExecConfig:
     # beyond loopback unless every entry is local.
     if bind == "127.0.0.1:0" and any(entry != "local" for entry in launch):
         bind = "0.0.0.0:0"
-    return cfg.merged(bind=bind, launch=tuple(launch))
-
-
-def as_exec_config(
-    executor: "ExecConfig | Executor | str | int | None" = None,
-    *,
-    jobs: int | None = None,
-    transfer: str | None = None,
-    timeout: float | None = None,
-    worker_retries: int | None = None,
-    store: "ResultsStore | None" = None,
-    resume: bool | None = None,
-    on_result=None,
-) -> "ExecConfig | Executor":
-    """Normalize the many ways callers name an executor into one config.
-
-    ``executor`` may be an :class:`ExecConfig` (copied), a spec string
-    (parsed), a bare int (legacy ``jobs`` count), an :class:`Executor`
-    instance (returned as-is — the keyword overrides must then be unset)
-    or ``None`` (defaults).  The explicit keyword arguments overlay the
-    resolved config; ``jobs`` only applies when ``executor`` itself did
-    not choose a backend, so ``executor="remote", jobs=4`` does not
-    silently demote the sweep to a local pool.
-    """
-    if (
-        executor is not None
-        and not isinstance(executor, (ExecConfig, str, int))
-        and hasattr(executor, "run")
-    ):
-        return executor  # already a live Executor
-    if executor is None:
-        cfg = ExecConfig(jobs=jobs if jobs is not None else 1)
-    elif isinstance(executor, ExecConfig):
-        cfg = replace(executor)
-    elif isinstance(executor, str):
-        cfg = parse_executor_spec(executor)
-    elif isinstance(executor, int):
-        cfg = ExecConfig(backend="process", jobs=executor)
-    else:  # pragma: no cover - defensive
-        raise ConfigError(f"cannot interpret executor {executor!r}")
-    if transfer is not None:
-        cfg.transfer = transfer
-    if timeout is not None:
-        cfg.timeout = timeout
-    if worker_retries is not None:
-        cfg.worker_retries = worker_retries
-    if store is not None:
-        cfg.store = store
-    if resume is not None:
-        cfg.resume = resume
-    if on_result is not None:
-        cfg.on_result = on_result
-    return cfg
+    return replace(cfg, bind=bind, launch=tuple(launch))
 
 
 def build_executor(
-    spec: "ExecConfig | Executor | str | int | None" = None,
+    spec: "ExecConfig | str | Executor | None" = None,
     stream_stats: dict | None = None,
 ) -> Executor:
-    """Resolve a config/spec into a concrete executor.
+    """Resolve how a batch runs into a concrete executor.
 
+    ``spec`` is an :class:`ExecConfig`, an ``--executor`` spec string
+    (see :func:`parse_executor_spec`), a live :class:`Executor`
+    (returned as-is) or ``None`` for the in-process default.
     ``stream_stats`` (optional dict) receives backend instrumentation —
     ``peak_inflight`` / ``pool_rotations`` for the pool,
     ``workers_joined`` / ``batches_requeued`` / ``duplicates_dropped``
     for the remote fabric.
     """
-    cfg = as_exec_config(spec)
-    if not isinstance(cfg, ExecConfig):
-        return cfg  # already a live Executor
+    if spec is None:
+        cfg = ExecConfig()
+    elif isinstance(spec, str):
+        cfg = parse_executor_spec(spec)
+    elif isinstance(spec, ExecConfig):
+        cfg = spec
+    elif isinstance(spec, Executor):
+        return spec
+    else:
+        raise ConfigError(
+            f"cannot interpret executor {spec!r}: expected an ExecConfig, "
+            "a spec string such as 'process:8', an Executor or None"
+        )
     stats = stream_stats if stream_stats is not None else {}
     if cfg.backend == "serial":
         return SerialExecutor(cfg, stats)

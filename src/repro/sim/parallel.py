@@ -4,8 +4,8 @@ Every figure, sweep and ablation in the evaluation is a batch of
 *independent* simulations — a pure function of ``(workload, config,
 seed)``.  This module turns such a batch into a pickle-safe list of
 :class:`RunSpec` and executes it with :func:`run_many`, either in-process
-(``jobs=1``, the deterministic reference path) or fanned out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+(the deterministic reference path) or fanned out over a process pool or
+a remote fleet.
 
 Three properties are load-bearing:
 
@@ -19,17 +19,18 @@ Three properties are load-bearing:
   not K times (and each pool worker compiles it at most once).
 * **Cheap, lossless transfer** — workers ship a compact
   :class:`~repro.telemetry.summary.RunSummary` back by default (the
-  ``transfer`` modes), whose aggregate counters are bit-for-bit equal to
-  the full collector's; only event-recording specs pay full pickling.
+  spec's ``transfer`` mode), whose aggregate counters are bit-for-bit
+  equal to the full collector's; only event-recording specs and specs
+  pinned to ``"full"`` pay full pickling.
 
 The execution core is :func:`iter_many` — a *streaming* generator that
 yields ``(index, result)`` pairs as runs complete.  *How* the batch
 executes is delegated to a pluggable :class:`~repro.sim.executors.Executor`
 (``serial`` in-process, ``process`` pool fan-out, ``remote`` TCP fleet —
-see :mod:`repro.sim.executors` and :mod:`repro.sim.remote`), configured
-by one :class:`~repro.sim.executors.ExecConfig` instead of the historic
-keyword sprawl; the old ``jobs=``/``timeout=``/… keywords still work
-through deprecation shims.  :func:`run_many` is a thin collector over
+see :mod:`repro.sim.executors` and :mod:`repro.sim.remote`), named by
+the one ``executor=`` argument: an
+:class:`~repro.sim.executors.ExecConfig`, a spec string, a live executor
+or ``None``.  :func:`run_many` is a thin collector over
 :func:`iter_many` that restores spec order.  Store checkpointing and
 resume live *here*, backend-agnostically: every summary-shaped
 completion is recorded to the :class:`~repro.store.ResultsStore` as it
@@ -38,10 +39,9 @@ arrives, and already-stored specs are served without re-simulating.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.config import SystemConfig
 from repro.errors import SimulationError
@@ -51,18 +51,13 @@ from repro.sim.executors import (
     ExecConfig,
     ExecTask,
     Executor,
-    as_exec_config,
     build_executor,
-    mark_provenance,
     parse_executor_spec,
     resolve_jobs,
 )
 from repro.sim.runner import RunResult
 from repro.telemetry.summary import RunSummary
 from repro.workloads.base import CoreScript, Workload
-
-if TYPE_CHECKING:
-    from repro.store import ResultsStore
 
 __all__ = [
     "ExecConfig",
@@ -80,8 +75,8 @@ __all__ = [
     "run_many",
 ]
 
-#: Valid ``transfer`` arguments to :func:`run_many`.
-TRANSFER_MODES = ("auto", "summary", "full")
+#: Valid :attr:`RunSpec.transfer` values.
+TRANSFER_MODES = ("auto", "full")
 
 #: Bound on the per-process compiled-script cache (entries, not bytes).
 #: Sweeps touch a handful of (workload, n_cores, seed) keys; the bound
@@ -100,9 +95,8 @@ class RunSpec:
     (must be picklable).  ``txns_per_core`` only applies to registry
     names.  ``label`` is carried through untouched for sweep axes.
 
-    ``transfer`` is this spec's preferred result shape (``"auto"`` /
-    ``"summary"`` / ``"full"``); a batch-wide ``transfer=`` argument to
-    :func:`run_many` overrides it.  See :func:`resolve_transfer`.
+    ``transfer`` is this spec's result shape (``"auto"`` or ``"full"``);
+    see :func:`resolve_transfer`.
     """
 
     workload: str | Workload
@@ -222,23 +216,19 @@ def execute_spec(spec: RunSpec) -> RunResult:
     )
 
 
-def resolve_transfer(spec: RunSpec, override: str | None) -> str:
+def resolve_transfer(spec: RunSpec) -> str:
     """Concrete transfer mode ("summary" | "full") for one spec.
 
-    Precedence: the batch-wide ``override`` beats the spec's own
-    ``transfer`` field.  ``auto`` keeps the full collector only when the
-    spec records raw events (figures read the event streams; a summary
-    cannot carry them) and ships the compact :class:`RunSummary`
-    otherwise.  An explicit ``"summary"`` is likewise upgraded to
-    ``"full"`` for event-recording specs rather than silently dropping
-    their data.
+    ``"full"`` keeps the full collector.  ``"auto"`` keeps it only when
+    the spec records raw events (figures read the event streams; a
+    summary cannot carry them) and ships the compact :class:`RunSummary`
+    otherwise.
     """
-    mode = override if override is not None else spec.transfer
-    if mode not in TRANSFER_MODES:
+    if spec.transfer not in TRANSFER_MODES:
         raise SimulationError(
-            f"transfer must be one of {TRANSFER_MODES}, got {mode!r}"
+            f"transfer must be one of {TRANSFER_MODES}, got {spec.transfer!r}"
         )
-    if mode == "full" or spec.record_events:
+    if spec.transfer == "full" or spec.record_events:
         return "full"
     return "summary"
 
@@ -267,59 +257,11 @@ def execute_spec_transfer(spec: RunSpec, mode: str) -> RunResult:
     return res
 
 
-#: Backwards-compatible alias; the canonical name lives in
-#: :mod:`repro.sim.executors`.
-_mark = mark_provenance
-
-
-def _record_to_store(store: "ResultsStore | None", spec: RunSpec, res: RunResult) -> None:
-    if store is not None:
-        store.record(spec, res)
-
-
-#: Keyword arguments :func:`run_many`/:func:`iter_many` accepted before
-#: the :class:`ExecConfig` redesign.  They keep working through the
-#: deprecation shim below (one release), mapped onto the equivalent
-#: config field.
-_LEGACY_KWARGS = (
-    "jobs",
-    "transfer",
-    "timeout",
-    "worker_retries",
-    "store",
-    "resume",
-    "on_result",
-)
-
-
-def _shim_config(
-    executor: "ExecConfig | Executor | str | int | None",
-    legacy: dict,
-    caller: str,
-) -> "ExecConfig | Executor":
-    """Map pre-ExecConfig keyword arguments onto a config, with a warning."""
-    unknown = set(legacy) - set(_LEGACY_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword arguments {sorted(unknown)}"
-        )
-    if legacy:
-        warnings.warn(
-            f"{caller}({', '.join(sorted(legacy))}=...) keyword arguments are "
-            "deprecated; pass an ExecConfig (or an --executor spec string "
-            "like 'process:8') as the `executor` argument instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return as_exec_config(executor, **legacy)
-
-
 def iter_many(
     specs: list[RunSpec] | Iterable[RunSpec],
-    executor: "ExecConfig | Executor | str | int | None" = None,
+    executor: "ExecConfig | str | Executor | None" = None,
     *,
     stream_stats: dict | None = None,
-    **legacy,
 ) -> Iterator[tuple[int, RunResult]]:
     """Yield ``(index, result)`` pairs as runs complete, memory-bounded.
 
@@ -333,19 +275,16 @@ def iter_many(
     :class:`~repro.sim.executors.ExecConfig`, a spec string (``serial``,
     ``process:8``, ``remote:hosts.txt`` — see
     :func:`~repro.sim.executors.parse_executor_spec`), a live
-    :class:`~repro.sim.executors.Executor`, a bare int (worker count),
-    or ``None`` for the in-process default.  The historic keyword
-    arguments (``jobs``, ``transfer``, ``timeout``, ``worker_retries``,
-    ``store``, ``resume``) still work through a :class:`DeprecationWarning`
-    shim that maps them onto the equivalent config field.
+    :class:`~repro.sim.executors.Executor`, or ``None`` for the
+    in-process default.
 
     Store checkpointing is backend-agnostic and lives here: every
     summary-shaped completion is recorded to ``config.store`` as it
-    arrives, and (with ``config.resume``, the default) specs the store
-    already holds are served from it immediately, without re-simulating —
-    an interrupted sweep re-invoked with the same store finishes only
-    the missing work.  Only summary-shaped results round-trip through
-    the store; a ``"full"`` spec (event recording) always re-runs.
+    arrives, and specs the store already holds are served from it
+    immediately, without re-simulating — an interrupted sweep
+    re-invoked with the same store finishes only the missing work.
+    Only summary-shaped results round-trip through the store; a
+    ``"full"`` spec (event recording) always re-runs.
 
     ``stream_stats`` (a dict, optional) receives instrumentation from
     this layer (``served_from_store``) and the backend
@@ -353,42 +292,35 @@ def iter_many(
     ``workers_joined`` / ``batches_requeued`` / ``duplicates_dropped``
     for the remote fabric).
     """
-    cfg = _shim_config(executor, legacy, "iter_many")
     specs = list(specs)
     stats = stream_stats if stream_stats is not None else {}
     stats.setdefault("peak_inflight", 0)
     stats.setdefault("served_from_store", 0)
     stats.setdefault("pool_rotations", 0)
 
-    backend = cfg if not isinstance(cfg, ExecConfig) else build_executor(cfg, stats)
-    conf = backend.config
-    store, resume, transfer = conf.store, conf.resume, conf.transfer
-    modes = [resolve_transfer(spec, transfer) for spec in specs]
+    backend = build_executor(executor, stats)
+    store = backend.config.store
+    modes = [resolve_transfer(spec) for spec in specs]
 
     tasks: list[ExecTask] = []
     for i, spec in enumerate(specs):
-        if (
-            store is not None
-            and resume
-            and modes[i] == "summary"
-            and store.has_spec(spec)
-        ):
+        if store is not None and modes[i] == "summary" and store.has_spec(spec):
             stats["served_from_store"] += 1
             yield i, store.result_for(spec)
         else:
             tasks.append(ExecTask(i, spec, modes[i]))
 
     for i, res in backend.run(tasks):
-        _record_to_store(store, specs[i], res)
+        if store is not None:
+            store.record(specs[i], res)
         yield i, res
 
 
 def run_many(
     specs: list[RunSpec],
-    executor: "ExecConfig | Executor | str | int | None" = None,
+    executor: "ExecConfig | str | Executor | None" = None,
     *,
     stream_stats: dict | None = None,
-    **legacy,
 ) -> list[RunResult]:
     """Execute every spec; results come back in spec order.
 
@@ -401,27 +333,25 @@ def run_many(
     ``executor`` accepts everything :func:`iter_many` does — an
     :class:`~repro.sim.executors.ExecConfig`, a spec string
     (``serial`` / ``process:8`` / ``remote:hosts.txt``), a live
-    executor, a bare worker count, or ``None`` for the in-process
-    default.  The deprecated keyword arguments (``jobs``, ``transfer``,
-    ``timeout``, ``worker_retries``, ``store``, ``resume``,
-    ``on_result``) keep working under a :class:`DeprecationWarning`.
+    executor, or ``None`` for the in-process default.
 
     Whatever the backend, each run executes whole specs with its own
     seed, so per-run determinism is untouched and results are
-    bit-identical to the serial path; the transfer modes (``auto`` /
-    ``summary`` / ``full``) decide whether the compact
-    :class:`RunSummary` or the full collector travels back.
+    bit-identical to the serial path; each spec's ``transfer`` mode
+    decides whether the compact :class:`RunSummary` or the full
+    collector travels back.
 
     Resilience covers infrastructure failures, not broken experiments:
     worker deaths and stragglers are retried within bounds and finally
     re-run in-process (stamped ``worker_retries``/``serial_fallback``),
     while simulation errors (livelock, protocol violations) propagate.
     """
-    cfg = _shim_config(executor, legacy, "run_many")
-    on_result = cfg.on_result if isinstance(cfg, ExecConfig) else cfg.config.on_result
+    stats = stream_stats if stream_stats is not None else {}
+    backend = build_executor(executor, stats)
+    on_result = backend.config.on_result
     specs = list(specs)
     results: list[RunResult | None] = [None] * len(specs)
-    for i, res in iter_many(specs, cfg, stream_stats=stream_stats):
+    for i, res in iter_many(specs, backend, stream_stats=stats):
         results[i] = res
         if on_result is not None:
             on_result(i, res)

@@ -19,6 +19,7 @@ from repro.sim.stats import StatsCollector
 from repro.workloads.base import CoreScript, Workload
 
 if TYPE_CHECKING:
+    from repro.sim.executors import ExecConfig, Executor
     from repro.telemetry.summary import RunSummary
 
 __all__ = [
@@ -59,7 +60,7 @@ class RunResult:
     scheme: str
     config: SystemConfig
     seed: int
-    #: Full collector (serial / ``transfer="full"``) or a compact
+    #: Full collector (``transfer="full"`` or event recording) or a compact
     #: :class:`~repro.telemetry.summary.RunSummary` (the parallel
     #: default) — both expose ``conflicts``, the aggregate counters and
     #: ``summary()`` with identical values.
@@ -167,27 +168,20 @@ def compare_systems(
     ),
     check_atomicity: bool = True,
     record_events: bool = False,
-    record_detail: bool = True,
-    jobs: int = 1,
-    transfer: str | None = None,
-    store=None,
-    on_result=None,
     trace_dir: str | None = None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> dict[str, RunResult]:
     """Run identical compiled scripts under several detection schemes.
 
     Keys of the returned dict are scheme values (``"asf"``, ``"subblock"``,
     ``"perfect"``); the workload is compiled once (per process) so every
-    system executes the same program.  ``executor`` picks the execution
-    backend (an :class:`~repro.sim.executors.ExecConfig` or spec string
-    like ``process:8``); ``jobs``/``transfer``/``store``/``on_result``
-    are per-call overrides folded onto it.  All backends are
-    bit-identical to the serial path.  ``trace_dir`` additionally
-    records each scheme's run as a JSONL event trace
-    (``<workload>_<scheme>.jsonl``) for post-hoc forensics.
+    system executes the same program.  ``executor`` says how the batch
+    runs (see :func:`~repro.sim.parallel.run_many`); all backends are
+    bit-identical to the serial path.  Runs come back as compact
+    summaries unless ``record_events`` asks for the full collector.
+    ``trace_dir`` additionally records each scheme's run as a JSONL
+    event trace (``<workload>_<scheme>.jsonl``) for post-hoc forensics.
     """
-    from repro.sim.executors import as_exec_config
     from repro.sim.parallel import RunSpec, run_many
 
     if trace_dir is not None:
@@ -205,14 +199,10 @@ def compare_systems(
             label=scheme.value,
             check_atomicity=check_atomicity,
             record_events=record_events,
-            record_detail=record_detail,
         )
         for scheme in schemes
     ]
-    cfg = as_exec_config(
-        executor, jobs=jobs, transfer=transfer, store=store, on_result=on_result
-    )
-    results = run_many(specs, cfg)
+    results = run_many(specs, executor)
     return {scheme.value: res for scheme, res in zip(schemes, results)}
 
 
@@ -227,24 +217,19 @@ def compare_systems_seeds(
         DetectionScheme.PERFECT,
     ),
     check_atomicity: bool = True,
-    jobs: int = 1,
-    store=None,
-    on_result=None,
     trace_dir: str | None = None,
-    executor=None,
+    executor: "ExecConfig | str | Executor | None" = None,
 ) -> dict[str, list[RunResult]]:
     """:func:`compare_systems` fanned out over several seeds.
 
     Returns ``{scheme_value: [RunResult per seed]}`` in seed order; runs
     use the compact summary transfer (per-run detail is not kept), so the
     batch is cheap to fan out.  Feed each list to
-    :func:`repro.telemetry.aggregate_metrics` for mean ± stdev.
-    ``store`` checkpoints each (scheme, seed) cell for resume.
-    ``trace_dir`` records every (scheme, seed) cell as
-    ``<workload>_<scheme>_s<seed>.jsonl``.  ``executor`` picks the
-    execution backend; ``jobs``/``store``/``on_result`` overlay it.
+    :func:`repro.telemetry.aggregate_metrics` for mean ± stdev.  A store
+    on the ``executor`` config checkpoints each (scheme, seed) cell for
+    resume.  ``trace_dir`` records every (scheme, seed) cell as
+    ``<workload>_<scheme>_s<seed>.jsonl``.
     """
-    from repro.sim.executors import as_exec_config
     from repro.sim.parallel import RunSpec, run_many
 
     if not seeds:
@@ -267,10 +252,7 @@ def compare_systems_seeds(
         for scheme in schemes
         for seed in seeds
     ]
-    cfg = as_exec_config(
-        executor, jobs=jobs, transfer="summary", store=store, on_result=on_result
-    )
-    results = run_many(specs, cfg)
+    results = run_many(specs, executor)
     out: dict[str, list[RunResult]] = {}
     it = iter(results)
     for scheme in schemes:

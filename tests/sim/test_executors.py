@@ -1,7 +1,10 @@
 """The executor layer: config resolution, the --executor grammar, the
-deprecation shims, and the per-spec deadline ledger."""
+one ``executor=`` surface of the batch entry points, and the per-spec
+deadline ledger."""
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
@@ -15,7 +18,6 @@ from repro.sim.executors import (
     ProcessExecutor,
     SerialExecutor,
     _DeadlineLedger,
-    as_exec_config,
     build_executor,
     parse_executor_spec,
 )
@@ -91,41 +93,55 @@ class TestExecutorSpecGrammar:
             parse_executor_spec(f"remote:{hosts}")
 
     @pytest.mark.parametrize(
-        "bad", ["serial:2", "process:x", "remote:no-such-file.txt", "threads"]
+        "bad",
+        [
+            "serial:2",
+            "process:x",
+            "remote:no-such-file.txt",
+            "threads",
+            "remote:99999",
+            "remote:10.0.0.1:70000",
+            "remote::7341",
+        ],
     )
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ConfigError):
             parse_executor_spec(bad)
 
+    @pytest.mark.parametrize(
+        "bind",
+        ["bind nonsense", "bind 0.0.0.0:99999", "bind :7341"],
+        ids=["not-host-port", "port-out-of-range", "empty-host"],
+    )
+    def test_hosts_file_bad_bind_rejected(self, tmp_path, bind):
+        hosts = tmp_path / "hosts.txt"
+        hosts.write_text(f"{bind}\nlocal\n")
+        with pytest.raises(ConfigError, match="HOST:PORT"):
+            parse_executor_spec(f"remote:{hosts}")
+
 
 class TestAsExecConfig:
-    def test_none_is_inprocess_default(self):
-        cfg = as_exec_config(None)
-        assert isinstance(cfg, ExecConfig) and cfg.jobs == 1
+    """``build_executor`` resolves every form ``executor=`` accepts."""
 
-    def test_int_is_legacy_jobs(self):
-        cfg = as_exec_config(4)
-        assert cfg.backend == "process" and cfg.jobs == 4
+    def test_none_is_inprocess_default(self):
+        backend = build_executor(None)
+        assert isinstance(backend.config, ExecConfig)
+        assert backend.config.jobs == 1
 
     def test_string_is_parsed(self):
-        assert as_exec_config("process:3").jobs == 3
-
-    def test_config_is_copied_not_aliased(self):
-        src = ExecConfig(jobs=2)
-        cfg = as_exec_config(src, timeout=9.0)
-        assert cfg is not src and cfg.timeout == 9.0 and src.timeout is None
+        assert build_executor("process:3").config.jobs == 3
 
     def test_live_executor_passes_through(self):
-        live = SerialExecutor(ExecConfig(backend="serial"))
-        assert as_exec_config(live) is live
-
-    def test_kwargs_overlay(self):
-        cfg = as_exec_config("serial", worker_retries=5, resume=False)
-        assert cfg.worker_retries == 5 and cfg.resume is False
-
-    def test_jobs_does_not_demote_chosen_backend(self):
-        cfg = as_exec_config("remote", jobs=4)
-        assert cfg.backend == "remote"
+        """run_many drives a live executor as-is, config and stats."""
+        seen: list[int] = []
+        live_stats: dict = {}
+        live = SerialExecutor(
+            ExecConfig(backend="serial", on_result=lambda i, _r: seen.append(i)),
+            live_stats,
+        )
+        run_many(_specs(2), live)
+        assert sorted(seen) == [0, 1]
+        assert live_stats["peak_inflight"] == 1
 
 
 class TestBuildExecutor:
@@ -140,6 +156,8 @@ class TestBuildExecutor:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
             build_executor(ExecConfig(backend="carrier-pigeon"))
+        with pytest.raises(ConfigError):
+            build_executor(4)  # worker counts are spelled "process:4"
 
     def test_live_executor_passes_through(self):
         live = SerialExecutor(ExecConfig(backend="serial"))
@@ -147,25 +165,7 @@ class TestBuildExecutor:
 
 
 class TestDeprecationShims:
-    """The old kwarg API keeps working, warns, and is result-identical."""
-
-    def test_legacy_kwargs_warn(self):
-        specs = _specs(2)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            run_many(specs, jobs=1)
-        with pytest.warns(DeprecationWarning):
-            list(iter_many(specs, transfer="summary"))
-
-    def test_shim_parity_with_exec_config(self):
-        specs = _specs(3)
-        with pytest.warns(DeprecationWarning):
-            legacy = run_many(specs, jobs=2, transfer="summary")
-        modern = run_many(
-            specs, ExecConfig(backend="process", jobs=2, transfer="summary")
-        )
-        assert [r.stats.summary() for r in legacy] == [
-            r.stats.summary() for r in modern
-        ]
+    """The keyword surface is gone: ``executor=`` is the only way in."""
 
     def test_modern_paths_do_not_warn(self, recwarn):
         run_many(_specs(2), "serial")
@@ -176,14 +176,47 @@ class TestDeprecationShims:
 
     def test_unknown_kwarg_still_a_typeerror(self):
         with pytest.raises(TypeError):
-            run_many(_specs(1), banana=3)
+            run_many(_specs(1), jobs=1)
+        with pytest.raises(TypeError):
+            list(iter_many(_specs(1), jobs=1))
+
+
+def _batch_entry_points():
+    from repro.analysis import experiments, sweeps
+    from repro.sim import runner
+
+    return [
+        runner.compare_systems,
+        runner.compare_systems_seeds,
+        experiments.run_suite,
+        experiments.run_seed_sweep,
+        sweeps.sweep_subblocks,
+        sweeps.sweep_cores,
+        sweeps.ablation_forced_waw,
+        sweeps.ablation_dirty_state,
+        sweeps.sweep_resolution,
+        sweeps.sweep_policy_matrix,
+        sweeps.sweep_backoff,
+        run_many,
+        iter_many,
+    ]
+
+
+@pytest.mark.parametrize(
+    "entry", _batch_entry_points(), ids=lambda fn: fn.__name__
+)
+def test_executor_is_the_only_batch_surface(entry):
+    params = inspect.signature(entry).parameters
+    assert "executor" in params
+    assert not {"jobs", "store", "on_result", "transfer"} & set(params)
+    assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
 
 
 class TestBackendParity:
     def test_serial_process_int_spec_all_identical(self):
         specs = _specs(4)
         baseline = [r.stats.summary() for r in run_many(specs, "serial")]
-        for executor in ("process:2", 2, ExecConfig(backend="process", jobs=2)):
+        for executor in ("process:2", ExecConfig(backend="process", jobs=2)):
             got = [r.stats.summary() for r in run_many(specs, executor)]
             assert got == baseline, f"{executor!r} diverged"
 

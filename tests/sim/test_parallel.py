@@ -103,12 +103,12 @@ class TestRunMany:
             spec_for("kmeans", DetectionScheme.SUBBLOCK, seed=s)
             for s in (3, 1, 2)
         ]
-        results = run_many(specs, jobs=1)
+        results = run_many(specs, "serial")
         assert [r.seed for r in results] == [3, 1, 2]
         assert all(r.workload == "kmeans" for r in results)
 
     def test_parallel_bit_identical_to_serial(self):
-        """2 workloads x 3 schemes: jobs=4 must reproduce jobs=1 exactly."""
+        """2 workloads x 3 schemes: process:4 must reproduce serial exactly."""
         specs = [
             spec_for(name, scheme, check_atomicity=True)
             for name in ("kmeans", "genome")
@@ -118,8 +118,8 @@ class TestRunMany:
                 DetectionScheme.PERFECT,
             )
         ]
-        serial = run_many(specs, jobs=1)
-        pooled = run_many(specs, jobs=4)
+        serial = run_many(specs, "serial")
+        pooled = run_many(specs, "process:4")
         for spec, s, p in zip(specs, serial, pooled):
             assert p.scheme == s.scheme, spec.label
             assert p.stats.summary() == s.stats.summary(), spec.label
@@ -129,7 +129,7 @@ class TestRunMany:
     def test_record_events_survive_worker_transfer(self):
         spec = spec_for("kmeans", DetectionScheme.ASF_BASELINE,
                         record_events=True)
-        serial, pooled = run_many([spec, spec], jobs=2)
+        serial, pooled = run_many([spec, spec], "process:2")
         assert serial.stats.conflict_events
         assert pooled.stats.conflict_events == serial.stats.conflict_events
 
@@ -142,14 +142,14 @@ class TestRunMany:
             workload="kmeans", config=cfg, seed=1, txns_per_core=30,
             tolerate_violations=True,
         )
-        (res,) = run_many([spec], jobs=1)
+        (res,) = run_many([spec], "serial")
         assert res.violations > 0
 
     def test_detail_off_matches_detailed_aggregates(self):
         full = spec_for("genome", DetectionScheme.SUBBLOCK, transfer="full")
         lean = spec_for("genome", DetectionScheme.SUBBLOCK,
                         record_detail=False)
-        full_res, lean_res = run_many([full, lean], jobs=1)
+        full_res, lean_res = run_many([full, lean], "serial")
         assert isinstance(lean_res.stats, RunSummary)
         assert lean_res.stats.summary() == full_res.stats.summary()
         assert not lean_res.stats.txn_start_times
@@ -159,37 +159,42 @@ class TestRunMany:
 class TestTransferModes:
     def test_auto_ships_summary_without_events(self):
         spec = spec_for("kmeans", DetectionScheme.SUBBLOCK)
-        assert resolve_transfer(spec, None) == "summary"
-        (res,) = run_many([spec], jobs=1)
+        assert resolve_transfer(spec) == "summary"
+        (res,) = run_many([spec], "serial")
         assert isinstance(res.stats, RunSummary)
         assert res.stats.workload == "kmeans"
         assert res.stats.seed == 1
 
     def test_auto_keeps_full_for_event_recorders(self):
         spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, record_events=True)
-        assert resolve_transfer(spec, None) == "full"
-        (res,) = run_many([spec], jobs=1)
+        assert resolve_transfer(spec) == "full"
+        (res,) = run_many([spec], "serial")
         assert not isinstance(res.stats, RunSummary)
         assert res.stats.conflict_events
 
     def test_summary_override_never_drops_events(self):
-        spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, record_events=True)
-        assert resolve_transfer(spec, "summary") == "full"
+        """No transfer mode can ship an event recorder as a summary."""
+        from dataclasses import replace
 
-    def test_batch_override_beats_spec_field(self):
-        spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, transfer="full")
-        assert resolve_transfer(spec, None) == "full"
-        assert resolve_transfer(spec, "summary") == "summary"
+        from repro.sim.parallel import TRANSFER_MODES
+
+        spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, record_events=True)
+        for mode in TRANSFER_MODES:
+            assert resolve_transfer(replace(spec, transfer=mode)) == "full"
 
     def test_invalid_mode_rejected(self):
         from repro.errors import SimulationError
 
-        spec = spec_for("kmeans", DetectionScheme.SUBBLOCK)
-        with pytest.raises(SimulationError):
-            resolve_transfer(spec, "bogus")
+        for mode in ("bogus", "summary"):
+            spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, transfer=mode)
+            with pytest.raises(SimulationError):
+                resolve_transfer(spec)
 
     def test_full_override_matches_summary_counters(self):
-        specs = [spec_for("genome", DetectionScheme.ASF_BASELINE)]
-        (full,) = run_many(specs, jobs=1, transfer="full")
-        (lean,) = run_many(specs, jobs=1, transfer="summary")
+        lean_spec = spec_for("genome", DetectionScheme.ASF_BASELINE)
+        full_spec = spec_for("genome", DetectionScheme.ASF_BASELINE,
+                             transfer="full")
+        full, lean = run_many([full_spec, lean_spec], "serial")
+        assert not isinstance(full.stats, RunSummary)
+        assert isinstance(lean.stats, RunSummary)
         assert lean.stats.summary() == full.stats.summary()

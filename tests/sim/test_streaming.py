@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.config import DetectionScheme, default_system
 from repro.sim import parallel
+from repro.sim.executors import ExecConfig
 from repro.sim.parallel import STREAM_BACKLOG, RunSpec, iter_many, run_many
 from repro.sim.runner import RunResult
 from repro.store import ResultsStore
@@ -59,26 +60,26 @@ class TestStreamingParity:
     def test_streamed_merge_equals_batch_merge(self):
         """Satellite guarantee: stream + accumulator == batch + merge."""
         acc = SummaryAccumulator()
-        for _i, res in iter_many(specs_for_grid(), jobs=1):
+        for _i, res in iter_many(specs_for_grid(), "serial"):
             acc.add(res.stats)
-        batch = run_many(specs_for_grid(), jobs=1, transfer="summary")
+        batch = run_many(specs_for_grid(), "serial")
         merged = merge_summaries([r.stats for r in batch])
         assert acc.count == len(batch)
         assert acc.merged().to_dict() == merged.to_dict()
 
     def test_streamed_metrics_equal_batch_metrics(self):
         macc = MetricsAccumulator()
-        for _i, res in iter_many(specs_for_grid(), jobs=1):
+        for _i, res in iter_many(specs_for_grid(), "serial"):
             macc.add(res.stats)
-        batch = run_many(specs_for_grid(), jobs=1, transfer="summary")
+        batch = run_many(specs_for_grid(), "serial")
         assert macc.stats() == aggregate_metrics(r.stats for r in batch)
 
     def test_pooled_stream_counters_equal_serial(self):
         """Completion order is nondeterministic; the counters are not."""
         by_index = {
-            i: res for i, res in iter_many(specs_for_grid(), jobs=3)
+            i: res for i, res in iter_many(specs_for_grid(), "process:3")
         }
-        serial = run_many(specs_for_grid(), jobs=1, transfer="summary")
+        serial = run_many(specs_for_grid(), "serial")
         assert sorted(by_index) == list(range(len(serial)))
         for i, ref in enumerate(serial):
             assert by_index[i].stats.summary() == ref.stats.summary()
@@ -87,9 +88,7 @@ class TestStreamingParity:
         seen: list[int] = []
         results = run_many(
             specs_for_grid(),
-            jobs=1,
-            transfer="summary",
-            on_result=lambda i, res: seen.append(i),
+            ExecConfig(backend="serial", on_result=lambda i, res: seen.append(i)),
         )
         assert sorted(seen) == list(range(len(results)))
 
@@ -99,11 +98,11 @@ class TestStoreResume:
         """Kill a sweep after 4 completions; the resumed run's merged
         summary equals the uninterrupted run's, and the finished prefix
         comes from the store, not re-simulation."""
-        ref = run_many(specs_for_grid(), jobs=1, transfer="summary")
+        ref = run_many(specs_for_grid(), "serial")
         ref_merged = merge_summaries([r.stats for r in ref])
 
         store = ResultsStore(tmp_path)
-        it = iter_many(specs_for_grid(), jobs=1, store=store)
+        it = iter_many(specs_for_grid(), ExecConfig(backend="serial", store=store))
         for _ in range(4):
             next(it)
         it.close()  # the "crash": generator dropped mid-sweep
@@ -111,14 +110,11 @@ class TestStoreResume:
 
         stream_stats: dict = {}
         with ResultsStore(tmp_path) as resumed_store:
-            resumed = run_many(
-                specs_for_grid(), jobs=1, transfer="summary",
-                store=resumed_store,
-            )
+            resumed_cfg = ExecConfig(backend="serial", store=resumed_store)
+            resumed = run_many(specs_for_grid(), resumed_cfg)
             acc = SummaryAccumulator()
             for i, res in iter_many(
-                specs_for_grid(), jobs=1, store=resumed_store,
-                stream_stats=stream_stats,
+                specs_for_grid(), resumed_cfg, stream_stats=stream_stats,
             ):
                 acc.add(res.stats)
 
@@ -132,34 +128,17 @@ class TestStoreResume:
     def test_resume_skips_only_completed_specs(self, tmp_path):
         specs = specs_for_grid()
         with ResultsStore(tmp_path) as store:
-            it = iter_many(specs_for_grid(), jobs=1, store=store)
+            cfg = ExecConfig(backend="serial", store=store)
+            it = iter_many(specs_for_grid(), cfg)
             for _ in range(3):
                 next(it)
             it.close()
             stream_stats: dict = {}
             done = dict(
-                iter_many(
-                    specs_for_grid(), jobs=1, store=store,
-                    stream_stats=stream_stats,
-                )
+                iter_many(specs_for_grid(), cfg, stream_stats=stream_stats)
             )
         assert stream_stats["served_from_store"] == 3
         assert len(done) == len(specs)
-
-    def test_resume_false_reruns_everything(self, tmp_path):
-        with ResultsStore(tmp_path) as store:
-            run_many(specs_for_grid(), jobs=1, transfer="summary", store=store)
-            stream_stats: dict = {}
-            run_many(
-                specs_for_grid(), jobs=1, transfer="summary", store=store,
-                resume=False,
-            )
-            for _ in iter_many(
-                specs_for_grid(), jobs=1, store=store, resume=False,
-                stream_stats=stream_stats,
-            ):
-                pass
-        assert stream_stats["served_from_store"] == 0
 
     def test_event_recording_specs_always_rerun(self, tmp_path):
         """A "full" spec cannot round-trip through JSON; resume re-runs it."""
@@ -171,12 +150,12 @@ class TestStoreResume:
             record_events=True,
         )
         with ResultsStore(tmp_path) as store:
-            run_many([spec], jobs=1, store=store)
+            cfg = ExecConfig(backend="serial", store=store)
+            run_many([spec], cfg)
             assert not store.has_spec(spec)
             stream_stats: dict = {}
             ((_, res),) = list(
-                iter_many([spec], jobs=1, store=store,
-                          stream_stats=stream_stats)
+                iter_many([spec], cfg, stream_stats=stream_stats)
             )
         assert stream_stats["served_from_store"] == 0
         assert res.stats.conflict_events  # the events are really there
@@ -221,11 +200,11 @@ class TestBoundedMemory:
             for i in range(10_000)
         ]
         acc = SummaryAccumulator()
-        for _i, res in iter_many(specs, jobs=1):
+        for _i, res in iter_many(specs, "serial"):
             acc.add(res.stats)
         assert acc.count == 10_000
         assert acc.merged().txn_commits == 10_000
-        # jobs=1 × a small constant: the loop variable, the yield slot —
+        # One worker × a small constant: the loop variable, the yield slot —
         # never an O(sweep) buffer.
         assert _TrackedSummary.counters["peak"] <= 4
         assert _TrackedSummary.counters["live"] <= 2
@@ -243,7 +222,7 @@ class TestBoundedMemory:
         ]
         stream_stats: dict = {}
         results = dict(
-            iter_many(specs, jobs=jobs, stream_stats=stream_stats)
+            iter_many(specs, f"process:{jobs}", stream_stats=stream_stats)
         )
         assert len(results) == len(specs)
         assert 0 < stream_stats["peak_inflight"] <= jobs * STREAM_BACKLOG

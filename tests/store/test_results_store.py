@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +29,7 @@ def make_spec(seed: int = 1, label: str = "x", **kw) -> RunSpec:
 
 
 def run_one(spec: RunSpec):
-    (res,) = run_many([spec], jobs=1, transfer="summary")
+    (res,) = run_many([spec], "serial")
     return res
 
 
@@ -59,6 +60,44 @@ class TestSpecKey:
         fp = spec_fingerprint(make_spec())
         assert json.loads(json.dumps(fp)) == fp
 
+    def test_entry_point_keys_are_pinned(self, tmp_path):
+        """Keys the batch entry points wrote under version 1.2.0: a
+        checkpoint written then must still resume now."""
+        from repro.analysis.experiments import run_suite
+        from repro.analysis.sweeps import sweep_subblocks
+        from repro.sim.executors import ExecConfig
+        from repro.sim.runner import compare_systems
+        from repro.workloads.registry import get_workload
+
+        def stored_keys(batch):
+            with ResultsStore(tmp_path, fresh=True) as store:
+                batch(ExecConfig(backend="serial", store=store))
+                return {e.label: e.key for e in store.entries()}
+
+        assert stored_keys(
+            lambda ex: run_suite(
+                txns_per_core=4, benchmarks=("kmeans",), executor=ex
+            )
+        ) == {
+            "kmeans:subblock": "75eb02352167b44c197d9264",
+            "kmeans:perfect": "21c877598021b85c381b4974",
+        }
+        assert stored_keys(
+            lambda ex: sweep_subblocks(
+                get_workload("ssca2", 4), counts=(1, 4), executor=ex
+            )
+        ) == {
+            "N=1": "a34809241621ec121798c269",
+            "N=4": "6f3e67396976dc97d4a106c8",
+        }
+        assert stored_keys(
+            lambda ex: compare_systems(get_workload("genome", 4), executor=ex)
+        ) == {
+            "asf": "9370b56ef99ea4e0aca2161a",
+            "subblock": "536f0bfafe687a2d505953cf",
+            "perfect": "6e54f53e963480fd54aab164",
+        }
+
 
 class TestRoundTrip:
     def test_record_and_reload(self, tmp_path):
@@ -86,7 +125,7 @@ class TestRoundTrip:
 
     def test_full_collector_not_stored(self, tmp_path):
         spec = make_spec()
-        (res,) = run_many([spec], jobs=1, transfer="full")
+        (res,) = run_many([replace(spec, transfer="full")], "serial")
         with ResultsStore(tmp_path) as store:
             assert not store.record(spec, res)
             assert not store.has_spec(spec)

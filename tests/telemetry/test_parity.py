@@ -37,8 +37,8 @@ def specs_for_grid(**kw) -> list[RunSpec]:
 class TestSummaryParity:
     def test_pooled_summary_equals_serial_full_detail(self):
         """3 schemes × 3 workloads: the compact transfer loses nothing."""
-        serial = run_many(specs_for_grid(), jobs=1, transfer="full")
-        pooled = run_many(specs_for_grid(), jobs=4, transfer="summary")
+        serial = run_many(specs_for_grid(transfer="full"), "serial")
+        pooled = run_many(specs_for_grid(), "process:4")
         for s, p in zip(serial, pooled):
             assert not isinstance(s.stats, RunSummary)
             assert isinstance(p.stats, RunSummary), p.stats
@@ -48,7 +48,7 @@ class TestSummaryParity:
             assert p.scheme == s.scheme and p.workload == s.workload
 
     def test_summary_metadata_is_populated(self):
-        results = run_many(specs_for_grid(), jobs=1, transfer="summary")
+        results = run_many(specs_for_grid(), "serial")
         for spec, res in zip(specs_for_grid(), results):
             assert res.stats.label == spec.label
             assert res.stats.workload == res.workload
@@ -56,7 +56,7 @@ class TestSummaryParity:
             assert res.stats.seed == 1
 
     def test_merge_equals_manual_sums(self):
-        results = run_many(specs_for_grid(), jobs=1, transfer="summary")
+        results = run_many(specs_for_grid(), "serial")
         summaries = [r.stats for r in results]
         merged = merge_summaries(summaries)
         assert merged.txn_commits == sum(s.txn_commits for s in summaries)
@@ -77,5 +77,5 @@ class TestSummaryParity:
             txns_per_core=TXNS,
             tolerate_violations=True,
         )
-        (res,) = run_many([spec], jobs=1, transfer="summary")
+        (res,) = run_many([spec], "serial")
         assert res.stats.violations == res.violations

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.config import DetectionScheme, default_system
+from repro.sim.executors import ExecConfig
 from repro.sim.parallel import RunSpec, run_many
 from repro.telemetry.summary import RunSummary
 from repro.workloads.synthetic import SyntheticWorkload
@@ -79,7 +80,7 @@ class TestWorkerDeath:
         marker = str(tmp_path / "crashed")
         healthy = SyntheticWorkload(txns_per_core=TXNS)
         specs = [spec(CrashOnceWorkload(marker)), spec(healthy)]
-        results = run_many(specs, jobs=2, worker_retries=2)
+        results = run_many(specs, ExecConfig(jobs=2, worker_retries=2))
         assert os.path.exists(marker)  # the crash really happened
         for res in results:
             assert isinstance(res.stats, RunSummary)
@@ -95,7 +96,7 @@ class TestWorkerDeath:
         # serial path, which would never exercise the pool.
         specs = [spec(AlwaysCrashWorkload()),
                  spec(SyntheticWorkload(txns_per_core=TXNS))]
-        results = run_many(specs, jobs=2, worker_retries=1)
+        results = run_many(specs, ExecConfig(jobs=2, worker_retries=1))
         res = results[0]
         assert res.serial_fallback
         assert res.worker_retries == 2  # both pool rounds died
@@ -106,12 +107,12 @@ class TestWorkerDeath:
     def test_crash_results_match_clean_run(self):
         clean = run_many(
             [spec(SyntheticWorkload(txns_per_core=TXNS, name="always-crash"))],
-            jobs=1,
+            "serial",
         )[0]
         crashed = run_many(
             [spec(AlwaysCrashWorkload()),
              spec(SyntheticWorkload(txns_per_core=TXNS))],
-            jobs=2, worker_retries=0,
+            ExecConfig(jobs=2, worker_retries=0),
         )[0]
         assert crashed.serial_fallback
         # Provenance fields are excluded from summary() so retried runs
@@ -124,7 +125,7 @@ class TestTimeout:
         specs = [spec(SlowWorkload(delay=8.0)),
                  spec(SyntheticWorkload(txns_per_core=TXNS))]
         start = time.monotonic()
-        results = run_many(specs, jobs=2, timeout=1.5)
+        results = run_many(specs, ExecConfig(jobs=2, timeout=1.5))
         elapsed = time.monotonic() - start
         res = results[0]
         assert res.serial_fallback
@@ -134,7 +135,7 @@ class TestTimeout:
 
     def test_fast_specs_unaffected_by_generous_timeout(self):
         specs = [spec(SyntheticWorkload(txns_per_core=TXNS))] * 3
-        results = run_many(specs, jobs=2, timeout=120.0)
+        results = run_many(specs, ExecConfig(jobs=2, timeout=120.0))
         assert all(not r.serial_fallback for r in results)
         assert all(r.stats.txn_commits > 0 for r in results)
 

@@ -31,6 +31,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "bayes"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["save-scripts", "ssca2", "x.jsonl", "--executor", "serial"],
+            ["save-scripts", "ssca2", "x.jsonl", "--policy", "lazy"],
+            ["save-scripts", "ssca2", "x.jsonl", "--kernel", "object"],
+            ["trace", "kmeans", "x.jsonl", "--executor", "serial"],
+        ],
+        ids=lambda argv: argv[0] + argv[3],
+    )
+    def test_flags_a_handler_ignores_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+class TestInputErrors:
+    """Bad input ends in one error line and status 2, never a traceback."""
+
+    @pytest.mark.parametrize("spec", ["bogus", "remote:99999"])
+    def test_bad_executor_spec(self, capsys, spec):
+        assert main(["run", "kmeans", "--txns", "4", "--executor", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro-asf: error: ")
+        assert spec in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -101,7 +129,7 @@ class TestCommands:
                     yield path, action.default
 
         found = dict(walk(build_parser(), ()))
-        assert {("run",), ("suite",), ("replay",), ("save-scripts",)} <= set(found)
+        assert {("run",), ("suite",), ("replay",), ("trace",)} <= set(found)
         assert found == {path: SystemConfig().kernel for path in found}
 
     def test_package_exports(self):
@@ -109,6 +137,16 @@ class TestCommands:
 
         assert repro.__version__
         assert "vacation" in repro.BENCHMARK_NAMES
+
+    def test_version_matches_pyproject(self):
+        import re
+        from pathlib import Path
+
+        import repro
+
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+        assert match and match.group(1) == repro.__version__
 
 
 class TestTraceAnalyze:
@@ -143,13 +181,14 @@ class TestTraceAnalyze:
         assert header.split("\t") == ["line_index", "line_addr",
                                       "false_conflicts"]
 
-    def test_analyze_rejects_non_trace_file(self, tmp_path):
-        from repro.errors import ConfigError
-
+    def test_analyze_rejects_non_trace_file(self, tmp_path, capsys):
         path = tmp_path / "not_a_trace.jsonl"
         path.write_text('{"benchmark":"x"}\n')
-        with pytest.raises(ConfigError, match="no trace schema header"):
-            main(["analyze", str(path)])
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-asf: error: ")
+        assert "no trace schema header" in err
+        assert "Traceback" not in err
 
     def test_run_trace_dir_records_and_analyzes(self, tmp_path, capsys):
         trd = tmp_path / "traces"
