@@ -27,7 +27,8 @@ coordinator; workers join via ``repro-asf worker``).  See
 ``docs/DISTRIBUTED.md`` for the fabric.
 
 A :class:`~repro.errors.ConfigError` (bad executor spec, non-trace file)
-ends in one ``repro-asf: error: ...`` line and exit status 2.
+or :class:`~repro.errors.WorkloadError` (malformed script file) ends in
+one ``repro-asf: error: ...`` line and exit status 2.
 
 ``--trace-dir DIR`` on ``run``/``suite`` records every run's event
 trace into DIR *and* writes a ``<run>.report.txt`` forensics report next
@@ -79,7 +80,7 @@ from repro.config import (
     default_system,
 )
 from repro.core.overhead import OverheadModel
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkloadError
 from repro.sim.runner import compare_systems, compare_systems_seeds, run_scripts
 from repro.telemetry import aggregate_metrics
 from repro.trace.scriptio import load_scripts, save_scripts
@@ -983,7 +984,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, WorkloadError) as exc:
         print(f"repro-asf: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

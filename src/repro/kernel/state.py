@@ -23,7 +23,9 @@ so it is reserved for the cold-path snapshot/audit helpers at the bottom.
 
 Residency and LRU order live in per-set insertion-ordered dicts exactly
 like :class:`~repro.mem.cache.SetAssocCache` (first key = LRU victim), so
-eviction decisions are bit-identical between kernels.
+eviction decisions are bit-identical between kernels.  A set's dict is
+created on every core when :meth:`SimState.add_line` interns the first
+line that maps to it, so set-up costs what a run touches.
 
 Maintenance invariant: whenever a line leaves a core's L1 (eviction,
 drop), its ``moesi`` code is reset to 0 and ``data``/``pinned`` cleared,
@@ -132,10 +134,11 @@ class SimState:
         self.sowner: list[list[int]] = [[] for _ in range(n)]
         # residency + LRU: insertion-ordered per-set dicts {li: None},
         # first key = LRU victim candidate (same discipline as
-        # SetAssocCache so eviction order is bit-identical).
-        self.l1_sets = [[{} for _ in range(self.l1_nsets)] for _ in range(n)]
-        self.l2_sets = [[{} for _ in range(self.l2_nsets)] for _ in range(n)]
-        self.l3_sets = [[{} for _ in range(self.l3_nsets)] for _ in range(n)]
+        # SetAssocCache so eviction order is bit-identical).  None until
+        # add_line interns a line that maps to the set.
+        self.l1_sets = [[None] * self.l1_nsets for _ in range(n)]
+        self.l2_sets = [[None] * self.l2_nsets for _ in range(n)]
+        self.l3_sets = [[None] * self.l3_nsets for _ in range(n)]
         # Per-core transaction hot-state planes (the flat-txn runtime):
         # the speculative read/write line sets, the redo log and the
         # first-read observations of the core's *current* attempt.  The
@@ -153,7 +156,7 @@ class SimState:
         return len(self.line_addrs)
 
     def add_line(self, line_addr: int) -> int:
-        """Intern a line address, growing every plane by one slot."""
+        """Intern a line address, growing every plane and creating its sets."""
         li = len(self.line_addrs)
         self.intern_map[line_addr] = li
         self.line_addrs.append(line_addr)
@@ -161,6 +164,11 @@ class SimState:
         self.set1.append(lineno & (self.l1_nsets - 1))
         self.set2.append(lineno & (self.l2_nsets - 1))
         self.set3.append(lineno & (self.l3_nsets - 1))
+        for sets, idx in zip((self.l1_sets, self.l2_sets, self.l3_sets),
+                             (self.set1[li], self.set2[li], self.set3[li])):
+            for core_sets in sets:
+                if core_sets[idx] is None:
+                    core_sets[idx] = {}
         self.holders.append(0)
         self.owner.append(-1)
         self.spec_mask.append(0)

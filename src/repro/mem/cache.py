@@ -15,11 +15,15 @@ a capacity abort (ASF is a best-effort HTM).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.errors import ConfigError, ProtocolError
 from repro.mem.moesi import MoesiState
 
 __all__ = ["CacheLine", "FillResult", "SetAssocCache"]
+
+#: What ``_set_of`` returns for an unused or empty set: no lines, read-only.
+_UNUSED_SET = MappingProxyType({})
 
 
 @dataclass(slots=True)
@@ -57,8 +61,9 @@ class FillResult:
 class SetAssocCache:
     """LRU set-associative cache.
 
-    Each set is an insertion-ordered dict ``{line_addr: CacheLine}``; the
-    first entry is least recently used.  Lookups that hit refresh recency.
+    Each set is an insertion-ordered dict ``{line_addr: CacheLine}``,
+    created by the first fill that maps to it; the first entry is least
+    recently used.  Lookups that hit refresh recency.
     Invalid lines are kept resident when they still carry pinned HTM state
     (the sub-blocking scheme checks conflicts on invalidated lines too);
     otherwise invalidation removes them.
@@ -77,7 +82,7 @@ class SetAssocCache:
         self.associativity = associativity
         self.line_size = line_size
         self.name = name
-        self._sets: list[dict[int, CacheLine]] = [dict() for _ in range(n_sets)]
+        self._sets: list[dict[int, CacheLine] | None] = [None] * n_sets
         #: Optional ``callback(line_addr, valid)`` fired on every
         #: valid<->invalid residency transition.  The memory system uses it
         #: to maintain the per-line sharer index that lets probes skip
@@ -95,7 +100,7 @@ class SetAssocCache:
         return (line_addr // self.line_size) & (self.n_sets - 1)
 
     def _set_of(self, line_addr: int) -> dict[int, CacheLine]:
-        return self._sets[self._set_index(line_addr)]
+        return self._sets[self._set_index(line_addr)] or _UNUSED_SET
 
     # -- queries ---------------------------------------------------------------
 
@@ -119,7 +124,7 @@ class SetAssocCache:
     def resident_lines(self) -> list[CacheLine]:
         """All resident lines (valid and retained-invalid), LRU→MRU per set."""
         out: list[CacheLine] = []
-        for s in self._sets:
+        for s in filter(None, self._sets):
             out.extend(s.values())
         return out
 
@@ -140,7 +145,10 @@ class SetAssocCache:
             raise ProtocolError("cannot fill a line in INVALID state")
         if line_addr % self.line_size:
             raise ProtocolError(f"unaligned line address {line_addr:#x}")
-        s = self._set_of(line_addr)
+        idx = self._set_index(line_addr)
+        s = self._sets[idx]
+        if s is None:
+            s = self._sets[idx] = {}
         existing = s.get(line_addr)
         if existing is not None:
             # Re-fill of a resident (possibly retained-invalid) line.
@@ -191,7 +199,8 @@ class SetAssocCache:
 
     def drop(self, line_addr: int) -> None:
         """Remove a line outright (used when clearing retained spec lines)."""
-        line = self._set_of(line_addr).pop(line_addr, None)
+        s = self._sets[self._set_index(line_addr)]
+        line = s.pop(line_addr, None) if s else None
         if line is not None and line.valid and self.observer is not None:
             self.observer(line_addr, False)
 
@@ -212,6 +221,8 @@ class SetAssocCache:
     def check_invariants(self) -> None:
         """Structural sanity: set sizing, address-to-set mapping, alignment."""
         for idx, s in enumerate(self._sets):
+            if not s:
+                continue
             if len(s) > self.associativity:
                 raise ProtocolError(
                     f"{self.name} set {idx} holds {len(s)} lines "

@@ -140,20 +140,6 @@ class SimulationEngine:
             )
             for c in range(config.n_cores)
         ]
-        # Per-item op metadata for the batched loop: TxnOp.is_mem/is_write
-        # are properties, too costly to re-derive on every op execution.
-        self._meta: list[
-            tuple[tuple[tuple[bool, int, int, bool, int], ...], ...]
-        ] = [
-            tuple(
-                tuple(
-                    (op.is_mem, op.addr, op.size, op.is_write, op.cycles)
-                    for op in item.ops
-                )
-                for item in script.txns
-            )
-            for script in scripts
-        ]
         self._heap: list[tuple[int, int, int]] = []
         self._seq = 0
 
@@ -205,7 +191,6 @@ class SimulationEngine:
         commit = machine.commit
         abort_self = machine.abort_self
         retry_at = self._retry_at
-        meta_all = self._meta
         lat = self.config.latency
         begin_ov = lat.txn_begin_overhead
         commit_ov = lat.commit_overhead
@@ -238,7 +223,7 @@ class SimulationEngine:
                 else:
                     phase = cs.phase
                     if phase is RUN:
-                        meta = meta_all[core][cs.item]
+                        meta = script.txns[cs.item].meta
                         n_ops = len(meta)
                         pc = txn.pc
                         if pc < n_ops:

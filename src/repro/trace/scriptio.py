@@ -76,39 +76,52 @@ def save_scripts(
 
 
 def load_scripts(path: str | Path) -> list[CoreScript]:
-    """Load scripts written by :func:`save_scripts`; verifies the digest."""
+    """Load scripts written by :func:`save_scripts`; verifies the digest.
+
+    Malformed input raises :class:`WorkloadError` naming the file and line.
+    """
     path = Path(path)
-    with path.open() as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != FORMAT_NAME:
-            raise WorkloadError(f"{path}: not a {FORMAT_NAME} file")
-        if header.get("version") != FORMAT_VERSION:
-            raise WorkloadError(
-                f"{path}: unsupported version {header.get('version')}"
-            )
-        scripts: list[CoreScript] = []
-        for line in fh:
-            if not line.strip():
+    n_cores = digest = None
+    scripts: list[CoreScript] = []
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if lineno > 1 and not line.strip():
                 continue
-            row = json.loads(line)
-            txns = tuple(
-                ScriptedTxn(
-                    gap_cycles=int(gap),
-                    ops=tuple(_decode_op(op) for op in ops),
-                    user_abort_attempts=int(aborts),
-                )
-                for gap, aborts, ops in row["txns"]
-            )
-            scripts.append(CoreScript(core=int(row["core"]), txns=txns))
-    if len(scripts) != header["n_cores"]:
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise WorkloadError("not a JSON object")
+                if lineno > 1:
+                    scripts.append(_decode_row(record))
+                elif record.get("format") != FORMAT_NAME:
+                    raise WorkloadError(f"not a {FORMAT_NAME} file")
+                elif record.get("version") != FORMAT_VERSION:
+                    raise WorkloadError(f"unsupported version {record.get('version')}")
+                else:
+                    n_cores, digest = int(record["n_cores"]), record["digest"]
+            except json.JSONDecodeError as exc:
+                raise WorkloadError(f"{path}:{lineno}: not JSON ({exc.msg})") from None
+            except KeyError as exc:
+                raise WorkloadError(f"{path}:{lineno}: missing field {exc}") from None
+            except (WorkloadError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+                raise WorkloadError(f"{path}:{lineno}: {exc}") from None
+    if n_cores is None:
+        raise WorkloadError(f"{path}:1: empty file, expected a {FORMAT_NAME} header")
+    if len(scripts) != n_cores:
         raise WorkloadError(
-            f"{path}: header promises {header['n_cores']} cores, "
-            f"found {len(scripts)}"
+            f"{path}: header promises {n_cores} cores, found {len(scripts)}"
         )
-    digest = scripts_digest(scripts)
-    if digest != header["digest"]:
+    if scripts_digest(scripts) != digest:
         raise WorkloadError(f"{path}: digest mismatch (corrupt or edited)")
     return scripts
+
+
+def _decode_row(row: dict) -> CoreScript:
+    txns = tuple(
+        ScriptedTxn(int(gap), tuple(_decode_op(op) for op in ops), int(aborts))
+        for gap, aborts, ops in row["txns"]
+    )
+    return CoreScript(core=int(row["core"]), txns=txns)
 
 
 def scripts_digest(scripts: list[CoreScript]) -> str:

@@ -30,6 +30,9 @@ class ScriptedTxn:
     gap_cycles: int
     ops: tuple[TxnOp, ...]
     user_abort_attempts: int = 0
+    #: ``(is_mem, addr, size, is_write, cycles)`` per op, built once per compiled
+    #: program for the engine's op loop, where the TxnOp properties cost too much.
+    meta: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.gap_cycles < 0:
@@ -38,6 +41,9 @@ class ScriptedTxn:
             raise WorkloadError("empty transaction")
         if self.user_abort_attempts < 0:
             raise WorkloadError("negative user_abort_attempts")
+        object.__setattr__(self, "meta", tuple(
+            (op.is_mem, op.addr, op.size, op.is_write, op.cycles) for op in self.ops
+        ))
 
 
 @dataclass(frozen=True, slots=True)

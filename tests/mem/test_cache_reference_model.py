@@ -2,7 +2,8 @@
 
 The reference model is an obviously correct per-set list implementation;
 hypothesis drives both with the same operation stream and the resident
-sets plus eviction choices must agree exactly.
+lines (in ``resident_lines()`` order: ascending set, LRU to MRU within a
+set) plus eviction choices must agree exactly.
 """
 
 from hypothesis import given, settings
@@ -48,15 +49,17 @@ class ReferenceLru:
         if addr in s:
             s.remove(addr)
 
+    drop = invalidate
+
     def resident(self):
-        return {a for s in self.sets for a in s}
+        return [a for s in self.sets for a in s]
 
 
 @st.composite
 def op_streams(draw):
     ops = []
     for _ in range(draw(st.integers(1, 80))):
-        kind = draw(st.sampled_from(["fill", "lookup", "invalidate"]))
+        kind = draw(st.sampled_from(["fill", "lookup", "invalidate", "drop"]))
         addr = draw(st.integers(0, 15)) * LINE
         ops.append((kind, addr))
     return ops
@@ -76,9 +79,12 @@ def test_cache_matches_reference_lru(ops):
         elif kind == "lookup":
             got = cache.lookup(addr) is not None
             assert got == ref.lookup(addr), (kind, addr)
+        elif kind == "drop":
+            cache.drop(addr)
+            ref.drop(addr)
         else:
             cache.invalidate(addr)
             ref.invalidate(addr)
-        resident = {ln.addr for ln in cache.resident_lines() if ln.valid}
-        assert resident == ref.resident()
+        assert all(ln.valid for ln in cache.resident_lines())
+        assert [ln.addr for ln in cache.resident_lines()] == ref.resident()
         cache.check_invariants()

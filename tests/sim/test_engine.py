@@ -1,12 +1,17 @@
 """Event-engine tests: determinism, conservation, retries, guards."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.config import DetectionScheme, default_system
 from repro.errors import SimulationError
 from repro.htm.ops import read_op, work_op, write_op
+from repro.kernel import build_machine
 from repro.sim.engine import SimulationEngine
 from repro.workloads.base import CoreScript, ScriptedTxn
+from repro.workloads.registry import get_workload
 from repro.workloads.synthetic import SyntheticWorkload
 
 
@@ -156,3 +161,32 @@ class TestConflictRetry:
         ]
         stats = run(scripts)
         assert stats.avg_retries > 1.0
+
+
+class TestSetupAllocation:
+    """Building a run allocates for the lines a run can touch, not for the
+    modelled cache geometry (8 cores x 3,072 L1+L2+L3 sets)."""
+
+    @staticmethod
+    def peak_bytes(build):
+        build()  # first build pays one-off imports and interning
+        gc.collect()
+        tracemalloc.start()
+        try:
+            built = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built is not None
+        return peak
+
+    def test_flat_engine_over_compiled_kmeans(self):
+        cfg = default_system()
+        assert cfg.n_cores == 8 and cfg.kernel == "flat"
+        scripts = get_workload("kmeans", 30).build(cfg.n_cores, 1)
+        peak = self.peak_bytes(lambda: SimulationEngine(cfg, scripts, seed=1))
+        assert peak < 1_000_000
+
+    def test_object_kernel_machine(self):
+        cfg = default_system().with_kernel("object")
+        assert self.peak_bytes(lambda: build_machine(cfg)) < 500_000

@@ -1,10 +1,43 @@
 """CLI smoke tests."""
 
 import argparse
+import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.trace.scriptio import save_scripts
+from repro.workloads.registry import get_workload
+
+
+def _without_key(line, key):
+    return json.dumps({k: v for k, v in json.loads(line).items() if k != key})
+
+
+#: Malformed 8-core script files for ``replay``: each case maps the saved
+#: file's lines (header first, one row per core) to the file's new lines,
+#: and names a fragment the one error line must contain.
+MALFORMED_SCRIPTS = {
+    "empty-file": (lambda lines: [], ":1: empty file"),
+    "non-json-header": (lambda lines: ["#!not json", *lines[1:]], ":1: not JSON"),
+    "header-without-n_cores": (
+        lambda lines: [_without_key(lines[0], "n_cores"), *lines[1:]],
+        ":1: missing field 'n_cores'",
+    ),
+    "row-without-txns": (
+        lambda lines: [lines[0], _without_key(lines[1], "txns"), *lines[2:]],
+        ":2: missing field 'txns'",
+    ),
+    "torn-final-line": (
+        lambda lines: [*lines[:-1], lines[-1][: len(lines[-1]) // 2]],
+        ":9: not JSON",
+    ),
+    "reordered-rows": (
+        lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+        "digest mismatch",
+    ),
+    "truncated-file": (lambda lines: lines[:-1], "header promises 8 cores, found 7"),
+}
 
 
 class TestParser:
@@ -56,6 +89,20 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("repro-asf: error: ")
         assert spec in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("case", list(MALFORMED_SCRIPTS))
+    def test_malformed_script_file(self, tmp_path, capsys, case):
+        mutate, fragment = MALFORMED_SCRIPTS[case]
+        path = tmp_path / "program.jsonl"
+        save_scripts(get_workload("ssca2", 2).build(8, 1), path)
+        path.write_text("\n".join(mutate(path.read_text().splitlines())))
+        assert main(["replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro-asf: error: {path}")
+        assert fragment in captured.err
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

@@ -1,10 +1,13 @@
 """Generator tests common to all ten Table III benchmarks, plus
 benchmark-specific structural checks."""
 
+import pickle
+
 import pytest
 
-from repro.htm.ops import OpKind
-from repro.workloads.base import ScriptStats
+from repro.htm.ops import OpKind, read_op, work_op
+from repro.trace.scriptio import load_scripts, save_scripts
+from repro.workloads.base import ScriptedTxn, ScriptStats
 from repro.workloads.registry import BENCHMARK_NAMES, get_workload
 
 N_CORES = 8
@@ -54,6 +57,21 @@ class TestCommonProperties:
                     if op.is_mem:
                         assert op.addr % grain == 0
 
+    def test_meta_mirrors_ops(self, name, compiled, tmp_path):
+        """The engine's per-op metadata is the ops' own fields, and it
+        survives pickling and a save/load round trip."""
+        _, scripts = compiled[name]
+        for cs in scripts:
+            for txn in cs.txns:
+                assert len(txn.meta) == len(txn.ops)
+                for meta, op in zip(txn.meta, txn.ops):
+                    assert meta == (op.is_mem, op.addr, op.size, op.is_write, op.cycles)
+        save_scripts(scripts, tmp_path / "program.jsonl")
+        expected = [txn.meta for cs in scripts for txn in cs.txns]
+        for copy in (pickle.loads(pickle.dumps(scripts)),
+                     load_scripts(tmp_path / "program.jsonl")):
+            assert [txn.meta for cs in copy for txn in cs.txns] == expected
+
     def test_gap_cycles_reasonable(self, name, compiled):
         _, scripts = compiled[name]
         for cs in scripts:
@@ -95,6 +113,14 @@ class TestCommonProperties:
                 *(s for j, s in enumerate(per_core_lines) if j != i)
             )
             assert mine & others, f"core {i} shares no lines with anyone"
+
+
+def test_scripted_txn_equality_and_hash_follow_fields():
+    def make(aborts=1):
+        return ScriptedTxn(5, (read_op(0x40, 8), work_op(3)), aborts)
+
+    assert make() == make() and hash(make()) == hash(make())
+    assert make() != make(aborts=0)
 
 
 class TestBenchmarkSpecifics:
