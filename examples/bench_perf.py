@@ -24,7 +24,7 @@ Five measurements, each with its built-in honesty check:
    ``cpu_count == 1`` (``cpu_count`` is recorded next to the numbers
    otherwise).
 4. **Summary transfer** — the same ``run_many(specs, "process:4")``
-   batch shipping full collectors (each spec's ``transfer="full"``) vs
+   batch shipping detail sinks (each spec's ``record_detail=True``) vs
    compact ``RunSummary`` objects across the process boundary.  The per-result pickle payloads are measured and every
    summary's counters are asserted bit-identical to its full
    counterpart before the speedup is reported.
@@ -218,7 +218,7 @@ def bench_parallel(txns: int, jobs: int = 4, seed: int = 1) -> dict:
 
 
 def bench_transfer(txns: int, jobs: int = 4, seed: int = 1) -> dict:
-    """Full-collector vs RunSummary transfer for one pooled batch."""
+    """Detail-sink vs RunSummary transfer for one pooled batch."""
     specs = [
         RunSpec(
             workload=name,
@@ -231,14 +231,14 @@ def bench_transfer(txns: int, jobs: int = 4, seed: int = 1) -> dict:
         for scheme in (DetectionScheme.ASF_BASELINE, DetectionScheme.SUBBLOCK,
                        DetectionScheme.PERFECT)
     ]
-    full_specs = [replace(spec, transfer="full") for spec in specs]
+    full_specs = [replace(spec, record_detail=True) for spec in specs]
     full, full_s = _timed(lambda: run_many(full_specs, ExecConfig(jobs=jobs)))
     lean, lean_s = _timed(lambda: run_many(specs, ExecConfig(jobs=jobs)))
     identical = all(
         f.stats.summary() == s.stats.summary() for f, s in zip(full, lean)
     )
     if not identical:
-        raise AssertionError("summary transfer diverged from full collectors")
+        raise AssertionError("summary transfer diverged from detail sinks")
     full_bytes = sum(len(pickle.dumps(r.stats)) for r in full)
     lean_bytes = sum(len(pickle.dumps(r.stats)) for r in lean)
     return {

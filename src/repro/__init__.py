@@ -36,13 +36,25 @@ per-call ``jobs=``/``store=``/``on_result=``/``transfer=`` keywords and
 the ``ExecConfig`` fields ``transfer``, ``resume`` and ``options`` are
 gone; a store or a progress callback rides on the :class:`ExecConfig`.
 
+Version 3.0.0 is a major release because a run now returns exactly what
+it collected: it keeps per-event detail only when its caller asks
+(``record_detail`` or ``record_events``), and otherwise ``run_many``
+returns a :class:`RunSummary`.  ``RunSpec.transfer`` is gone
+(``record_detail=True`` replaces ``transfer="full"``, and
+``RunSpec.record_detail`` now defaults to False), as are the
+``repro.sim`` stats-collector class and module (use
+``repro.telemetry.DetailSink``, whose ``on_*`` hooks the collector's
+``record_*`` methods aliased), the telemetry sink values ``"counters"`` and
+``"detail"``, and the :class:`RunSummary` properties ``conflict_events``,
+``txn_start_times``, ``record_detail`` and ``record_events``.
+
 Layering (each layer only depends on the ones above it):
 
 * :mod:`repro.util`, :mod:`repro.config`, :mod:`repro.errors`
 * :mod:`repro.mem` — caches, MOESI coherence, Table II hierarchy
 * :mod:`repro.htm` — transactions, versioning, baseline ASF, the machine
 * :mod:`repro.core` — the paper's sub-blocking detector (+ perfect bound)
-* :mod:`repro.sim` — event engine, statistics, atomicity checker
+* :mod:`repro.sim` — event engine, batch execution, atomicity checker
 * :mod:`repro.workloads` — the ten Table III benchmark generators
 * :mod:`repro.analysis` — figure/table regeneration
 """
@@ -101,7 +113,7 @@ from repro.store import MergeReport, ResultsStore, StoreEntry
 from repro.telemetry import RunSummary, aggregate_metrics, merge_summaries
 from repro.workloads.registry import BENCHMARK_NAMES, all_workloads, get_workload
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AtomicityViolation",

@@ -140,9 +140,9 @@ def run_suite(
     ``executor`` says how the benchmarks × schemes batch runs (see
     :func:`~repro.sim.parallel.run_many`); every run is independently
     seeded so the results are identical to a serial suite.  A store on
-    the executor config checkpoints the summary-shaped runs (the
-    full-collector baselines re-run on resume — their detail cannot
-    round-trip through JSON).  ``trace_dir`` records every run as a
+    the executor config checkpoints the summary runs (the baselines keep
+    detail and re-run on resume — their detail cannot round-trip through
+    JSON).  ``trace_dir`` records every run as a
     JSONL event trace (``<bench>_<scheme>.jsonl``) for post-hoc
     forensics.
     """
@@ -169,13 +169,10 @@ def run_suite(
             record_events=(
                 record_events and scheme is DetectionScheme.ASF_BASELINE
             ),
-            # Figures 4/5 read detail histograms off the baseline run even
-            # when event recording is off, so it must travel as the full
-            # collector; the other schemes only contribute aggregates and
-            # default to the cheap summary transfer.
-            transfer=(
-                "full" if scheme is DetectionScheme.ASF_BASELINE else "auto"
-            ),
+            # Figures 3-5 read detail off the baseline run even when event
+            # recording is off; the other schemes only contribute
+            # aggregates and come back as summaries.
+            record_detail=scheme is DetectionScheme.ASF_BASELINE,
         )
         for name in benchmarks
         for scheme in _SUITE_SCHEMES

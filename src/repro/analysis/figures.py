@@ -27,7 +27,7 @@ from repro.analysis.experiments import (
 from repro.analysis.granularity import reduction_by_granularity
 from repro.config import DetectionScheme
 from repro.sim.runner import RunResult
-from repro.sim.stats import StatsCollector
+from repro.telemetry.sinks import DetailSink
 from repro.telemetry.summary import MetricStats, stats_of_values
 
 __all__ = [
@@ -117,7 +117,7 @@ def fig5_offset_histogram(
     }
 
 
-def fig5_dominant_grain(stats: StatsCollector) -> int:
+def fig5_dominant_grain(stats: DetailSink) -> int:
     """The dominant access granularity implied by offset alignment.
 
     Figure 5's observation: accesses land on an 8-byte grid for most

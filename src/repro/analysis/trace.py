@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.errors import ConfigError
 from repro.htm.conflict import ConflictType
+from repro.htm.txn import AbortCause
 from repro.telemetry.events import (
     AccessEvent,
     BackoffEvent,
@@ -102,6 +103,8 @@ class TraceHeader:
 
 
 def _decode_conflict(p: dict) -> ConflictEvent:
+    if min(p["requester_mask"], p["victim_read_mask"], p["victim_write_mask"]) < 0:
+        raise ValueError("negative byte mask")  # would never shift to 0
     return ConflictEvent(
         time=p["time"],
         requester_core=p["requester_core"],
@@ -128,7 +131,7 @@ _DECODERS = {
     ),
     "txn_commit": lambda p: TxnCommitEvent(core=p["core"], time=p["time"]),
     "txn_abort": lambda p: TxnAbortEvent(
-        core=p["core"], time=p["time"], cause=p["cause"],
+        core=p["core"], time=p["time"], cause=AbortCause(p["cause"]).value,
         wasted_cycles=p["wasted_cycles"],
     ),
     "conflict": _decode_conflict,
@@ -149,9 +152,47 @@ _DECODERS = {
     ),
     "run_complete": lambda p: RunCompleteEvent(
         execution_cycles=p["execution_cycles"],
-        per_core_cycles=tuple(p["per_core_cycles"]),
+        per_core_cycles=_int_tuple(p["per_core_cycles"]),
     ),
 }
+
+
+#: Bound on every decoded integer: simulator quantities are 64-bit, and
+#: larger values would overflow the float arithmetic of the figures.
+_INT_LIMIT = 1 << 64
+
+_JSON_TYPES = {"int": int, "bool": bool, "str": str}
+
+#: Per event class: (field name, expected JSON type) of its scalar fields.
+_FIELD_TYPES = {
+    cls: tuple(
+        (f.name, _JSON_TYPES[f.type]) for f in fields(cls) if f.type in _JSON_TYPES
+    )
+    for cls in (
+        TxnStartEvent, TxnCommitEvent, TxnAbortEvent, ConflictEvent,
+        AccessEvent, BackoffEvent, StallEvent, DirtyReprobeEvent, FillEvent,
+        RunCompleteEvent,
+    )
+}
+
+
+def _check_fields(event) -> None:
+    """Raise ``TypeError`` for a decoded field of the wrong JSON type."""
+    for name, kind in _FIELD_TYPES[type(event)]:
+        value = getattr(event, name)
+        if type(value) is not kind or kind is int and abs(value) >= _INT_LIMIT:
+            raise TypeError(
+                f"field {name!r} must be a {kind.__name__}, got {value!r:.40}"
+            )
+
+
+def _int_tuple(values) -> tuple[int, ...]:
+    """A JSON list of ints as a tuple (``TypeError`` otherwise)."""
+    if type(values) is not list or any(
+        type(v) is not int or abs(v) >= _INT_LIMIT for v in values
+    ):
+        raise TypeError(f"not a list of ints: {values!r:.40}")
+    return tuple(values)
 
 
 class TraceReader:
@@ -165,6 +206,8 @@ class TraceReader:
     a crash mid-write — ends the stream cleanly and sets
     :attr:`truncated`; event kinds this reader does not know (future
     minor revisions) are skipped and counted in :attr:`unknown_events`.
+    A line that is not an event object, or a known event with a missing
+    or mistyped field, raises ``ConfigError`` naming the file and line.
 
     Usable as a context manager; the file closes when iteration ends
     either way.
@@ -176,7 +219,10 @@ class TraceReader:
         self.events_read = 0
         self.unknown_events = 0
         self._line_no = 1
-        self._fh = open(self.path, "rb")
+        try:
+            self._fh = open(self.path, "rb")
+        except OSError as exc:
+            raise ConfigError(f"cannot read trace {self.path}: {exc.strerror}") from None
         try:
             self.header = self._read_header()
         except BaseException:
@@ -187,7 +233,7 @@ class TraceReader:
         raw = self._fh.readline()
         try:
             payload = json.loads(raw) if raw.endswith(b"\n") else None
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON, or not UTF-8
             payload = None
         if not isinstance(payload, dict) or payload.get("event") != "trace_header":
             raise ConfigError(
@@ -206,12 +252,20 @@ class TraceReader:
                 f"{self.path} uses trace schema major version {major}; "
                 f"this reader supports major {TRACE_SCHEMA_MAJOR} only"
             )
+        minor = payload.get("minor", 0)
+        metadata = payload.get("metadata", {})
+        line_size = metadata.get("line_size", 64) if isinstance(metadata, dict) else 0
+        if not (type(minor) is int and type(line_size) is int and line_size > 0):
+            raise ConfigError(
+                f"{self.path}:1: malformed trace header: 'minor' must be an "
+                "int, 'metadata' an object and its 'line_size' a positive int"
+            )
         return TraceHeader(
             schema=payload["schema"],
             major=major,
-            minor=int(payload.get("minor", 0)),
+            minor=minor,
             trace_accesses=bool(payload.get("trace_accesses", False)),
-            metadata=dict(payload.get("metadata", {})),
+            metadata=dict(metadata),
         )
 
     # -- iteration -----------------------------------------------------------
@@ -234,20 +288,27 @@ class TraceReader:
                 raise StopIteration
             try:
                 payload = json.loads(raw)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # not JSON, or not UTF-8
                 self.truncated = True
                 self.close()
                 raise StopIteration from None
-            decoder = _DECODERS.get(payload.get("event"))
+            kind = payload.get("event") if isinstance(payload, dict) else None
+            if not isinstance(kind, str):
+                raise ConfigError(
+                    f"{self.path}:{self._line_no}: not an event (a JSON "
+                    "object with a string 'event' field)"
+                )
+            decoder = _DECODERS.get(kind)
             if decoder is None:
                 self.unknown_events += 1
                 continue
             try:
                 event = decoder(payload)
+                _check_fields(event)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"{self.path}:{self._line_no}: malformed "
-                    f"{payload.get('event')!r} event ({exc!r})"
+                    f"{kind!r} event ({exc!r})"
                 ) from exc
             self.events_read += 1
             return event

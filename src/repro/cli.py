@@ -26,9 +26,10 @@ execution backend: ``serial`` (in-process reference, the default),
 coordinator; workers join via ``repro-asf worker``).  See
 ``docs/DISTRIBUTED.md`` for the fabric.
 
-A :class:`~repro.errors.ConfigError` (bad executor spec, non-trace file)
-or :class:`~repro.errors.WorkloadError` (malformed script file) ends in
-one ``repro-asf: error: ...`` line and exit status 2.
+A :class:`~repro.errors.ConfigError` (bad executor spec, missing or
+malformed trace file, missing store directory) or
+:class:`~repro.errors.WorkloadError` (missing or malformed script file)
+ends in one ``repro-asf: error: ...`` line and exit status 2.
 
 ``--trace-dir DIR`` on ``run``/``suite`` records every run's event
 trace into DIR *and* writes a ``<run>.report.txt`` forensics report next
@@ -479,9 +480,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_stores(paths) -> None:
+    """Refuse, before anything is opened or created, a store path that is missing."""
+    for path in paths:
+        if not os.path.exists(path):
+            raise ConfigError(f"no results store at {path}")
+
+
 def _cmd_store(args: argparse.Namespace) -> int:
     from repro.store import ResultsStore
 
+    _require_stores([args.dir])
     with ResultsStore(args.dir, fresh=False) as store:
         if args.store_command == "ls":
             entries = store.entries()
@@ -515,6 +524,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_store_merge(args: argparse.Namespace) -> int:
     from repro.store import ResultsStore
 
+    _require_stores(args.sources)
     with ResultsStore(args.dest, fresh=False) as store:
         report = store.merge(args.sources)
         print(f"{args.dest}: {report.format()}")
@@ -720,8 +730,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         DetectionScheme.ASF_BASELINE, DetectionScheme.SUBBLOCK,
         DetectionScheme.PERFECT,
     ):
+        # The saved program defines the machine's core count.
         cfg = _apply_policy(
-            default_system(scheme, args.subblocks).with_kernel(args.kernel),
+            default_system(scheme, args.subblocks, n_cores=len(scripts))
+            .with_kernel(args.kernel),
             args,
         )
         results[scheme.value] = run_scripts(

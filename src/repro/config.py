@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: Valid values of :attr:`TelemetryConfig.sink`.
-TELEMETRY_SINKS = ("auto", "counters", "detail", "trace")
+TELEMETRY_SINKS = ("auto", "trace")
 
 #: Valid values of :attr:`SystemConfig.kernel`.
 KERNELS = ("object", "flat")
@@ -318,16 +318,13 @@ class HtmConfig:
 class TelemetryConfig:
     """How a run's events are consumed (see :mod:`repro.telemetry`).
 
-    * ``sink="auto"`` — the caller's ``record_detail``/``record_events``
-      flags decide (the default, and the pre-telemetry behaviour);
-    * ``"counters"`` — force the counter-only fast path;
-    * ``"detail"`` — force the full-detail collector;
-    * ``"trace"`` — full detail plus a JSONL event trace written to
-      ``trace_path`` (required).  ``trace_accesses`` additionally streams
-      the per-access events, which dominate trace volume.
-
-    ``trace_path`` may also be set with ``sink="auto"``/``"detail"`` to
-    trace without changing collector selection.
+    A run keeps per-event detail only when its caller asks for it
+    (``record_detail``/``record_events``); telemetry never changes that.
+    ``trace_path`` additionally streams the run's events to a JSONL trace
+    file, and ``trace_accesses`` adds the per-access events, which
+    dominate trace volume.  ``sink="trace"`` states that intent and
+    requires ``trace_path``; ``"auto"`` (the default) traces whenever
+    ``trace_path`` is set.
     """
 
     sink: str = "auto"

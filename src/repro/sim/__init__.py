@@ -5,9 +5,8 @@ Typical use goes through :func:`repro.sim.runner.run_workload` (one system)
 or :func:`repro.sim.runner.compare_systems` (baseline vs sub-block vs
 perfect on the same seeded workload).
 
-Submodule attributes are resolved lazily: :mod:`repro.htm.machine` imports
-:mod:`repro.sim.stats`, so an eager ``from repro.sim.engine import ...``
-here would close an import cycle.
+Submodule attributes are resolved lazily, so importing one submodule
+does not load the others.
 """
 
 from typing import TYPE_CHECKING
@@ -16,7 +15,6 @@ __all__ = [
     "AtomicityChecker",
     "RunResult",
     "SimulationEngine",
-    "StatsCollector",
     "compare_systems",
     "run_workload",
 ]
@@ -25,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-time only
     from repro.sim.atomicity import AtomicityChecker
     from repro.sim.engine import SimulationEngine
     from repro.sim.runner import RunResult, compare_systems, run_workload
-    from repro.sim.stats import StatsCollector
 
 _EXPORTS = {
     "AtomicityChecker": ("repro.sim.atomicity", "AtomicityChecker"),
@@ -33,7 +30,6 @@ _EXPORTS = {
     "RunResult": ("repro.sim.runner", "RunResult"),
     "compare_systems": ("repro.sim.runner", "compare_systems"),
     "run_workload": ("repro.sim.runner", "run_workload"),
-    "StatsCollector": ("repro.sim.stats", "StatsCollector"),
 }
 
 

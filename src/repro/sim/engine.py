@@ -52,7 +52,7 @@ from repro.htm.backoff import BackoffManager
 from repro.htm.txn import AbortCause, Transaction, TxnStatus
 from repro.kernel import MachineProtocol, build_machine
 from repro.sim.atomicity import AtomicityChecker
-from repro.sim.stats import StatsCollector, build_sink
+from repro.telemetry.sinks import CounterSink, DetailSink, JsonlTraceSink
 from repro.util.rng import DeterministicRng
 from repro.workloads.base import CoreScript
 
@@ -95,7 +95,7 @@ class SimulationEngine:
         config: SystemConfig,
         scripts: list[CoreScript],
         seed: int = 1,
-        stats: "StatsCollector | None" = None,
+        stats: CounterSink | None = None,
         check_atomicity: bool = True,
         record_events: bool = False,
         record_detail: bool = True,
@@ -109,18 +109,26 @@ class SimulationEngine:
         self.scripts = scripts
         self.seed = seed
         self.micro_batch = micro_batch
-        if stats is not None:
-            self.stats = stats
-            self.sink = stats
-        else:
-            # config.telemetry decides the sink flavour; the collector is
-            # what run() returns, the sink is what the machine emits into
-            # (they differ only when a trace export wraps the collector).
-            self.stats, self.sink = build_sink(
-                config,
-                record_events,
-                record_detail=record_detail,
-                metadata={"seed": seed},
+        # The run keeps detail only when asked.  ``stats`` is what run()
+        # returns; ``sink``, what the machine emits into, wraps it in a
+        # trace export whenever the config names a trace file.
+        if stats is None:
+            detail = record_detail or record_events
+            stats = DetailSink(record_events) if detail else CounterSink()
+        self.stats = self.sink = stats
+        tcfg = config.telemetry
+        if tcfg.trace_path is not None:
+            # The header describes the machine, so a trace is self-describing.
+            header = {
+                "scheme": config.htm.scheme.value,
+                "n_subblocks": config.htm.n_subblocks,
+                "line_size": config.line_size,
+                "n_cores": config.n_cores,
+                "seed": seed,
+            }
+            self.sink = JsonlTraceSink(
+                tcfg.trace_path, inner=stats,
+                trace_accesses=tcfg.trace_accesses, metadata=header,
             )
         # config.kernel selects the machine implementation (flat kernel by
         # default; the object model for differential testing).
@@ -151,7 +159,7 @@ class SimulationEngine:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self, max_cycles: int | None = None) -> StatsCollector:
+    def run(self, max_cycles: int | None = None) -> CounterSink:
         """Execute every core's script to completion; returns the stats."""
         for cs in self.cores:
             self._schedule(0, cs.core)

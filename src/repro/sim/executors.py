@@ -2,9 +2,9 @@
 
 Every sweep in this repo is a batch of independent, seeded simulations.
 :func:`repro.sim.parallel.iter_many` streams that batch through an
-*executor* — an object that takes ``(index, spec, transfer-mode)`` tasks
-and yields ``(index, result)`` pairs in completion order.  This module
-defines the executor layer:
+*executor* — an object that takes ``(index, spec)`` tasks and yields
+``(index, result)`` pairs in completion order.  This module defines the
+executor layer:
 
 * :class:`ExecConfig` — one dataclass holding every execution knob of a
   batch (``jobs``, ``timeout``, ``store``, retry knobs, …) plus the
@@ -145,7 +145,6 @@ class ExecTask(NamedTuple):
 
     index: int
     spec: "RunSpec"
-    mode: str  # concrete transfer mode: "summary" | "full"
 
 
 @runtime_checkable
@@ -304,11 +303,11 @@ def build_executor(
     )
 
 
-def _execute(spec: "RunSpec", mode: str) -> "RunResult":
+def _execute(spec: "RunSpec") -> "RunResult":
     """One spec, through the (monkeypatch-friendly) parallel module hook."""
     from repro.sim import parallel
 
-    return parallel.execute_spec_transfer(spec, mode)
+    return parallel.execute_spec(spec)
 
 
 def mark_provenance(
@@ -345,7 +344,7 @@ class SerialExecutor:
 
     def run(self, tasks: Sequence[ExecTask]):
         for task in tasks:
-            res = _execute(task.spec, task.mode)
+            res = _execute(task.spec)
             self.stats["peak_inflight"] = max(
                 self.stats.get("peak_inflight", 0), 1
             )
@@ -393,9 +392,9 @@ class _DeadlineLedger:
         return dl is not None and now >= dl
 
 
-def _pool_entry(spec: "RunSpec", mode: str) -> "RunResult":
+def _pool_entry(spec: "RunSpec") -> "RunResult":
     """Top-level pool entry point (picklable by qualified name)."""
-    return _execute(spec, mode)
+    return _execute(spec)
 
 
 class ProcessExecutor:
@@ -437,7 +436,7 @@ class ProcessExecutor:
 
         def run_serial(i: int) -> tuple[int, "RunResult"]:
             res = mark_provenance(
-                _execute(by_index[i].spec, by_index[i].mode),
+                _execute(by_index[i].spec),
                 worker_retries=retry_count[i],
                 serial_fallback=True,
             )
@@ -475,8 +474,7 @@ class ProcessExecutor:
                         continue
                     deadline = ledger.deadline(i, now)
                     try:
-                        task = by_index[i]
-                        fut = pool.submit(_pool_entry, task.spec, task.mode)
+                        fut = pool.submit(_pool_entry, by_index[i].spec)
                     except (BrokenProcessPool, OSError, PermissionError):
                         queue.appendleft(i)
                         pool_broken = True

@@ -17,11 +17,12 @@ Three properties are load-bearing:
   are memoized per ``(workload identity, n_cores, seed)`` in each
   process, so a sweep of K points over one workload compiles it once,
   not K times (and each pool worker compiles it at most once).
-* **Cheap, lossless transfer** — workers ship a compact
-  :class:`~repro.telemetry.summary.RunSummary` back by default (the
-  spec's ``transfer`` mode), whose aggregate counters are bit-for-bit
-  equal to the full collector's; only event-recording specs and specs
-  pinned to ``"full"`` pay full pickling.
+* **Cheap, lossless results** — a run keeps detail only when its spec
+  asks (:attr:`RunSpec.keeps_detail`) and returns exactly what it
+  collected: its :class:`~repro.telemetry.sinks.DetailSink` for such a
+  spec, a compact :class:`~repro.telemetry.summary.RunSummary` of its
+  counters for every other spec.  The summary's counters are bit-for-bit
+  equal to the sink's, so only detail-keeping specs pay full pickling.
 
 The execution core is :func:`iter_many` — a *streaming* generator that
 yields ``(index, result)`` pairs as runs complete.  *How* the batch
@@ -32,7 +33,7 @@ the one ``executor=`` argument: an
 :class:`~repro.sim.executors.ExecConfig`, a spec string, a live executor
 or ``None``.  :func:`run_many` is a thin collector over
 :func:`iter_many` that restores spec order.  Store checkpointing and
-resume live *here*, backend-agnostically: every summary-shaped
+resume live *here*, backend-agnostically: every summary
 completion is recorded to the :class:`~repro.store.ResultsStore` as it
 arrives, and already-stored specs are served without re-simulating.
 """
@@ -40,7 +41,7 @@ arrives, and already-stored specs are served without re-simulating.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from repro.config import SystemConfig
@@ -64,19 +65,14 @@ __all__ = [
     "Executor",
     "RunSpec",
     "STREAM_BACKLOG",
-    "TRANSFER_MODES",
     "build_executor",
     "compiled_scripts",
-    "execute_spec_transfer",
+    "execute_spec",
     "iter_many",
     "parse_executor_spec",
     "resolve_jobs",
-    "resolve_transfer",
     "run_many",
 ]
-
-#: Valid :attr:`RunSpec.transfer` values.
-TRANSFER_MODES = ("auto", "full")
 
 #: Bound on the per-process compiled-script cache (entries, not bytes).
 #: Sweeps touch a handful of (workload, n_cores, seed) keys; the bound
@@ -95,8 +91,8 @@ class RunSpec:
     (must be picklable).  ``txns_per_core`` only applies to registry
     names.  ``label`` is carried through untouched for sweep axes.
 
-    ``transfer`` is this spec's result shape (``"auto"`` or ``"full"``);
-    see :func:`resolve_transfer`.
+    ``record_detail`` and ``record_events`` are the caller's request for
+    per-event detail; see :attr:`keeps_detail`.
     """
 
     workload: str | Workload
@@ -106,14 +102,20 @@ class RunSpec:
     label: str = ""
     check_atomicity: bool = False
     record_events: bool = False
-    record_detail: bool = True
-    transfer: str = "auto"
+    record_detail: bool = False
     max_cycles: int | None = None
     #: Run the atomicity checker in non-raising mode and report the
     #: violation count on the result (the dirty-state ablation runs
     #: deliberately broken hardware).
     tolerate_violations: bool = False
     metadata: dict[str, Any] = field(default_factory=dict, compare=False)
+
+    @property
+    def keeps_detail(self) -> bool:
+        """The one rule behind a result's shape: a spec that keeps detail
+        returns its :class:`~repro.telemetry.sinks.DetailSink`, never goes
+        through the store and never travels to a remote worker."""
+        return self.record_detail or self.record_events
 
     def resolve_workload(self) -> Workload:
         if isinstance(self.workload, str):
@@ -183,13 +185,13 @@ def compiled_scripts(
 
 
 def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one spec to completion (used serially and inside pool workers)."""
-    workload = None
-    if isinstance(spec.workload, str):
-        name = spec.workload
-    else:
-        workload = spec.workload
-        name = workload.name
+    """Run one spec to completion (serially and inside every worker).
+
+    The result carries exactly what the run collected: the run's
+    :class:`~repro.telemetry.sinks.DetailSink` when the spec keeps detail,
+    and otherwise a :class:`RunSummary` of its counters.
+    """
+    name = spec.workload if isinstance(spec.workload, str) else spec.workload.name
     scripts = compiled_scripts(
         spec.workload, spec.config.n_cores, spec.seed, spec.txns_per_core
     )
@@ -206,55 +208,20 @@ def execute_spec(spec: RunSpec) -> RunResult:
         engine.checker.raise_on_violation = False
     stats = engine.run(max_cycles=spec.max_cycles)
     violations = len(engine.checker.violations) if engine.checker is not None else 0
+    scheme = engine.machine.detector.name
+    if not spec.keeps_detail:
+        stats = RunSummary.from_sink(
+            stats, workload=name, scheme=scheme, seed=spec.seed,
+            label=spec.label, violations=violations,
+        )
     return RunResult(
         workload=name,
-        scheme=engine.machine.detector.name,
+        scheme=scheme,
         config=spec.config,
         seed=spec.seed,
         stats=stats,
         violations=violations,
     )
-
-
-def resolve_transfer(spec: RunSpec) -> str:
-    """Concrete transfer mode ("summary" | "full") for one spec.
-
-    ``"full"`` keeps the full collector.  ``"auto"`` keeps it only when
-    the spec records raw events (figures read the event streams; a
-    summary cannot carry them) and ships the compact :class:`RunSummary`
-    otherwise.
-    """
-    if spec.transfer not in TRANSFER_MODES:
-        raise SimulationError(
-            f"transfer must be one of {TRANSFER_MODES}, got {spec.transfer!r}"
-        )
-    if spec.transfer == "full" or spec.record_events:
-        return "full"
-    return "summary"
-
-
-def execute_spec_transfer(spec: RunSpec, mode: str) -> RunResult:
-    """Run one spec and shape its result for transfer.
-
-    ``mode="full"`` is :func:`execute_spec` unchanged.  ``mode="summary"``
-    turns off the detail layer (the raw material could not be shipped
-    anyway) and replaces ``stats`` with a pickle-cheap
-    :class:`~repro.telemetry.summary.RunSummary` holding the identical
-    aggregate counters.
-    """
-    if mode == "full":
-        return execute_spec(spec)
-    res = execute_spec(replace(spec, record_detail=False))
-    summary = RunSummary.from_sink(
-        res.stats,
-        workload=res.workload,
-        scheme=res.scheme,
-        seed=res.seed,
-        label=spec.label,
-        violations=res.violations,
-    )
-    res.stats = summary
-    return res
 
 
 def iter_many(
@@ -279,12 +246,12 @@ def iter_many(
     in-process default.
 
     Store checkpointing is backend-agnostic and lives here: every
-    summary-shaped completion is recorded to ``config.store`` as it
-    arrives, and specs the store already holds are served from it
-    immediately, without re-simulating — an interrupted sweep
-    re-invoked with the same store finishes only the missing work.
-    Only summary-shaped results round-trip through the store; a
-    ``"full"`` spec (event recording) always re-runs.
+    summary completion is recorded to ``config.store`` as it arrives,
+    and specs the store already holds are served from it immediately,
+    without re-simulating — an interrupted sweep re-invoked with the
+    same store finishes only the missing work.  Only summaries
+    round-trip through the store; a spec that keeps detail always
+    re-runs.
 
     ``stream_stats`` (a dict, optional) receives instrumentation from
     this layer (``served_from_store``) and the backend
@@ -300,15 +267,14 @@ def iter_many(
 
     backend = build_executor(executor, stats)
     store = backend.config.store
-    modes = [resolve_transfer(spec) for spec in specs]
 
     tasks: list[ExecTask] = []
     for i, spec in enumerate(specs):
-        if store is not None and modes[i] == "summary" and store.has_spec(spec):
+        if store is not None and not spec.keeps_detail and store.has_spec(spec):
             stats["served_from_store"] += 1
             yield i, store.result_for(spec)
         else:
-            tasks.append(ExecTask(i, spec, modes[i]))
+            tasks.append(ExecTask(i, spec))
 
     for i, res in backend.run(tasks):
         if store is not None:
@@ -325,7 +291,7 @@ def run_many(
     """Execute every spec; results come back in spec order.
 
     A thin collector over :func:`iter_many` — the executor does all the
-    work (fan-out, transfer shaping, resilience, store checkpointing);
+    work (fan-out, resilience, store checkpointing);
     this function only restores spec order and fires
     ``config.on_result(index, result)`` on each completion (completion
     order), feeding progress displays without a second pass.
@@ -337,9 +303,9 @@ def run_many(
 
     Whatever the backend, each run executes whole specs with its own
     seed, so per-run determinism is untouched and results are
-    bit-identical to the serial path; each spec's ``transfer`` mode
-    decides whether the compact :class:`RunSummary` or the full
-    collector travels back.
+    bit-identical to the serial path; each spec's
+    :attr:`~RunSpec.keeps_detail` decides whether its detail sink or the
+    compact :class:`RunSummary` comes back.
 
     Resilience covers infrastructure failures, not broken experiments:
     worker deaths and stragglers are retried within bounds and finally

@@ -23,10 +23,10 @@ Fault model (everything here assumes crashes, not malice):
 * **Exactly-once results** — a worker presumed dead may still deliver;
   duplicate batch results are dropped by spec index, so each spec is
   yielded (and checkpointed) exactly once.
-* **Cheap wire** — workers only ever ship
-  :class:`~repro.telemetry.summary.RunSummary`-shaped results (a few
-  hundred bytes); event-recording specs never travel and are executed
-  by the coordinator itself.
+* **Cheap wire** — only specs that keep no detail travel, so workers
+  only ever ship :class:`~repro.telemetry.summary.RunSummary` results (a
+  few hundred bytes); specs that keep detail are executed by the
+  coordinator itself.
 
 The wire protocol is length-prefixed pickle (version-checked at hello,
 optionally token-authenticated).  Pickle implies the usual trust
@@ -73,8 +73,9 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible change to the message schema; workers and
-#: coordinators refuse to pair across versions at hello time.
-PROTOCOL_VERSION = 1
+#: coordinators refuse to pair across versions at hello time.  Version 2:
+#: ``RunSpec`` lost ``transfer`` and ``record_detail`` defaults to False.
+PROTOCOL_VERSION = 2
 
 #: Environment marker set inside worker processes (workloads and tests
 #: can detect fleet execution the way ``parent_process()`` detects pool
@@ -457,9 +458,9 @@ class Coordinator:
 class RemoteExecutor:
     """The ``remote`` backend: coordinator in-process, workers over TCP.
 
-    Summary-shaped tasks are chunked into batches and distributed;
-    event-recording (``"full"``) tasks never travel — the coordinator
-    executes them itself, exactly as the serial path would.  Every
+    Specs that keep no detail are chunked into batches and distributed;
+    specs that keep detail never travel — the coordinator executes them
+    itself, exactly as the serial path would.  Every
     remote result is provenance-stamped with the worker's ``host:pid``;
     batches whose retries are exhausted (or that no worker ever picked
     up) are executed locally with ``serial_fallback`` set.
@@ -476,10 +477,10 @@ class RemoteExecutor:
         stats.setdefault("workers_joined", 0)
         stats.setdefault("batches_requeued", 0)
         stats.setdefault("duplicates_dropped", 0)
-        local = [t for t in tasks if t.mode == "full"]
-        wire = [t for t in tasks if t.mode != "full"]
+        local = [t for t in tasks if t.spec.keeps_detail]
+        wire = [t for t in tasks if not t.spec.keeps_detail]
         for t in local:
-            yield t.index, _execute(t.spec, t.mode)
+            yield t.index, _execute(t.spec)
         if not wire:
             return
         size = max(1, self.config.batch_size)
@@ -521,7 +522,7 @@ class RemoteExecutor:
                         if t.index in done:
                             continue
                         res = mark_provenance(
-                            _execute(t.spec, t.mode),
+                            _execute(t.spec),
                             worker_retries=batch.retries,
                             serial_fallback=True,
                             worker=worker_identity(),
@@ -549,8 +550,9 @@ def worker_main(
 
     Dials the coordinator, executes batches until told to shut down (or
     the connection drops), heartbeating while a batch runs.  Results are
-    always :class:`RunSummary`-shaped and stamped with this worker's
-    identity.  ``max_batches`` exists for tests and drain-style
+    whatever :func:`~repro.sim.parallel.execute_spec` returns — a
+    :class:`RunSummary` for every spec a coordinator ships — stamped with
+    this worker's identity.  ``max_batches`` exists for tests and drain-style
     launchers.  Returns a process exit code.
     """
     from repro.sim import parallel
@@ -614,7 +616,7 @@ def worker_main(
             try:
                 results = []
                 for index, spec in msg["tasks"]:
-                    res = parallel.execute_spec_transfer(spec, "summary")
+                    res = parallel.execute_spec(spec)
                     mark_provenance(res, worker=ident)
                     results.append((index, res))
             except Exception as exc:  # noqa: BLE001 - shipped to the caller

@@ -15,11 +15,11 @@ from typing import TYPE_CHECKING
 
 from repro.config import DetectionScheme, SystemConfig, default_system
 from repro.sim.engine import SimulationEngine
-from repro.sim.stats import StatsCollector
 from repro.workloads.base import CoreScript, Workload
 
 if TYPE_CHECKING:
     from repro.sim.executors import ExecConfig, Executor
+    from repro.telemetry.sinks import CounterSink
     from repro.telemetry.summary import RunSummary
 
 __all__ = [
@@ -60,11 +60,13 @@ class RunResult:
     scheme: str
     config: SystemConfig
     seed: int
-    #: Full collector (``transfer="full"`` or event recording) or a compact
-    #: :class:`~repro.telemetry.summary.RunSummary` (the parallel
-    #: default) — both expose ``conflicts``, the aggregate counters and
-    #: ``summary()`` with identical values.
-    stats: "StatsCollector | RunSummary"
+    #: The sink the run recorded into (a :class:`DetailSink` when the run
+    #: kept detail) or a compact
+    #: :class:`~repro.telemetry.summary.RunSummary` of it (what
+    #: ``run_many`` returns for every spec that keeps none) — both expose
+    #: ``conflicts``, the aggregate counters and ``summary()`` with
+    #: identical values.
+    stats: "CounterSink | RunSummary"
     #: Atomicity violations found by a non-raising checker (only ever
     #: non-zero for deliberately broken ablation variants).
     violations: int = 0
@@ -178,7 +180,7 @@ def compare_systems(
     system executes the same program.  ``executor`` says how the batch
     runs (see :func:`~repro.sim.parallel.run_many`); all backends are
     bit-identical to the serial path.  Runs come back as compact
-    summaries unless ``record_events`` asks for the full collector.
+    summaries unless ``record_events`` asks for the run's detail sink.
     ``trace_dir`` additionally records each scheme's run as a JSONL
     event trace (``<workload>_<scheme>.jsonl``) for post-hoc forensics.
     """
@@ -223,7 +225,7 @@ def compare_systems_seeds(
     """:func:`compare_systems` fanned out over several seeds.
 
     Returns ``{scheme_value: [RunResult per seed]}`` in seed order; runs
-    use the compact summary transfer (per-run detail is not kept), so the
+    keep no per-run detail and come back as compact summaries, so the
     batch is cheap to fan out.  Feed each list to
     :func:`repro.telemetry.aggregate_metrics` for mean ± stdev.  A store
     on the ``executor`` config checkpoints each (scheme, seed) cell for

@@ -17,9 +17,9 @@ The manifest is written with the write-temp-then-``os.replace`` idiom,
 so readers never observe a half-written manifest; it is bookkeeping
 (entry count, layout version), never the data itself.
 
-Only summary-shaped results are stored: a spec that must travel as a
-full collector (``record_events``) re-runs on resume rather than
-silently losing its event streams.
+Only summaries are stored: a spec that keeps detail
+(:attr:`~repro.sim.parallel.RunSpec.keeps_detail`) re-runs on resume
+rather than silently losing its detail.
 
 Because keys are content hashes of the spec (label and metadata
 excluded), stores from *different hosts running the same sweep* agree on
@@ -212,9 +212,9 @@ class ResultsStore:
     def record(self, spec: "RunSpec", result: "RunResult") -> bool:
         """Persist one completed run; returns False for unstorable results.
 
-        Only summary-shaped stats can round-trip through JSON; a full
-        collector (event-recording specs) is not stored, so those specs
-        simply re-run on resume.
+        Only summaries can round-trip through JSON; a detail sink (from a
+        spec that keeps detail) is not stored, so those specs simply
+        re-run on resume.
         """
         if not isinstance(result.stats, RunSummary):
             return False

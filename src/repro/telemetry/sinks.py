@@ -2,22 +2,20 @@
 
 Three sinks cover the evaluation's needs:
 
-* :class:`CounterSink` — aggregate counters only.  The hot-path default
-  for sweeps and pooled workers: every hook is a few integer adds.
+* :class:`CounterSink` — aggregate counters only.  What a run records
+  unless its caller asks for detail: every hook is a few integer adds.
 * :class:`DetailSink` — counters **plus** the per-event raw material the
   paper's Figures 3–5 read (timestamps, per-line and per-offset
-  histograms, optionally the full conflict-record list).  With
-  ``record_detail=False`` it swaps its hooks for the inherited
-  counter-only ones, so a detail-capable sink costs nothing when detail
-  is off (the aggregate counters are identical either way — the parity
+  histograms, optionally the full conflict-record list).  Its aggregate
+  counters equal a :class:`CounterSink`'s for the same run (the parity
   tests assert it).
 * :class:`JsonlTraceSink` — streams every event as one JSON line for
   offline analysis, forwarding to an inner sink so counters still
   accumulate.  Unknown attribute reads proxy to the inner sink, so a
-  trace-wrapped collector still answers ``summary()`` etc.
+  trace-wrapped sink still answers ``summary()`` etc.
 
-:class:`ConflictCounts` lives here (re-exported by :mod:`repro.sim.stats`
-for compatibility) because every sink and summary shares it.
+:class:`ConflictCounts` lives here because every sink and summary
+shares it.
 """
 
 from __future__ import annotations
@@ -155,8 +153,8 @@ def summary_dict(s) -> dict[str, object]:
     """Flat summary used by reports and the EXPERIMENTS index.
 
     Works on anything exposing the counter attributes (``CounterSink``,
-    ``StatsCollector``, ``RunSummary``) — one implementation so the
-    summary-transfer parity guarantee is bit-for-bit by construction.
+    ``DetailSink``, ``RunSummary``) — one implementation so the
+    summary parity guarantee is bit-for-bit by construction.
     """
     return {
         "txn_attempts": s.txn_attempts,
@@ -191,8 +189,6 @@ def summary_dict(s) -> dict[str, object]:
 
 class CounterSink:
     """Aggregate counters only — the per-event cost is a few integer adds."""
-
-    kind = "counters"
 
     def __init__(self) -> None:
         self.conflicts = ConflictCounts()
@@ -310,21 +306,13 @@ class CounterSink:
 class DetailSink(CounterSink):
     """Counters plus the per-event raw material of Figures 3–5.
 
-    ``record_detail`` gates the detail layer: when off, the recording
-    hooks are swapped once for the inherited counter-only variants so
-    the per-access hot path pays nothing for analysis it will never run
-    (same trick the original collector used).  ``record_events``
-    additionally keeps every conflict record for the open-loop Figure 8
-    replay, and implies ``record_detail``.
+    ``record_events`` additionally keeps every conflict record for the
+    open-loop Figure 8 replay.
     """
 
-    kind = "detail"
-
-    def __init__(self, record_events: bool = False, record_detail: bool = True) -> None:
+    def __init__(self, record_events: bool = False) -> None:
         super().__init__()
         self.record_events = record_events
-        # Full event recording is meaningless without the detail layer.
-        self.record_detail = record_detail or record_events
 
         self.conflict_events: list = []
 
@@ -339,13 +327,6 @@ class DetailSink(CounterSink):
         # split by direction.
         self.access_offsets_read: Counter[int] = Counter()
         self.access_offsets_write: Counter[int] = Counter()
-
-        if not self.record_detail:
-            # Swap in the counter-only hooks once, instead of branching on
-            # every one of the millions of per-access calls.
-            self.on_conflict = CounterSink.on_conflict.__get__(self)  # type: ignore[method-assign]
-            self.on_txn_start = CounterSink.on_txn_start.__get__(self)  # type: ignore[method-assign]
-            self.on_access = CounterSink.on_access.__get__(self)  # type: ignore[method-assign]
 
     # -- detail-recording hooks ---------------------------------------------
 
@@ -383,11 +364,15 @@ class DetailSink(CounterSink):
 
     def cumulative_false_series(self, n_points: int = 100) -> list[tuple[int, int]]:
         """(time, cumulative false conflicts) sampled at n_points (Fig. 3)."""
-        return _cumulative(self.false_conflict_times, self.execution_cycles, n_points)
+        return cumulative_series(
+            self.false_conflict_times, self.execution_cycles, n_points
+        )
 
     def cumulative_starts_series(self, n_points: int = 100) -> list[tuple[int, int]]:
         """(time, cumulative started transactions) (Fig. 3)."""
-        return _cumulative(self.txn_start_times, self.execution_cycles, n_points)
+        return cumulative_series(
+            self.txn_start_times, self.execution_cycles, n_points
+        )
 
     def line_histogram(self) -> list[tuple[int, int]]:
         """(line index, false conflicts) sorted by line index (Fig. 4)."""
@@ -407,7 +392,7 @@ class JsonlTraceSink:
     The first line is always a schema header::
 
         {"event": "trace_header", "schema": "repro-asf-trace",
-         "major": 1, "minor": 0, "trace_accesses": false,
+         "major": 1, "minor": 1, "trace_accesses": false,
          "metadata": {...caller-supplied run context...}}
 
     then one line per event, ``{"event": <kind>, ...scalar fields}``,
@@ -422,8 +407,6 @@ class JsonlTraceSink:
     workload, …) carried verbatim in the header for post-mortem analysis;
     it never affects how events are written or read.
     """
-
-    kind = "trace"
 
     def __init__(
         self,
@@ -604,10 +587,6 @@ def cumulative_series(
             idx += 1
         out.append((t, idx))
     return out
-
-
-#: Backwards-compatible private alias (pre-facade name).
-_cumulative = cumulative_series
 
 
 SUMMARY_KEYS = (

@@ -1,15 +1,15 @@
 """Compact, pickle-cheap run summaries and cross-run aggregation.
 
-A :class:`RunSummary` carries every aggregate a consumer of
-``StatsCollector.summary()`` can read — the counters, derived rates,
-per-core cycles and per-static retry counts — in a small slots dataclass
-that costs a few hundred bytes to pickle, versus the full collector whose
-detail structures (timestamps, histograms, conflict records) grow with
-simulated work.  ``run_many`` workers return summaries by default; the
-exact-parity guarantee is ``RunSummary.summary() == StatsCollector.summary()``
-bit-for-bit for the same run (one shared :func:`summary_dict`
-implementation makes this true by construction, and the parity tests
-assert it end-to-end).
+A :class:`RunSummary` carries every aggregate a consumer of a sink's
+``summary()`` can read — the counters, derived rates, per-core cycles
+and per-static retry counts — in a small slots dataclass that costs a
+few hundred bytes to pickle, versus a :class:`DetailSink` whose detail
+structures (timestamps, histograms, conflict records) grow with
+simulated work.  ``run_many`` returns a summary for every spec that does
+not keep detail; the exact-parity guarantee is ``RunSummary.summary() ==
+sink.summary()`` bit-for-bit for the same run (one shared
+:func:`summary_dict` implementation makes this true by construction, and
+the parity tests assert it end-to-end).
 
 :func:`merge_summaries` folds many runs into one (counters sum;
 ``execution_cycles`` sums — total simulated cycles across runs);
@@ -107,7 +107,7 @@ class RunSummary:
         label: str = "",
         violations: int = 0,
     ) -> "RunSummary":
-        """Snapshot any counting sink (CounterSink/StatsCollector)."""
+        """Snapshot any counting sink (CounterSink/DetailSink)."""
         out = cls(
             workload=workload,
             scheme=scheme,
@@ -123,7 +123,7 @@ class RunSummary:
             setattr(out, name, getattr(sink, name))
         return out
 
-    # -- StatsCollector-compatible surface -----------------------------------
+    # -- sink-compatible derived metrics --------------------------------------
 
     @property
     def total_aborts(self) -> int:
@@ -142,26 +142,8 @@ class RunSummary:
             return 0.0
         return self.txn_attempts / self.txn_commits
 
-    @property
-    def conflict_events(self) -> tuple:
-        """Summaries never carry raw conflict records (compat shim)."""
-        return ()
-
-    @property
-    def txn_start_times(self) -> tuple:
-        """Summaries never carry detail timestamps (compat shim)."""
-        return ()
-
-    @property
-    def record_detail(self) -> bool:
-        return False
-
-    @property
-    def record_events(self) -> bool:
-        return False
-
     def summary(self) -> dict[str, object]:
-        """Bit-identical to the source collector's ``summary()``."""
+        """Bit-identical to the source sink's ``summary()``."""
         return summary_dict(self)
 
     # -- portable (JSON-safe) round-trip --------------------------------------
@@ -358,7 +340,7 @@ class MetricsAccumulator:
     """Streaming per-metric mean ± stdev over runs.
 
     Feed it anything exposing ``summary()`` (``RunSummary``,
-    ``StatsCollector``, ``CounterSink``); memory is O(#metrics), not
+    ``CounterSink``, ``DetailSink``); memory is O(#metrics), not
     O(#runs) — each metric keeps only Welford's ``(n, mean, M2)`` plus
     min/max.  :func:`aggregate_metrics` is a fold over this class.
     """
@@ -382,7 +364,7 @@ class MetricsAccumulator:
 
 
 def aggregate_metrics(runs: Iterable) -> dict[str, MetricStats]:
-    """Per-metric mean ± stdev over runs (summaries or collectors).
+    """Per-metric mean ± stdev over runs (summaries or sinks).
 
     Every numeric key of ``summary()`` is aggregated; sample standard
     deviation (0.0 for a single run).  Used by the ``--seeds N`` fan-out

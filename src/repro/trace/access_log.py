@@ -4,7 +4,7 @@
 one :class:`AccessEvent` per call — core, address, direction, latency,
 conflicts triggered — without touching the machine's own code paths.
 Useful for post-hoc debugging ("what happened around cycle 40k on line
-0x2040?") and for building custom analyses the stats collector does not
+0x2040?") and for building custom analyses the detail sink does not
 pre-aggregate.
 """
 

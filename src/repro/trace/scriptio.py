@@ -83,7 +83,11 @@ def load_scripts(path: str | Path) -> list[CoreScript]:
     path = Path(path)
     n_cores = digest = None
     scripts: list[CoreScript] = []
-    with path.open("rb") as fh:
+    try:
+        fh = path.open("rb")
+    except OSError as exc:
+        raise WorkloadError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             if lineno > 1 and not line.strip():
                 continue

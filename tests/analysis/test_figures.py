@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import figures
 from repro.analysis.experiments import run_suite
+from repro.telemetry.summary import RunSummary
 
 BENCHES = ("vacation", "kmeans")
 
@@ -26,7 +27,7 @@ class TestSuiteResults:
     def test_events_recorded_on_baseline_only(self, suite):
         b = suite["vacation"]
         assert b.baseline.stats.conflict_events
-        assert not b.subblock.stats.conflict_events
+        assert isinstance(b.subblock.stats, RunSummary)
 
     def test_mean_properties(self, suite):
         assert 0.0 < suite.mean_false_rate <= 1.0
@@ -80,9 +81,9 @@ class TestFig5:
         assert figures.fig5_dominant_grain(suite["kmeans"].baseline.stats) == 4
 
     def test_grain_of_empty_stats(self):
-        from repro.sim.stats import StatsCollector
+        from repro.telemetry.sinks import DetailSink
 
-        assert figures.fig5_dominant_grain(StatsCollector()) == 0
+        assert figures.fig5_dominant_grain(DetailSink()) == 0
 
 
 class TestFig8:

@@ -1,11 +1,14 @@
 """Trace forensics: reader round-trip, header validation, torn-line
-tolerance, and live-vs-replayed counter parity across schemes × workloads."""
+tolerance, mutated-trace fuzzing, and live-vs-replayed counter parity
+across schemes × workloads."""
 
 from __future__ import annotations
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.trace import (
     TRACE_FIGURES,
@@ -157,16 +160,98 @@ class TestTraceReader:
 
     def test_malformed_known_event_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(
-            json.dumps({
-                "event": "trace_header", "schema": "repro-asf-trace",
-                "major": 1, "minor": 0, "trace_accesses": False,
-                "metadata": {},
-            }) + "\n"
-            + '{"event":"txn_start","core":0}\n'
+        header = json.dumps({
+            "event": "trace_header", "schema": "repro-asf-trace",
+            "major": 1, "minor": 0, "trace_accesses": False, "metadata": {},
+        }) + "\n"
+        conflict = dict.fromkeys(
+            ("time", "requester_core", "victim_core", "requester_txn",
+             "victim_txn", "line_addr", "line_index", "victim_read_mask",
+             "victim_write_mask"), 0,
         )
-        with pytest.raises(ConfigError, match="malformed 'txn_start'"):
-            list(TraceReader(str(path)))
+        conflict.update(event="conflict", ctype="WAR", is_false=True,
+                        requester_is_write=True, forced_waw=False)
+        bad_lines = {  # missing field, beyond 64 bits, negative mask, not a list
+            "txn_start": '{"event":"txn_start","core":0}',
+            "txn_commit": '{"event":"txn_commit","core":0,"time":%s}' % ("9" * 400),
+            "conflict": json.dumps({**conflict, "requester_mask": -3}),
+            "run_complete": '{"event":"run_complete","execution_cycles":1,'
+                            '"per_core_cycles":"12"}',
+        }
+        for kind, line in bad_lines.items():
+            path.write_text(header + line + "\n")
+            with pytest.raises(ConfigError, match=f"bad.jsonl:2: malformed '{kind}'"):
+                list(TraceReader(str(path)))
+
+
+#: Values a retyped field takes: any JSON type, whatever the field's own.
+RETYPED = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.sampled_from(["line_size", "seed"]), st.integers(-9, 9), max_size=2),
+)
+
+#: Whole lines a corrupted trace may gain.
+INSERTED = [b"[1]\n", b"null\n", b"{}\n", b'{"event":["txn_start"]}\n', b"\xff\xfe\n"]
+
+
+@pytest.fixture(scope="module")
+def recorded_lines(tmp_path_factory):
+    path, _ = record_trace(tmp_path_factory.mktemp("fuzz"), txns=6)
+    with open(path, "rb") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
+def mutate(lines, data) -> list[bytes]:
+    """Apply one to three byte flips, dropped or inserted lines, retyped
+    or removed fields to a recorded trace's lines."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["flip", "drop", "insert", "retype", "remove"]))
+        i = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert":
+            lines.insert(i, data.draw(st.sampled_from(INSERTED + lines[:1] + lines[i:i + 1])))
+        elif not lines:
+            continue
+        elif op == "flip":
+            line = bytearray(lines[i])
+            line[data.draw(st.integers(0, len(line) - 1))] = data.draw(st.integers(0, 255))
+            lines[i] = bytes(line)
+        elif op == "drop":
+            del lines[i]
+        else:
+            try:
+                obj = json.loads(lines[i])
+            except ValueError:
+                continue
+            if not isinstance(obj, dict) or not obj:
+                continue
+            key = data.draw(st.sampled_from(sorted(obj)))
+            if op == "remove":
+                del obj[key]
+            else:
+                obj[key] = data.draw(RETYPED.filter(lambda v: type(v) is not type(obj[key])))
+            lines[i] = json.dumps(obj).encode() + b"\n"
+    return lines
+
+
+class TestMutatedTraces:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_analyze_reports_or_raises_config_error(
+        self, recorded_lines, tmp_path_factory, data
+    ):
+        path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+        path.write_bytes(b"".join(mutate(recorded_lines, data)))
+        try:
+            report = analyze_trace(str(path))
+        except ConfigError:
+            return
+        assert "Trace-derived run counters" in report
 
 
 class TestCounterParity:

@@ -223,7 +223,7 @@ class TestBackendParity:
     def test_serial_executor_streams_in_order(self):
         specs = _specs(3)
         out = list(build_executor("serial").run(
-            [ExecTask(i, s, "summary") for i, s in enumerate(specs)]
+            [ExecTask(i, s) for i, s in enumerate(specs)]
         ))
         assert [i for i, _ in out] == [0, 1, 2]
 
@@ -270,9 +270,9 @@ class TestRemoteTransferRules:
             txns_per_core=TXNS,
             record_events=True,
         )
-        # connect_timeout=0 would drain immediately; but a full-mode task
-        # never reaches the coordinator at all, so no socket is opened.
+        # connect_timeout=0 would drain immediately; but a spec that keeps
+        # detail never reaches the coordinator at all, so no socket is opened.
         exec_ = RemoteExecutor(ExecConfig(backend="remote"))
-        out = dict(exec_.run([ExecTask(0, spec, "full")]))
+        out = dict(exec_.run([ExecTask(0, spec)]))
         assert out[0].stats.record_events
         assert out[0].worker == ""

@@ -19,9 +19,9 @@ from repro.sim.parallel import (
     RunSpec,
     compiled_scripts,
     resolve_jobs,
-    resolve_transfer,
     run_many,
 )
+from repro.telemetry.sinks import DetailSink
 from repro.telemetry.summary import RunSummary
 from repro.workloads.kmeans import KmeansWorkload
 from repro.workloads.registry import get_workload
@@ -146,20 +146,22 @@ class TestRunMany:
         assert res.violations > 0
 
     def test_detail_off_matches_detailed_aggregates(self):
-        full = spec_for("genome", DetectionScheme.SUBBLOCK, transfer="full")
+        full = spec_for("genome", DetectionScheme.SUBBLOCK, record_detail=True)
         lean = spec_for("genome", DetectionScheme.SUBBLOCK,
                         record_detail=False)
         full_res, lean_res = run_many([full, lean], "serial")
         assert isinstance(lean_res.stats, RunSummary)
         assert lean_res.stats.summary() == full_res.stats.summary()
-        assert not lean_res.stats.txn_start_times
+        assert isinstance(full_res.stats, DetailSink)
         assert full_res.stats.txn_start_times
 
 
 class TestTransferModes:
+    """A result's shape follows RunSpec.keeps_detail and nothing else."""
+
     def test_auto_ships_summary_without_events(self):
         spec = spec_for("kmeans", DetectionScheme.SUBBLOCK)
-        assert resolve_transfer(spec) == "summary"
+        assert not spec.keeps_detail
         (res,) = run_many([spec], "serial")
         assert isinstance(res.stats, RunSummary)
         assert res.stats.workload == "kmeans"
@@ -167,34 +169,25 @@ class TestTransferModes:
 
     def test_auto_keeps_full_for_event_recorders(self):
         spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, record_events=True)
-        assert resolve_transfer(spec) == "full"
+        assert spec.keeps_detail
         (res,) = run_many([spec], "serial")
-        assert not isinstance(res.stats, RunSummary)
+        assert isinstance(res.stats, DetailSink)
         assert res.stats.conflict_events
 
     def test_summary_override_never_drops_events(self):
-        """No transfer mode can ship an event recorder as a summary."""
+        """No record_detail value can ship an event recorder as a summary."""
         from dataclasses import replace
 
-        from repro.sim.parallel import TRANSFER_MODES
-
         spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, record_events=True)
-        for mode in TRANSFER_MODES:
-            assert resolve_transfer(replace(spec, transfer=mode)) == "full"
-
-    def test_invalid_mode_rejected(self):
-        from repro.errors import SimulationError
-
-        for mode in ("bogus", "summary"):
-            spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, transfer=mode)
-            with pytest.raises(SimulationError):
-                resolve_transfer(spec)
+        for detail in (False, True):
+            assert replace(spec, record_detail=detail).keeps_detail
+        assert not replace(spec, record_events=False).keeps_detail
 
     def test_full_override_matches_summary_counters(self):
         lean_spec = spec_for("genome", DetectionScheme.ASF_BASELINE)
         full_spec = spec_for("genome", DetectionScheme.ASF_BASELINE,
-                             transfer="full")
+                             record_detail=True)
         full, lean = run_many([full_spec, lean_spec], "serial")
-        assert not isinstance(full.stats, RunSummary)
+        assert isinstance(full.stats, DetailSink)
         assert isinstance(lean.stats, RunSummary)
         assert lean.stats.summary() == full.stats.summary()

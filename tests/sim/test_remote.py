@@ -56,7 +56,7 @@ def _specs(n=3, txns=TXNS):
 
 
 def _batches(specs, size=2):
-    tasks = [ExecTask(i, s, "summary") for i, s in enumerate(specs)]
+    tasks = [ExecTask(i, s) for i, s in enumerate(specs)]
     return [
         _Batch(id=n, tasks=tasks[pos:pos + size])
         for n, pos in enumerate(range(0, len(tasks), size))
@@ -138,7 +138,7 @@ class FakeWorker:
     def execute(self, batch):
         results = []
         for index, spec in batch["tasks"]:
-            res = parallel.execute_spec_transfer(spec, "summary")
+            res = parallel.execute_spec(spec)
             mark_provenance(res, worker=self.ident)
             results.append((index, res))
         return results
@@ -182,15 +182,20 @@ class TestProtocolFaults:
     def test_version_and_token_rejection(self):
         coord, _ = _coordinator(_batches(_specs(1)), token="sesame")
         try:
-            bad_version = FakeWorker(coord, version=PROTOCOL_VERSION + 1)
-            assert not bad_version.accepted
-            assert bad_version.welcome["reason"] == "bad hello"
+            # Version 1 shipped RunSpecs whose record_detail meant something
+            # else; a mixed-version fleet must be refused at hello.
+            bad_versions = [
+                FakeWorker(coord, version=v) for v in (1, PROTOCOL_VERSION + 1)
+            ]
+            for bad_version in bad_versions:
+                assert not bad_version.accepted
+                assert bad_version.welcome["reason"] == "bad hello"
             bad_token = FakeWorker(coord, token="wrong")
             assert not bad_token.accepted
             assert bad_token.welcome["reason"] == "bad token"
             good = FakeWorker(coord, token="sesame")
             assert good.accepted
-            for w in (bad_version, bad_token, good):
+            for w in (*bad_versions, bad_token, good):
                 w.close()
         finally:
             coord.stop()

@@ -1,7 +1,7 @@
-"""Statistics-collector tests."""
+"""Run-statistics tests: conflict counts and the detail sink's hooks."""
 
 from repro.htm.conflict import ConflictRecord, ConflictType
-from repro.sim.stats import ConflictCounts, StatsCollector
+from repro.telemetry.sinks import ConflictCounts, DetailSink
 
 
 def rec(time=10, is_false=True, ctype=ConflictType.WAR, line_index=3, forced=False):
@@ -55,57 +55,60 @@ class TestConflictCounts:
 
 
 class TestStatsCollector:
+    """:class:`DetailSink` driven through its ``on_*`` event hooks."""
+
     def test_conflict_recording(self):
-        s = StatsCollector()
-        s.record_conflict(rec(is_false=True))
-        s.record_conflict(rec(is_false=False))
+        s = DetailSink()
+        s.on_conflict(rec(is_false=True))
+        s.on_conflict(rec(is_false=False))
         assert s.conflicts.total == 2
         assert len(s.false_conflict_times) == 1
         assert s.false_by_line[3] == 1
 
     def test_event_list_optional(self):
-        s = StatsCollector(record_events=False)
-        s.record_conflict(rec())
+        s = DetailSink(record_events=False)
+        s.on_conflict(rec())
         assert s.conflict_events == []
-        s2 = StatsCollector(record_events=True)
-        s2.record_conflict(rec())
+        s2 = DetailSink(record_events=True)
+        s2.on_conflict(rec())
         assert len(s2.conflict_events) == 1
 
     def test_forced_waw_counter(self):
-        s = StatsCollector()
-        s.record_conflict(rec(forced=True))
+        s = DetailSink()
+        s.on_conflict(rec(forced=True))
         assert s.forced_waw_aborts == 1
 
     def test_txn_accounting(self):
-        s = StatsCollector()
-        s.record_txn_start(5, attempt=1, static_id=0)
-        s.record_txn_start(9, attempt=2, static_id=0)
-        s.record_commit()
+        s = DetailSink()
+        s.on_txn_start(0, 5, attempt=1, static_id=0)
+        s.on_txn_start(0, 9, attempt=2, static_id=0)
+        s.on_txn_commit(0, 12)
         assert s.txn_attempts == 2
         assert s.txn_commits == 1
         assert s.avg_retries == 2.0
         assert s.retries_by_static[0] == 1
+        assert s.txn_start_times == [5, 9]
 
     def test_abort_accounting(self):
-        s = StatsCollector()
-        s.record_abort("conflict_false", wasted=40)
-        s.record_abort("capacity", wasted=10)
-        s.record_abort("user", wasted=5)
-        s.record_abort("conflict_true", wasted=1)
+        s = DetailSink()
+        s.on_txn_abort(0, 0, "conflict_false", 40)
+        s.on_txn_abort(0, 0, "capacity", 10)
+        s.on_txn_abort(0, 0, "user", 5)
+        s.on_txn_abort(0, 0, "conflict_true", 1)
         assert s.total_aborts == 4
         assert s.wasted_cycles == 56
 
     def test_access_histograms(self):
-        s = StatsCollector()
-        s.record_access(0, is_write=False, hit_l1=True)
-        s.record_access(8, is_write=True, hit_l1=False)
-        s.record_access(0, is_write=True, hit_l1=True)
+        s = DetailSink()
+        s.on_access(0, 0, 0, is_write=False, hit_l1=True)
+        s.on_access(0, 0, 8, is_write=True, hit_l1=False)
+        s.on_access(0, 0, 0, is_write=True, hit_l1=True)
         assert s.offset_histogram() == [(0, 2), (8, 1)]
         assert s.l1_hits == 2
         assert s.l1_misses == 1
 
     def test_cumulative_series_monotone(self):
-        s = StatsCollector()
+        s = DetailSink()
         for t in (5, 100, 100, 900):
             s.false_conflict_times.append(t)
         s.execution_cycles = 1000
@@ -115,12 +118,12 @@ class TestStatsCollector:
         assert counts[-1] == 4
 
     def test_cumulative_series_empty(self):
-        s = StatsCollector()
+        s = DetailSink()
         s.execution_cycles = 100
         assert all(c == 0 for _, c in s.cumulative_false_series(5))
 
     def test_summary_keys(self):
-        s = StatsCollector()
+        s = DetailSink()
         summary = s.summary()
         for key in ("txn_commits", "false_rate", "execution_cycles"):
             assert key in summary

@@ -141,7 +141,8 @@ class TestStoreResume:
         assert len(done) == len(specs)
 
     def test_event_recording_specs_always_rerun(self, tmp_path):
-        """A "full" spec cannot round-trip through JSON; resume re-runs it."""
+        """A detail-keeping spec cannot round-trip through JSON; resume
+        re-runs it."""
         spec = RunSpec(
             workload="kmeans",
             config=default_system(DetectionScheme.ASF_BASELINE, 4),
@@ -182,7 +183,7 @@ class TestBoundedMemory:
         constant number of live results in the parent at any moment."""
         _TrackedSummary.counters.update(live=0, peak=0)
 
-        def stub_execute(spec: RunSpec, mode: str) -> RunResult:
+        def stub_execute(spec: RunSpec) -> RunResult:
             summary = _TrackedSummary(
                 workload="synthetic", scheme="subblock", seed=spec.seed,
                 label=spec.label,
@@ -193,7 +194,7 @@ class TestBoundedMemory:
                 seed=spec.seed, stats=summary,
             )
 
-        monkeypatch.setattr(parallel, "execute_spec_transfer", stub_execute)
+        monkeypatch.setattr(parallel, "execute_spec", stub_execute)
         cfg = default_system()
         specs = [
             RunSpec(workload="synthetic", config=cfg, seed=i)

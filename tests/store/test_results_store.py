@@ -125,7 +125,7 @@ class TestRoundTrip:
 
     def test_full_collector_not_stored(self, tmp_path):
         spec = make_spec()
-        (res,) = run_many([replace(spec, transfer="full")], "serial")
+        (res,) = run_many([replace(spec, record_detail=True)], "serial")
         with ResultsStore(tmp_path) as store:
             assert not store.record(spec, res)
             assert not store.has_spec(spec)

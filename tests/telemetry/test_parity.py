@@ -37,7 +37,7 @@ def specs_for_grid(**kw) -> list[RunSpec]:
 class TestSummaryParity:
     def test_pooled_summary_equals_serial_full_detail(self):
         """3 schemes × 3 workloads: the compact transfer loses nothing."""
-        serial = run_many(specs_for_grid(transfer="full"), "serial")
+        serial = run_many(specs_for_grid(record_detail=True), "serial")
         pooled = run_many(specs_for_grid(), "process:4")
         for s, p in zip(serial, pooled):
             assert not isinstance(s.stats, RunSummary)

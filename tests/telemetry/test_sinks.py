@@ -1,5 +1,5 @@
-"""Sink behaviour: counter/detail equivalence, the method-swap fast path,
-the EventSink protocol surface and the JSONL trace export."""
+"""Sink behaviour: counter/detail equivalence, how the engine picks its
+sink, the EventSink protocol surface and the JSONL trace export."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import pytest
 from repro.config import default_system
 from repro.errors import ConfigError
 from repro.htm.conflict import ConflictRecord, ConflictType
-from repro.sim.stats import StatsCollector, build_sink
+from repro.sim.engine import SimulationEngine
+from repro.sim.parallel import compiled_scripts
 from repro.telemetry.events import EventSink, NullSink
 from repro.telemetry.sinks import (
     SUMMARY_KEYS,
@@ -48,7 +49,8 @@ def drive(sink) -> None:
 
 class TestProtocol:
     @pytest.mark.parametrize(
-        "sink", [NullSink(), CounterSink(), DetailSink(), StatsCollector()]
+        "sink",
+        [NullSink(), CounterSink(), DetailSink(), DetailSink(record_events=True)],
     )
     def test_implementations_satisfy_eventsink(self, sink):
         assert isinstance(sink, EventSink)
@@ -82,22 +84,18 @@ class TestCounterSink:
 
 class TestDetailSink:
     def test_detail_off_matches_counters_exactly(self):
-        lean, full = DetailSink(record_detail=False), DetailSink()
+        lean, full = CounterSink(), DetailSink()
         drive(lean)
         drive(full)
         assert lean.summary() == full.summary()
-        assert not lean.txn_start_times
+        assert not hasattr(lean, "txn_start_times")
         assert full.txn_start_times == [10, 55]
 
-    def test_detail_off_swaps_hooks(self):
-        lean = DetailSink(record_detail=False)
-        assert lean.on_access.__func__ is CounterSink.on_access
-
     def test_events_imply_detail(self):
-        s = DetailSink(record_events=True, record_detail=False)
-        assert s.record_detail
+        s = DetailSink(record_events=True)
         drive(s)
         assert len(s.conflict_events) == 1
+        assert s.txn_start_times == [10, 55]
 
     def test_histograms(self):
         s = DetailSink()
@@ -158,33 +156,41 @@ class TestJsonlTraceSink:
         assert line["line_index"] == 3
 
 
+def engine(cfg=None, **kw) -> SimulationEngine:
+    cfg = cfg if cfg is not None else default_system()
+    scripts = compiled_scripts("kmeans", cfg.n_cores, 1, txns_per_core=2)
+    return SimulationEngine(cfg, scripts, check_atomicity=False, **kw)
+
+
 class TestBuildSink:
+    """The engine keeps detail only when asked, whatever the telemetry."""
+
     def test_auto_respects_caller_flags(self):
-        cfg = default_system()
-        collector, sink = build_sink(cfg, record_detail=False)
-        assert collector is sink
-        assert not collector.record_detail
-
-    def test_counters_config_downgrades(self):
-        cfg = default_system().with_telemetry(sink="counters")
-        collector, _ = build_sink(cfg, record_detail=True)
-        assert not collector.record_detail
-
-    def test_detail_config_upgrades(self):
-        cfg = default_system().with_telemetry(sink="detail")
-        collector, _ = build_sink(cfg, record_detail=False)
-        assert collector.record_detail
+        lean = engine(record_detail=False)
+        assert type(lean.stats) is CounterSink
+        assert lean.sink is lean.stats
+        assert type(engine().stats) is DetailSink  # interactive default
+        events = engine(record_detail=False, record_events=True).stats
+        assert isinstance(events, DetailSink) and events.record_events
 
     def test_trace_config_wraps(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         cfg = default_system().with_telemetry(sink="trace", trace_path=path)
-        collector, sink = build_sink(cfg)
-        assert isinstance(sink, JsonlTraceSink)
-        assert sink.inner is collector
-        sink.close()
+        eng = engine(cfg, record_detail=False)
+        assert isinstance(eng.sink, JsonlTraceSink)
+        assert eng.sink.inner is eng.stats
+        # A trace does not switch detail on.
+        assert type(eng.stats) is CounterSink
+        eng.sink.close()
+        # One rule for a caller-supplied sink too: it is wrapped as well.
+        own = DetailSink()
+        eng = engine(cfg, stats=own)
+        assert eng.stats is own and eng.sink.inner is own
+        eng.sink.close()
 
     def test_invalid_telemetry_config_rejected(self):
-        with pytest.raises(ConfigError):
-            default_system().with_telemetry(sink="bogus")
+        for sink in ("bogus", "counters", "detail"):
+            with pytest.raises(ConfigError):
+                default_system().with_telemetry(sink=sink)
         with pytest.raises(ConfigError):
             default_system().with_telemetry(sink="trace")  # no trace_path

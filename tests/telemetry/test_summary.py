@@ -59,12 +59,6 @@ class TestFromSink:
         clone = pickle.loads(pickle.dumps(summ))
         assert clone.summary() == summ.summary()
 
-    def test_compat_shims(self):
-        summ = RunSummary.from_sink(run().stats)
-        assert summ.conflict_events == ()
-        assert summ.txn_start_times == ()
-        assert not summ.record_detail and not summ.record_events
-
 
 class TestMerge:
     def test_merge_sums_counters(self):

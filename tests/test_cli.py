@@ -39,6 +39,26 @@ MALFORMED_SCRIPTS = {
     "truncated-file": (lambda lines: lines[:-1], "header promises 8 cores, found 7"),
 }
 
+#: Malformed traces for ``analyze``: each case maps a recorded trace's
+#: lines (header first, as bytes) to the file's new lines.
+MALFORMED_TRACES = {
+    "non-object-line": lambda lines: [lines[0], b"[1]\n", *lines[1:]],
+    "non-utf8-header": lambda lines: [
+        lines[0].replace(b'"metadata":{', b'"metadata":{"\xff":0,'), *lines[1:]
+    ],
+    "string-time": lambda lines: [
+        lines[0],
+        b'{"event":"txn_start","core":0,"time":"5","attempt":1,"static_id":0}\n',
+        *lines[1:],
+    ],
+    "list-event-kind": lambda lines: [lines[0], b'{"event":["txn_start"]}\n', *lines[1:]],
+    "unknown-abort-cause": lambda lines: [
+        lines[0],
+        b'{"event":"txn_abort","core":0,"time":5,"cause":"bogus","wasted_cycles":1}\n',
+        *lines[1:],
+    ],
+}
+
 
 class TestParser:
     def test_subcommands_exist(self):
@@ -106,6 +126,44 @@ class TestInputErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("case", list(MALFORMED_TRACES))
+    def test_malformed_trace_file(self, tmp_path, capsys, case):
+        path = tmp_path / "trace.jsonl"
+        assert main(["trace", "kmeans", str(path), "--txns", "4"]) == 0
+        capsys.readouterr()
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(MALFORMED_TRACES[case](lines)))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro-asf: error: {path}")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("replay", "missing.jsonl"), ("analyze", "missing.jsonl"), ("analyze", "")],
+        ids=["replay-missing", "analyze-missing", "analyze-directory"],
+    )
+    def test_missing_input_file(self, tmp_path, capsys, command, name):
+        path = tmp_path / name
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro-asf: error: cannot read ")
+        assert str(path) in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["ls", "gc", "merge"])
+    def test_missing_store_directory(self, tmp_path, capsys, command):
+        missing, dest = tmp_path / "missing", tmp_path / "dest"
+        args = [str(dest), str(missing)] if command == "merge" else [str(missing)]
+        assert main(["store", command, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro-asf: error: no results store at {missing}\n"
+        assert captured.out == ""
+        assert not missing.exists() and not dest.exists()
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -140,6 +198,14 @@ class TestCommands:
         assert main(["replay", path, "--check"]) == 0
         out = capsys.readouterr().out
         assert "replay" in out and "subblock" in out
+
+    def test_replay_uses_the_saved_core_count(self, tmp_path, capsys):
+        path = str(tmp_path / "k4.jsonl")
+        assert main(["save-scripts", "kmeans", path, "--txns", "4",
+                     "--cores", "4"]) == 0
+        assert main(["replay", path, "--check"]) == 0
+        out = capsys.readouterr().out
+        assert f"replay of {path}" in out and "perfect" in out
 
     def test_run_all_schemes(self, capsys):
         assert main(["run", "ssca2", "--txns", "8", "--all-schemes"]) == 0
