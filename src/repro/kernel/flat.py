@@ -156,6 +156,8 @@ class FlatTxnMachine(HtmMachine):
         self._line_size = config.line_size
         self._offset_mask = config.line_size - 1
         self._wpl = self.amap.words_per_line
+        # Default token per word of a memory-sourced fill.
+        self._fill_zeros = (0,) * self._wpl
         # One reusable Transaction per core, aliasing the SimState planes.
         self._views: list[Transaction] = [
             Transaction(
@@ -703,10 +705,11 @@ class FlatTxnMachine(HtmMachine):
             else:
                 on_fill(core, line_addr, "memory")
                 latency = self._lat_mem
-            memory = self._memory
-            data = [
-                memory.get(line_addr + i * WORD_SIZE, 0) for i in range(self._wpl)
-            ]
+            data = list(map(
+                self._memory.get,
+                range(line_addr, line_addr + self._line_size, WORD_SIZE),
+                self._fill_zeros,
+            ))
             self._count_response(from_cache=False, piggyback=piggy != 0)
         # Install presence in the private L2/L3 (inclusive, presence-only).
         l2d = s.l2_sets[core][s.set2[li]]

@@ -27,6 +27,12 @@ eviction decisions are bit-identical between kernels.  A set's dict is
 created on every core when :meth:`SimState.add_line` interns the first
 line that maps to it, so set-up costs what a run touches.
 
+Every per-line list (except ``line_addrs``, the intern table itself) and
+every per-core plane grows in chunks of :data:`GROW_LINES` pre-filled
+lines, so interning a line writes a few slots instead of appending to
+each plane on each core.  Slots past ``n_lines`` hold the fresh-line
+values and are never read by the kernel.
+
 Maintenance invariant: whenever a line leaves a core's L1 (eviction,
 drop), its ``moesi`` code is reset to 0 and ``data``/``pinned`` cleared,
 so ``moesi[core][li] != 0`` is equivalent to "resident and valid" and no
@@ -62,6 +68,20 @@ MOESI_NAMES = ("INVALID", "SHARED", "OWNED", "EXCLUSIVE", "MODIFIED")
 #: M -> O, E -> S, others unchanged.
 NON_INVALIDATING_NEXT = (MOESI_I, MOESI_S, MOESI_O, MOESI_S, MOESI_O)
 
+#: Lines by which every plane grows once the interned lines fill it.
+GROW_LINES = 256
+
+#: ``(plane name, fresh-line value)`` for every chunk-grown per-line list
+#: and per-core plane.
+_PER_LINE = (
+    ("set1", 0), ("set2", 0), ("set3", 0),
+    ("holders", 0), ("owner", -1), ("spec_mask", 0),
+)
+_PER_CORE = (
+    ("moesi", MOESI_I), ("data", None), ("pinned", 0), ("rmask", 0),
+    ("wmask", 0), ("spec", 0), ("wr", 0), ("rr", 0), ("sowner", -1),
+)
+
 
 class SimState:
     """Preallocated flat arrays for every hot per-line/per-core quantity."""
@@ -75,6 +95,7 @@ class SimState:
         "l1_nsets",
         "l2_nsets",
         "l3_nsets",
+        "capacity",
         "intern_map",
         "line_addrs",
         "set1",
@@ -112,6 +133,8 @@ class SimState:
         self.l2_nsets = config.l2.n_sets
         self.l3_nsets = config.l3.n_sets
 
+        # Lines every plane below holds (filled, interned or not).
+        self.capacity = 0
         # line_addr -> dense index, assigned on first touch.
         self.intern_map: dict[int, int] = {}
         # per-line globals
@@ -135,7 +158,7 @@ class SimState:
         # residency + LRU: insertion-ordered per-set dicts {li: None},
         # first key = LRU victim candidate (same discipline as
         # SetAssocCache so eviction order is bit-identical).  None until
-        # add_line interns a line that maps to the set.
+        # add_line interns a line that maps to the set, on every core.
         self.l1_sets = [[None] * self.l1_nsets for _ in range(n)]
         self.l2_sets = [[None] * self.l2_nsets for _ in range(n)]
         self.l3_sets = [[None] * self.l3_nsets for _ in range(n)]
@@ -156,33 +179,34 @@ class SimState:
         return len(self.line_addrs)
 
     def add_line(self, line_addr: int) -> int:
-        """Intern a line address, growing every plane and creating its sets."""
+        """Intern a line address: record its set indices and create its sets."""
         li = len(self.line_addrs)
+        if li == self.capacity:
+            self._grow()
         self.intern_map[line_addr] = li
         self.line_addrs.append(line_addr)
         lineno = line_addr // self.line_size
-        self.set1.append(lineno & (self.l1_nsets - 1))
-        self.set2.append(lineno & (self.l2_nsets - 1))
-        self.set3.append(lineno & (self.l3_nsets - 1))
-        for sets, idx in zip((self.l1_sets, self.l2_sets, self.l3_sets),
-                             (self.set1[li], self.set2[li], self.set3[li])):
-            for core_sets in sets:
-                if core_sets[idx] is None:
+        for sets, index, nsets in (
+            (self.l1_sets, self.set1, self.l1_nsets),
+            (self.l2_sets, self.set2, self.l2_nsets),
+            (self.l3_sets, self.set3, self.l3_nsets),
+        ):
+            idx = index[li] = lineno & (nsets - 1)
+            if sets[0][idx] is None:
+                # First line of this set: create its dict on every core.
+                for core_sets in sets:
                     core_sets[idx] = {}
-        self.holders.append(0)
-        self.owner.append(-1)
-        self.spec_mask.append(0)
-        for c in range(self.n_cores):
-            self.moesi[c].append(MOESI_I)
-            self.data[c].append(None)
-            self.pinned[c].append(0)
-            self.rmask[c].append(0)
-            self.wmask[c].append(0)
-            self.spec[c].append(0)
-            self.wr[c].append(0)
-            self.rr[c].append(0)
-            self.sowner[c].append(-1)
         return li
+
+    def _grow(self) -> None:
+        """Append :data:`GROW_LINES` fresh-line slots to every plane."""
+        for name, fresh in _PER_LINE:
+            getattr(self, name).extend([fresh] * GROW_LINES)
+        for name, fresh in _PER_CORE:
+            chunk = [fresh] * GROW_LINES
+            for row in getattr(self, name):
+                row.extend(chunk)
+        self.capacity += GROW_LINES
 
     # ---------------------------------------------------------- batch views
 
@@ -199,7 +223,8 @@ class SimState:
 
         if name == "data":
             raise ValueError("data plane has no fixed-width dtype")
-        rows = getattr(self, name)
+        n = self.n_lines
+        rows = [row[:n] for row in getattr(self, name)]
         dtype = np.int64 if name in ("sowner", "moesi") else np.uint64
         return np.array(rows, dtype=dtype)
 
@@ -244,7 +269,8 @@ class SimState:
             raise ProtocolError(f"line {_first_bad(bad):#x}: multiple O copies")
         # holders bitmask mirrors the set of valid copies exactly: bit r
         # is set iff core r holds a valid copy.
-        hold = np.array(self.holders, dtype=np.uint64)
+        n = self.n_lines
+        hold = np.array(self.holders[:n], dtype=np.uint64)
         shifts = np.arange(self.n_cores, dtype=np.uint64)[:, None]
         expected = np.bitwise_or.reduce(
             (m != MOESI_I).astype(np.uint64) << shifts, axis=0
@@ -255,7 +281,7 @@ class SimState:
                 f"line {_first_bad(bad):#x}: holders bitmask out of sync"
             )
         # a recorded owner must hold a supply-capable copy.
-        own = np.array(self.owner, dtype=np.int64)
+        own = np.array(self.owner[:n], dtype=np.int64)
         has_owner = own >= 0
         if has_owner.any():
             owner_state = m[own[has_owner], np.nonzero(has_owner)[0]]

@@ -231,13 +231,13 @@ class SimulationEngine:
                 else:
                     phase = cs.phase
                     if phase is RUN:
-                        meta = script.txns[cs.item].meta
-                        n_ops = len(meta)
+                        ops = txn.ops
+                        n_ops = len(ops)
                         pc = txn.pc
                         if pc < n_ops:
                             # Op loop: same virtual steps, locals only.
                             while True:
-                                is_mem, m_addr, m_size, m_isw, m_cyc = meta[pc]
+                                is_mem, m_addr, m_size, m_isw, m_cyc = ops[pc]
                                 if is_mem:
                                     outcome = access(
                                         core, m_addr, m_size, m_isw, time

@@ -241,18 +241,28 @@ def _address(host: str, port: str, source: str) -> str:
 
 
 def _read_hosts_file(path: str, cfg: ExecConfig) -> ExecConfig:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read hosts file {path!r}: {exc.strerror or exc}"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"hosts file {path!r} is not UTF-8 text (byte {exc.start})"
+        ) from None
     launch: list[str] = []
     bind = cfg.bind
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("bind "):
-                host, _, port = line[len("bind "):].strip().rpartition(":")
-                bind = _address(host, port, f"hosts file {path!r}: {line!r}")
-            else:
-                launch.append(line)
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("bind "):
+            host, _, port = line[len("bind "):].strip().rpartition(":")
+            bind = _address(host, port, f"hosts file {path!r}: {line!r}")
+        else:
+            launch.append(line)
     if not launch:
         raise ConfigError(f"hosts file {path!r} names no workers")
     # Launching real workers means the coordinator must be reachable

@@ -64,6 +64,29 @@ _PROVENANCE_KEYS = frozenset(
 )
 
 
+def _decode_row(raw: bytes) -> dict | None:
+    """One log line's payload, or None for a torn or corrupt line.
+
+    A row counts only when it is a complete line holding a JSON object
+    with a ``str`` key and an object summary; anything else (a crash
+    mid-write, bytes that are not UTF-8, a row of the wrong shape) ends
+    the trustworthy prefix of the log.
+    """
+    if not raw.endswith(b"\n"):
+        return None
+    try:
+        payload = json.loads(raw)
+    except (ValueError, RecursionError):  # incl. JSON and Unicode decode errors
+        return None
+    if (
+        isinstance(payload, dict)
+        and isinstance(payload.get("key"), str)
+        and isinstance(payload.get("summary"), dict)
+    ):
+        return payload
+    return None
+
+
 def _scan_log(path: str) -> dict[str, dict]:
     """Parse a results log into ``{key: payload}``, later lines winning.
 
@@ -76,15 +99,10 @@ def _scan_log(path: str) -> dict[str, dict]:
         return payloads
     with open(path, "rb") as fh:
         for raw in fh:
-            if not raw.endswith(b"\n"):
+            payload = _decode_row(raw)
+            if payload is None:
                 break
-            try:
-                payload = json.loads(raw)
-                key = payload["key"]
-                payload["summary"]  # noqa: B018 - presence check
-            except (json.JSONDecodeError, KeyError, TypeError):
-                break
-            payloads[key] = payload
+            payloads[payload["key"]] = payload
     return payloads
 
 
@@ -180,15 +198,10 @@ class ResultsStore:
         valid_bytes = 0
         with open(self.results_path, "rb") as fh:
             for raw in fh:
-                if not raw.endswith(b"\n"):
-                    break  # torn tail: a crash mid-write
-                try:
-                    payload = json.loads(raw)
-                    key = payload["key"]
-                    payload["summary"]  # noqa: B018 - presence check
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    break  # corrupt line: nothing after it is trustworthy
-                self._payloads[key] = payload
+                payload = _decode_row(raw)
+                if payload is None:
+                    break  # torn or corrupt: nothing after it is trustworthy
+                self._payloads[payload["key"]] = payload
                 valid_bytes += len(raw)
         if valid_bytes < os.path.getsize(self.results_path):
             # Truncate the garbage so the next append starts a clean line.

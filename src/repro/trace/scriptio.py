@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 from repro.errors import WorkloadError
-from repro.htm.ops import OpKind, TxnOp, read_op, work_op, write_op
+from repro.htm.ops import TxnOp, read_op, work_op, write_op
 from repro.workloads.base import CoreScript, ScriptedTxn
 
 __all__ = ["load_scripts", "save_scripts", "scripts_digest"]
@@ -30,9 +30,10 @@ FORMAT_VERSION = 1
 
 
 def _encode_op(op: TxnOp) -> list:
-    if op.kind is OpKind.WORK:
-        return ["C", op.cycles]
-    return [op.kind.value, op.addr, op.size]
+    is_mem, addr, size, is_write, cycles = op
+    if not is_mem:
+        return ["C", cycles]
+    return ["W" if is_write else "R", addr, size]
 
 
 def _decode_op(raw: list) -> TxnOp:

@@ -30,9 +30,6 @@ class ScriptedTxn:
     gap_cycles: int
     ops: tuple[TxnOp, ...]
     user_abort_attempts: int = 0
-    #: ``(is_mem, addr, size, is_write, cycles)`` per op, built once per compiled
-    #: program for the engine's op loop, where the TxnOp properties cost too much.
-    meta: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.gap_cycles < 0:
@@ -41,9 +38,6 @@ class ScriptedTxn:
             raise WorkloadError("empty transaction")
         if self.user_abort_attempts < 0:
             raise WorkloadError("negative user_abort_attempts")
-        object.__setattr__(self, "meta", tuple(
-            (op.is_mem, op.addr, op.size, op.is_write, op.cycles) for op in self.ops
-        ))
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +89,7 @@ class Workload(ABC):
         """Common sanity checks generators run on their own output."""
         for cs in scripts:
             for txn in cs.txns:
-                mem_ops = [op for op in txn.ops if op.is_mem]
-                if not mem_ops:
+                if not any(op.is_mem for op in txn.ops):
                     raise WorkloadError(
                         f"{self.name}: transaction with no memory operations"
                     )

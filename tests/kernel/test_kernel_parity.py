@@ -134,3 +134,19 @@ def test_audit_rejects_holders_bit_on_wrong_core():
     state.holders[li] = held & ~(1 << src) | (1 << dst)
     with pytest.raises(ProtocolError, match="holders"):
         state.audit_coherence()
+
+
+def test_plane_matrix_covers_exactly_the_interned_lines():
+    """Planes grow in chunks past the interned lines; a snapshot still
+    holds one column per interned line and nothing more."""
+    cfg = default_system().with_scheme(DetectionScheme.SUBBLOCK)
+    eng = SimulationEngine(
+        cfg, get_workload("vacation", txns_per_core=6).build(cfg.n_cores, 3),
+        seed=3, check_atomicity=False,
+    )
+    eng.run()
+    state = eng.machine.state
+    assert 0 < state.n_lines < state.capacity
+    for name in ("moesi", "rmask", "sowner"):
+        assert state.plane_matrix(name).shape == (cfg.n_cores, state.n_lines)
+    assert (state.plane_matrix("moesi") != 0).any()

@@ -16,6 +16,14 @@ from repro.telemetry.summary import RunSummary
 
 TXNS = 10
 
+#: Complete log lines that are not a stored run: each ends the trusted prefix.
+CORRUPT_ROWS = (
+    b"not json at all\n",
+    b'{"key": "a", "summary": 5}\n',
+    b'{"key": 5, "summary": {}}\n',
+    b"\xff\xfe\n",
+)
+
 
 def make_spec(seed: int = 1, label: str = "x", **kw) -> RunSpec:
     return RunSpec(
@@ -174,13 +182,18 @@ class TestCrashTolerance:
             assert store.has_spec(make_spec(seed=3))
 
     def test_corrupt_line_drops_the_rest(self, tmp_path):
-        path = self.fill(tmp_path)
-        lines = open(path, encoding="utf-8").readlines()
-        lines[0] = "not json at all\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-        with ResultsStore(tmp_path) as store:
-            assert len(store) == 0  # nothing after the corruption is trusted
+        with open(self.fill(tmp_path / "good", seeds=(1, 2, 3)), "rb") as fh:
+            lines = fh.readlines()
+        for n, corrupt in enumerate(CORRUPT_ROWS):
+            directory = tmp_path / str(n)
+            directory.mkdir()
+            path = directory / "results.jsonl"
+            path.write_bytes(b"".join([lines[0], corrupt, *lines[2:]]))
+            with ResultsStore(directory) as store:
+                # Nothing from the corruption on is trusted.
+                assert len(store) == 1, corrupt
+                assert store.has_spec(make_spec(seed=1))
+            assert path.read_bytes() == lines[0], corrupt
 
     def test_empty_directory_is_fine(self, tmp_path):
         with ResultsStore(tmp_path) as store:

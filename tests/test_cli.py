@@ -112,6 +112,22 @@ class TestInputErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("case", ["directory", "non-utf8"])
+    def test_unreadable_hosts_file(self, tmp_path, capsys, case):
+        path = tmp_path / "hosts"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"local\n\xff\xfe\n")
+        spec = f"remote:{path}"
+        assert main(["run", "kmeans", "--txns", "4", "--executor", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro-asf: error: ")
+        assert str(path) in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("case", list(MALFORMED_SCRIPTS))
     def test_malformed_script_file(self, tmp_path, capsys, case):
         mutate, fragment = MALFORMED_SCRIPTS[case]
@@ -331,6 +347,29 @@ class TestStoreCommands:
         assert "removed 2, kept 1" in capsys.readouterr().out
         assert main(["store", "ls", ckpt]) == 0
         assert "1 stored runs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["ls", "merge"])
+    def test_wrong_shape_rows_end_the_log(self, tmp_path, capsys, command):
+        """A row that is not a stored run counts as a corrupt line: the
+        command sees the runs before it and never crashes on it."""
+        ckpt = tmp_path / "store"
+        assert main(["run", "ssca2", "--txns", "10", "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        first, *rest = (ckpt / "results.jsonl").read_bytes().splitlines(keepends=True)
+        rows = (b'{"key": "a", "summary": 5}\n', b'{"key": 5, "summary": {}}\n',
+                b"\xff\xfe\n")
+        for n, row in enumerate(rows):
+            store = tmp_path / f"bad{n}"
+            store.mkdir()
+            (store / "results.jsonl").write_bytes(b"".join([first, row, *rest]))
+            if command == "ls":
+                assert main(["store", "ls", str(store)]) == 0
+                assert "1 stored runs" in capsys.readouterr().out
+            else:
+                dest = tmp_path / f"dest{n}"
+                assert main(["store", "merge", str(dest), str(store)]) == 0
+                assert "1 total entries" in capsys.readouterr().out
+                assert (dest / "results.jsonl").read_bytes() == first
 
     def test_gc_scheme_filter(self, tmp_path, capsys):
         ckpt = str(tmp_path / "store")

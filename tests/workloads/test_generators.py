@@ -5,8 +5,8 @@ import pickle
 
 import pytest
 
-from repro.htm.ops import OpKind, read_op, work_op
-from repro.trace.scriptio import load_scripts, save_scripts
+from repro.htm.ops import OpKind, TxnOp, read_op, work_op
+from repro.trace.scriptio import load_scripts, save_scripts, scripts_digest
 from repro.workloads.base import ScriptedTxn, ScriptStats
 from repro.workloads.registry import BENCHMARK_NAMES, get_workload
 
@@ -58,19 +58,25 @@ class TestCommonProperties:
                         assert op.addr % grain == 0
 
     def test_meta_mirrors_ops(self, name, compiled, tmp_path):
-        """The engine's per-op metadata is the ops' own fields, and it
-        survives pickling and a save/load round trip."""
+        """Each op is the engine's per-op tuple: it unpacks to
+        ``(is_mem, addr, size, is_write, cycles)`` equal to its named
+        fields, and survives pickling and a save/load round trip."""
         _, scripts = compiled[name]
-        for cs in scripts:
-            for txn in cs.txns:
-                assert len(txn.meta) == len(txn.ops)
-                for meta, op in zip(txn.meta, txn.ops):
-                    assert meta == (op.is_mem, op.addr, op.size, op.is_write, op.cycles)
+        ops = [op for cs in scripts for txn in cs.txns for op in txn.ops]
+        for op in ops:
+            assert type(op) is TxnOp
+            is_mem, addr, size, is_write, cycles = op
+            assert (is_mem, addr, size, is_write, cycles) == (
+                op.is_mem, op.addr, op.size, op.is_write, op.cycles
+            )
         save_scripts(scripts, tmp_path / "program.jsonl")
-        expected = [txn.meta for cs in scripts for txn in cs.txns]
+        expected = [(tuple(op), op.kind) for op in ops]
         for copy in (pickle.loads(pickle.dumps(scripts)),
                      load_scripts(tmp_path / "program.jsonl")):
-            assert [txn.meta for cs in copy for txn in cs.txns] == expected
+            assert copy == scripts
+            copied = [op for cs in copy for txn in cs.txns for op in txn.ops]
+            assert all(type(op) is TxnOp for op in copied)
+            assert [(tuple(op), op.kind) for op in copied] == expected
 
     def test_gap_cycles_reasonable(self, name, compiled):
         _, scripts = compiled[name]
@@ -113,6 +119,40 @@ class TestCommonProperties:
                 *(s for j, s in enumerate(per_core_lines) if j != i)
             )
             assert mine & others, f"core {i} shares no lines with anyone"
+
+
+#: ``scripts_digest`` of every Table III program at 8 cores, 30 txns per
+#: core, seeds 1 and 7.  A changed digest means a generator or the op
+#: encoding now compiles a different program, which would move every
+#: physics result built on it.
+PINNED_DIGESTS = {
+    ("intruder", 1): "d184e404f19cb377e8d512d4e504a81d",
+    ("intruder", 7): "6034a2294443a5c89ed7fc6ba73e9acd",
+    ("kmeans", 1): "8f2b8e14b3de5f2fc15fbce131c9c072",
+    ("kmeans", 7): "c3783e8159ccd5728742014552f75d1e",
+    ("labyrinth", 1): "268ae036e52891f3866741445a629d53",
+    ("labyrinth", 7): "6e146851002f0cc25a8f767d7106573e",
+    ("ssca2", 1): "dc2c9cf49429f3015ad81551be247b63",
+    ("ssca2", 7): "7889ddfb6d83d5cc7acedd26064c0b24",
+    ("vacation", 1): "2fe7ddcb5b4faff371f7f2c5e2cb61fb",
+    ("vacation", 7): "9c4e844af001265c5df6ea5639fe01a7",
+    ("genome", 1): "2934737e077962389e0a7f762bbdd929",
+    ("genome", 7): "eae3ccd21c1f46df4576ef6c94bfad5b",
+    ("scalparc", 1): "70166059b595583bb85153f8b9d869c5",
+    ("scalparc", 7): "33f657861f1fc8fc6f5961324f827dd0",
+    ("apriori", 1): "2c75d7a254b6c35aac75d494ce6885de",
+    ("apriori", 7): "5f5c3799cf4657fa95bda04214e7320f",
+    ("fluidanimate", 1): "53d18a5a446b64e343a17cd439b7bf72",
+    ("fluidanimate", 7): "08a56099c0dc246b4e1abe6cdbcd5186",
+    ("utilitymine", 1): "e3937205e9f4559d242751a24ce8d88a",
+    ("utilitymine", 7): "b1899ac93aeabdf2ff785d23ef155d23",
+}
+
+
+@pytest.mark.parametrize(("name", "seed"), list(PINNED_DIGESTS))
+def test_compiled_program_is_pinned(name, seed):
+    scripts = get_workload(name, txns_per_core=30).build(8, seed)
+    assert scripts_digest(scripts) == PINNED_DIGESTS[name, seed]
 
 
 def test_scripted_txn_equality_and_hash_follow_fields():
