@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from itertools import compress
+from operator import itemgetter
 
 from repro.errors import ConfigError
 from repro.htm.conflict import ConflictType
@@ -102,97 +104,132 @@ class TraceHeader:
         return int(self.metadata.get("line_size", 64))
 
 
-def _decode_conflict(p: dict) -> ConflictEvent:
-    if min(p["requester_mask"], p["victim_read_mask"], p["victim_write_mask"]) < 0:
-        raise ValueError("negative byte mask")  # would never shift to 0
-    return ConflictEvent(
-        time=p["time"],
-        requester_core=p["requester_core"],
-        victim_core=p["victim_core"],
-        requester_txn=p["requester_txn"],
-        victim_txn=p["victim_txn"],
-        line_addr=p["line_addr"],
-        line_index=p["line_index"],
-        ctype=ConflictType(p["ctype"]),
-        is_false=p["is_false"],
-        requester_is_write=p["requester_is_write"],
-        requester_mask=p["requester_mask"],
-        victim_read_mask=p["victim_read_mask"],
-        victim_write_mask=p["victim_write_mask"],
-        forced_waw=p["forced_waw"],
-        at_commit=p.get("at_commit", False),
-    )
-
-
-_DECODERS = {
-    "txn_start": lambda p: TxnStartEvent(
-        core=p["core"], time=p["time"], attempt=p["attempt"],
-        static_id=p["static_id"],
-    ),
-    "txn_commit": lambda p: TxnCommitEvent(core=p["core"], time=p["time"]),
-    "txn_abort": lambda p: TxnAbortEvent(
-        core=p["core"], time=p["time"], cause=AbortCause(p["cause"]).value,
-        wasted_cycles=p["wasted_cycles"],
-    ),
-    "conflict": _decode_conflict,
-    "access": lambda p: AccessEvent(
-        core=p["core"], line_addr=p["line_addr"], offset=p["offset"],
-        is_write=p["is_write"], hit_l1=p["hit_l1"],
-    ),
-    "backoff": lambda p: BackoffEvent(core=p["core"], cycles=p["cycles"]),
-    "stall": lambda p: StallEvent(
-        core=p["core"], time=p["time"], cycles=p["cycles"],
-        aborted=p["aborted"],
-    ),
-    "dirty_reprobe": lambda p: DirtyReprobeEvent(
-        core=p["core"], line_addr=p["line_addr"], time=p["time"],
-    ),
-    "fill": lambda p: FillEvent(
-        core=p["core"], line_addr=p["line_addr"], level=p["level"],
-    ),
-    "run_complete": lambda p: RunCompleteEvent(
-        execution_cycles=p["execution_cycles"],
-        per_core_cycles=_int_tuple(p["per_core_cycles"]),
-    ),
-}
-
-
 #: Bound on every decoded integer: simulator quantities are 64-bit, and
 #: larger values would overflow the float arithmetic of the figures.
-_INT_LIMIT = 1 << 64
+_INT_BITS = 64
 
+#: JSON type of a field, by its annotation.
 _JSON_TYPES = {"int": int, "bool": bool, "str": str}
 
-#: Per event class: (field name, expected JSON type) of its scalar fields.
-_FIELD_TYPES = {
-    cls: tuple(
-        (f.name, _JSON_TYPES[f.type]) for f in fields(cls) if f.type in _JSON_TYPES
+
+def _mask(value: int) -> int:
+    if value < 0:
+        raise ValueError("negative byte mask")  # would never shift to 0
+    return value
+
+
+def _int_tuple(values: list) -> tuple[int, ...]:
+    """A JSON list of 64-bit ints as a tuple (``TypeError`` otherwise)."""
+    if any(type(v) is not int or v.bit_length() > _INT_BITS for v in values):
+        raise TypeError(f"not a list of ints: {values!r:.40}")
+    return tuple(values)
+
+
+#: Fields converted after the JSON type check: name → (JSON type,
+#: conversion).  Enum strings map through dicts built from the enums.
+_CONVERTED = {
+    "ctype": (str, {t.value: t for t in ConflictType}.__getitem__),
+    "cause": (str, {c.value: c.value for c in AbortCause}.__getitem__),
+    "requester_mask": (int, _mask),
+    "victim_read_mask": (int, _mask),
+    "victim_write_mask": (int, _mask),
+    "per_core_cycles": (list, _int_tuple),
+}
+
+
+def _decoder(cls):
+    """The decoder of one event kind, derived from its dataclass's fields.
+
+    Every field without a default is required.  Every value must have
+    its field's exact JSON type (``bool`` is not an ``int``) and every
+    int must fit in 64 bits; both are checked before anything is built.
+    The :data:`_CONVERTED` fields are then converted, and the frozen
+    event is built positionally.
+    """
+    fs = fields(cls)
+    names = tuple(f.name for f in fs)
+    # A list, compared with list(map(type, values)): tuple(map(...)) would
+    # park a resized tuple on the interpreter's free lists per event,
+    # about 1 MB of peak RSS on a forensics run.
+    types = [
+        _CONVERTED[f.name][0] if f.name in _CONVERTED else _JSON_TYPES[f.type]
+        for f in fs
+    ]
+    is_int = tuple(kind is int for kind in types)
+    # Every kind has at least two required fields, so ``get`` returns a
+    # tuple, and at least one int field, so the bound check has a max.
+    get = itemgetter(*(f.name for f in fs if f.default is MISSING))
+    optional = tuple((f.name, f.default) for f in fs if f.default is not MISSING)
+    converts = tuple(
+        (i, _CONVERTED[name][1]) for i, name in enumerate(names) if name in _CONVERTED
     )
-    for cls in (
-        TxnStartEvent, TxnCommitEvent, TxnAbortEvent, ConflictEvent,
-        AccessEvent, BackoffEvent, StallEvent, DirtyReprobeEvent, FillEvent,
-        RunCompleteEvent,
+
+    def decode(payload: dict):
+        values = get(payload)  # KeyError names a missing field
+        if optional:
+            values += tuple(payload.get(name, default) for name, default in optional)
+        if (
+            list(map(type, values)) != types
+            or max(map(int.bit_length, compress(values, is_int))) > _INT_BITS
+        ):
+            raise _field_error(names, types, values)
+        if converts:
+            values = list(values)
+            for i, convert in converts:
+                values[i] = convert(values[i])
+        return cls(*values)
+
+    return decode
+
+
+def _field_error(names, types, values) -> TypeError:
+    """The error naming the first field of the wrong JSON type or width."""
+    name, kind, value = next(
+        (name, kind, value)
+        for name, kind, value in zip(names, types, values)
+        if type(value) is not kind or kind is int and value.bit_length() > _INT_BITS
+    )
+    width = "64-bit " if kind is int else ""
+    return TypeError(f"field {name!r} must be a {width}{kind.__name__}, got {value!r:.40}")
+
+
+#: Event kind (the JSON ``event`` field) → its decoder.
+_EVENT_DECODERS = {
+    kind: _decoder(cls)
+    for kind, cls in (
+        ("txn_start", TxnStartEvent),
+        ("txn_commit", TxnCommitEvent),
+        ("txn_abort", TxnAbortEvent),
+        ("conflict", ConflictEvent),
+        ("access", AccessEvent),
+        ("backoff", BackoffEvent),
+        ("stall", StallEvent),
+        ("dirty_reprobe", DirtyReprobeEvent),
+        ("fill", FillEvent),
+        ("run_complete", RunCompleteEvent),
     )
 }
 
 
-def _check_fields(event) -> None:
-    """Raise ``TypeError`` for a decoded field of the wrong JSON type."""
-    for name, kind in _FIELD_TYPES[type(event)]:
-        value = getattr(event, name)
-        if type(value) is not kind or kind is int and abs(value) >= _INT_LIMIT:
-            raise TypeError(
-                f"field {name!r} must be a {kind.__name__}, got {value!r:.40}"
-            )
+_scan = json.JSONDecoder().scan_once
 
 
-def _int_tuple(values) -> tuple[int, ...]:
-    """A JSON list of ints as a tuple (``TypeError`` otherwise)."""
-    if type(values) is not list or any(
-        type(v) is not int or abs(v) >= _INT_LIMIT for v in values
-    ):
-        raise TypeError(f"not a list of ints: {values!r:.40}")
-    return tuple(values)
+def _parse_line(raw: bytes):
+    """``json.loads(raw)`` for one newline-terminated line, made cheap.
+
+    A strict UTF-8 decode plus one scan settles a line that holds one
+    JSON value and then its newline.  Every other line (a BOM, padding,
+    bytes that are not UTF-8, trailing data) goes to ``json.loads``
+    itself, so each line gets exactly ``json.loads``'s verdict.
+    """
+    try:
+        text = raw.decode()
+        value, end = _scan(text, 0)
+        if end == len(text) - 1:
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(raw)
 
 
 class TraceReader:
@@ -209,8 +246,9 @@ class TraceReader:
     A line that is not an event object, or a known event with a missing
     or mistyped field, raises ``ConfigError`` naming the file and line.
 
-    Usable as a context manager; the file closes when iteration ends
-    either way.
+    Usable as a context manager.  The file closes when iteration ends,
+    whether at the end of the file or with an error, and a closed reader
+    yields nothing more.
     """
 
     def __init__(self, path) -> None:
@@ -223,6 +261,7 @@ class TraceReader:
             self._fh = open(self.path, "rb")
         except OSError as exc:
             raise ConfigError(f"cannot read trace {self.path}: {exc.strerror}") from None
+        self._readline = self._fh.readline
         try:
             self.header = self._read_header()
         except BaseException:
@@ -255,10 +294,17 @@ class TraceReader:
         minor = payload.get("minor", 0)
         metadata = payload.get("metadata", {})
         line_size = metadata.get("line_size", 64) if isinstance(metadata, dict) else 0
-        if not (type(minor) is int and type(line_size) is int and line_size > 0):
+        # Byte masks are 64-bit, so no wider line can be described.
+        if not (
+            type(minor) is int
+            and type(line_size) is int
+            and 0 < line_size <= _INT_BITS
+            and (line_size & (line_size - 1)) == 0
+        ):
             raise ConfigError(
                 f"{self.path}:1: malformed trace header: 'minor' must be an "
-                "int, 'metadata' an object and its 'line_size' a positive int"
+                "int, 'metadata' an object and its 'line_size' a power of "
+                f"two of at most {_INT_BITS} bytes"
             )
         return TraceHeader(
             schema=payload["schema"],
@@ -275,7 +321,7 @@ class TraceReader:
 
     def __next__(self):
         while True:
-            raw = self._fh.readline()
+            raw = self._readline()
             if not raw:
                 self.close()
                 raise StopIteration
@@ -287,25 +333,26 @@ class TraceReader:
                 self.close()
                 raise StopIteration
             try:
-                payload = json.loads(raw)
+                payload = _parse_line(raw)
             except (ValueError, RecursionError):  # not JSON, or not UTF-8
                 self.truncated = True
                 self.close()
                 raise StopIteration from None
-            kind = payload.get("event") if isinstance(payload, dict) else None
-            if not isinstance(kind, str):
+            kind = payload.get("event") if type(payload) is dict else None
+            if type(kind) is not str:
+                self.close()
                 raise ConfigError(
                     f"{self.path}:{self._line_no}: not an event (a JSON "
                     "object with a string 'event' field)"
                 )
-            decoder = _DECODERS.get(kind)
-            if decoder is None:
+            decode = _EVENT_DECODERS.get(kind)
+            if decode is None:
                 self.unknown_events += 1
                 continue
             try:
-                event = decoder(payload)
-                _check_fields(event)
+                event = decode(payload)
             except (KeyError, TypeError, ValueError) as exc:
+                self.close()
                 raise ConfigError(
                     f"{self.path}:{self._line_no}: malformed "
                     f"{kind!r} event ({exc!r})"
@@ -316,8 +363,9 @@ class TraceReader:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+        self._fh.close()
+        # A closed reader stays at end of file: next() raises StopIteration.
+        self._readline = lambda: b""
 
     def __enter__(self) -> "TraceReader":
         return self

@@ -161,16 +161,21 @@ class SimulationEngine:
 
     def run(self, max_cycles: int | None = None) -> CounterSink:
         """Execute every core's script to completion; returns the stats."""
-        for cs in self.cores:
-            self._schedule(0, cs.core)
-        if self.micro_batch:
-            self._run_batched(max_cycles)
-        else:
-            self._run_stepwise(max_cycles)
-        if self.checker is not None:
-            self.checker.finalize()
-        per_core = [cs.finish_time for cs in self.cores]
-        self.sink.on_run_complete(max(per_core, default=0), per_core)
+        try:
+            for cs in self.cores:
+                self._schedule(0, cs.core)
+            if self.micro_batch:
+                self._run_batched(max_cycles)
+            else:
+                self._run_stepwise(max_cycles)
+            if self.checker is not None:
+                self.checker.finalize()
+            per_core = [cs.finish_time for cs in self.cores]
+            self.sink.on_run_complete(max(per_core, default=0), per_core)
+        finally:
+            # A run that raises still leaves a readable trace on disk.
+            if self.sink is not self.stats:
+                self.sink.close()
         return self.stats
 
     def _run_stepwise(self, max_cycles: int | None) -> None:

@@ -11,7 +11,8 @@ Two design rules keep the hot path hot:
 
 * emission methods take **plain scalars** (no per-event allocation in the
   simulator's inner loops); the frozen event dataclasses here exist for
-  sinks that *materialize* events (the JSONL trace sink) and for tests;
+  the trace reader, which rebuilds them from a recorded trace, and for
+  tests;
 * this package sits **below** the mem/htm layers — it imports neither, so
   every layer may depend on it.  Conflict records are duck-typed: any
   object with the :class:`ConflictEvent` field set (``time``, ``ctype``,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
 __all__ = [
@@ -49,6 +50,9 @@ TRACE_SCHEMA_MAJOR = 1
 # Minor 1: added the "stall" event kind and the optional "at_commit"
 # conflict field (policy-matrix stall/backoff + lazy-commit arbitration).
 TRACE_SCHEMA_MINOR = 1
+
+#: JSON spelling of a bool, indexed by the bool.
+_BOOL = ("false", "true")
 
 
 @dataclass(slots=True)
@@ -421,6 +425,7 @@ class JsonlTraceSink:
         self.metadata = dict(metadata) if metadata else {}
         self.events_written = 0
         self._fh = open(path, "w", encoding="utf-8")
+        self._write = self._fh.write
         # The header is format framing, not an event: written directly so
         # events_written stays the count of simulation events.
         self._fh.write(
@@ -438,10 +443,6 @@ class JsonlTraceSink:
             + "\n"
         )
 
-    def _emit(self, payload: dict) -> None:
-        self._fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        self.events_written += 1
-
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.close()
@@ -452,117 +453,110 @@ class JsonlTraceSink:
         return getattr(self.inner, name)
 
     # -- event hooks ---------------------------------------------------------
+    #
+    # Each hook writes one preformatted line, byte-identical to
+    # ``json.dumps(<the event's dict>, separators=(",", ":"))``: ints go
+    # through ``:d`` (a bool there would write ``1``, never ``True``),
+    # bools index ``_BOOL``, strings go through the escaper json.dumps
+    # itself uses.  The keys and their order are the trace format.
 
     def on_txn_start(self, core: int, time: int, attempt: int, static_id: int) -> None:
-        self._emit(
-            {
-                "event": "txn_start",
-                "core": core,
-                "time": time,
-                "attempt": attempt,
-                "static_id": static_id,
-            }
+        self._write(
+            f'{{"event":"txn_start","core":{core:d},"time":{time:d},'
+            f'"attempt":{attempt:d},"static_id":{static_id:d}}}\n'
         )
+        self.events_written += 1
         self.inner.on_txn_start(core, time, attempt, static_id)
 
     def on_txn_commit(self, core: int, time: int) -> None:
-        self._emit({"event": "txn_commit", "core": core, "time": time})
+        self._write(f'{{"event":"txn_commit","core":{core:d},"time":{time:d}}}\n')
+        self.events_written += 1
         self.inner.on_txn_commit(core, time)
 
     def on_txn_abort(self, core: int, time: int, cause: str, wasted_cycles: int) -> None:
-        self._emit(
-            {
-                "event": "txn_abort",
-                "core": core,
-                "time": time,
-                "cause": cause,
-                "wasted_cycles": wasted_cycles,
-            }
+        self._write(
+            f'{{"event":"txn_abort","core":{core:d},"time":{time:d},'
+            f'"cause":{_json_str(cause)},"wasted_cycles":{wasted_cycles:d}}}\n'
         )
+        self.events_written += 1
         self.inner.on_txn_abort(core, time, cause, wasted_cycles)
 
     def on_conflict(self, rec) -> None:
-        self._emit(
-            {
-                "event": "conflict",
-                "time": rec.time,
-                "requester_core": rec.requester_core,
-                "victim_core": rec.victim_core,
-                "requester_txn": rec.requester_txn,
-                "victim_txn": rec.victim_txn,
-                "line_addr": rec.line_addr,
-                "line_index": rec.line_index,
-                "ctype": rec.ctype.value,
-                "is_false": rec.is_false,
-                "requester_is_write": rec.requester_is_write,
-                "requester_mask": rec.requester_mask,
-                "victim_read_mask": rec.victim_read_mask,
-                "victim_write_mask": rec.victim_write_mask,
-                "forced_waw": rec.forced_waw,
-                "at_commit": getattr(rec, "at_commit", False),
-            }
+        self._write(
+            f'{{"event":"conflict","time":{rec.time:d},'
+            f'"requester_core":{rec.requester_core:d},'
+            f'"victim_core":{rec.victim_core:d},'
+            f'"requester_txn":{rec.requester_txn:d},'
+            f'"victim_txn":{rec.victim_txn:d},'
+            f'"line_addr":{rec.line_addr:d},"line_index":{rec.line_index:d},'
+            f'"ctype":{_json_str(rec.ctype.value)},'
+            f'"is_false":{_BOOL[rec.is_false]},'
+            f'"requester_is_write":{_BOOL[rec.requester_is_write]},'
+            f'"requester_mask":{rec.requester_mask:d},'
+            f'"victim_read_mask":{rec.victim_read_mask:d},'
+            f'"victim_write_mask":{rec.victim_write_mask:d},'
+            f'"forced_waw":{_BOOL[rec.forced_waw]},'
+            f'"at_commit":{_BOOL[getattr(rec, "at_commit", False)]}}}\n'
         )
+        self.events_written += 1
         self.inner.on_conflict(rec)
 
     def on_access(
         self, core: int, line_addr: int, offset: int, is_write: bool, hit_l1: bool
     ) -> None:
         if self.trace_accesses:
-            self._emit(
-                {
-                    "event": "access",
-                    "core": core,
-                    "line_addr": line_addr,
-                    "offset": offset,
-                    "is_write": is_write,
-                    "hit_l1": hit_l1,
-                }
+            self._write(
+                f'{{"event":"access","core":{core:d},"line_addr":{line_addr:d},'
+                f'"offset":{offset:d},"is_write":{_BOOL[is_write]},'
+                f'"hit_l1":{_BOOL[hit_l1]}}}\n'
             )
+            self.events_written += 1
         self.inner.on_access(core, line_addr, offset, is_write, hit_l1)
 
     def on_backoff(self, core: int, cycles: int) -> None:
-        self._emit({"event": "backoff", "core": core, "cycles": cycles})
+        self._write(f'{{"event":"backoff","core":{core:d},"cycles":{cycles:d}}}\n')
+        self.events_written += 1
         self.inner.on_backoff(core, cycles)
 
     def on_stall(self, core: int, time: int, cycles: int, aborted: bool) -> None:
-        self._emit(
-            {
-                "event": "stall",
-                "core": core,
-                "time": time,
-                "cycles": cycles,
-                "aborted": aborted,
-            }
+        self._write(
+            f'{{"event":"stall","core":{core:d},"time":{time:d},'
+            f'"cycles":{cycles:d},"aborted":{_BOOL[aborted]}}}\n'
         )
+        self.events_written += 1
         self.inner.on_stall(core, time, cycles, aborted)
 
     def on_dirty_reprobe(self, core: int, line_addr: int, time: int) -> None:
-        self._emit(
-            {
-                "event": "dirty_reprobe",
-                "core": core,
-                "line_addr": line_addr,
-                "time": time,
-            }
+        self._write(
+            f'{{"event":"dirty_reprobe","core":{core:d},'
+            f'"line_addr":{line_addr:d},"time":{time:d}}}\n'
         )
+        self.events_written += 1
         self.inner.on_dirty_reprobe(core, line_addr, time)
 
     def on_fill(self, core: int, line_addr: int, level: str) -> None:
-        self._emit(
-            {"event": "fill", "core": core, "line_addr": line_addr, "level": level}
+        self._write(
+            f'{{"event":"fill","core":{core:d},"line_addr":{line_addr:d},'
+            f'"level":{_json_str(level)}}}\n'
         )
+        self.events_written += 1
         self.inner.on_fill(core, line_addr, level)
 
     def on_run_complete(
         self, execution_cycles: int, per_core_cycles: Sequence[int]
     ) -> None:
-        self._emit(
-            {
-                "event": "run_complete",
-                "execution_cycles": execution_cycles,
-                "per_core_cycles": list(per_core_cycles),
-            }
+        self._write(
+            json.dumps(
+                {
+                    "event": "run_complete",
+                    "execution_cycles": execution_cycles,
+                    "per_core_cycles": list(per_core_cycles),
+                },
+                separators=(",", ":"),
+            )
+            + "\n"
         )
+        self.events_written += 1
         self.inner.on_run_complete(execution_cycles, per_core_cycles)
         self.close()
 

@@ -5,6 +5,7 @@ across schemes × workloads."""
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -14,16 +15,23 @@ from repro.analysis.trace import (
     TRACE_FIGURES,
     ConflictTimeline,
     TraceReader,
+    _parse_line,
     analyze_trace,
     read_events,
 )
 from repro.config import DetectionScheme
 from repro.errors import ConfigError
 from repro.htm.conflict import ConflictType
+from repro.htm.txn import AbortCause
 from repro.sim.runner import default_system, run_workload
 from repro.telemetry.events import (
+    AccessEvent,
+    BackoffEvent,
     ConflictEvent,
+    DirtyReprobeEvent,
+    FillEvent,
     RunCompleteEvent,
+    StallEvent,
     TxnAbortEvent,
     TxnCommitEvent,
     TxnStartEvent,
@@ -71,6 +79,16 @@ def drive(sink) -> None:
     sink.on_txn_start(0, 60, 2, 42)
     sink.on_txn_commit(0, 90)
     sink.on_run_complete(90, [90, 40])
+
+
+def header_line(**metadata) -> str:
+    return json.dumps({
+        "event": "trace_header", "schema": "repro-asf-trace",
+        "major": 1, "minor": 0, "trace_accesses": False, "metadata": metadata,
+    }) + "\n"
+
+
+HEADER = header_line()
 
 
 class TestTraceReader:
@@ -183,6 +201,45 @@ class TestTraceReader:
             with pytest.raises(ConfigError, match=f"bad.jsonl:2: malformed '{kind}'"):
                 list(TraceReader(str(path)))
 
+    @pytest.mark.parametrize("line, error", [
+        ('{"event":"txn_commit","core":0}', "bad.jsonl:2: malformed 'txn_commit'"),
+        ("[1]", "bad.jsonl:2: not an event"),
+    ], ids=["malformed", "not-an-event"])
+    def test_reader_closes_before_raising(self, tmp_path, line, error):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(HEADER + line + "\n")
+        reader = TraceReader(str(path))
+        with pytest.raises(ConfigError, match=error):
+            list(reader)
+        assert reader._fh.closed
+        assert list(reader) == []
+
+    def test_finished_reader_stays_finished(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        drive(JsonlTraceSink(path))
+        reader = TraceReader(path)
+        assert len(list(reader)) == 9
+        assert list(reader) == []
+        with pytest.raises(StopIteration):
+            next(reader)
+        reader.close()  # closing twice is harmless
+        assert list(reader) == []
+
+    @pytest.mark.parametrize("line_size", [3, 128, 2**40, 0, -64, True])
+    def test_line_size_beyond_the_byte_masks_rejected(self, tmp_path, line_size):
+        path = tmp_path / "wide.jsonl"
+        path.write_text(header_line(line_size=line_size))
+        with pytest.raises(ConfigError, match="wide.jsonl:1: malformed trace header"):
+            TraceReader(str(path))
+
+    @pytest.mark.parametrize("line_size", [1, 32, 64])
+    def test_power_of_two_line_size_accepted(self, tmp_path, line_size):
+        path = tmp_path / "narrow.jsonl"
+        path.write_text(header_line(line_size=line_size))
+        with TraceReader(str(path)) as reader:
+            assert reader.header.line_size == line_size
+            assert list(reader) == []
+
 
 #: Values a retyped field takes: any JSON type, whatever the field's own.
 RETYPED = st.one_of(
@@ -239,6 +296,166 @@ def mutate(lines, data) -> list[bytes]:
     return lines
 
 
+# -- the reference decoder --------------------------------------------------
+# json.loads on every line, one keyword-constructor lambda per kind, then
+# a getattr loop over the built event checking each field's JSON type:
+# the plain decoder the reader's schema tables and line scan must agree
+# with, event for event and error line for error line.
+
+REF_INT_LIMIT = 1 << 64
+
+
+def ref_decode_conflict(p: dict) -> ConflictEvent:
+    if min(p["requester_mask"], p["victim_read_mask"], p["victim_write_mask"]) < 0:
+        raise ValueError("negative byte mask")
+    return ConflictEvent(
+        time=p["time"], requester_core=p["requester_core"],
+        victim_core=p["victim_core"], requester_txn=p["requester_txn"],
+        victim_txn=p["victim_txn"], line_addr=p["line_addr"],
+        line_index=p["line_index"], ctype=ConflictType(p["ctype"]),
+        is_false=p["is_false"], requester_is_write=p["requester_is_write"],
+        requester_mask=p["requester_mask"],
+        victim_read_mask=p["victim_read_mask"],
+        victim_write_mask=p["victim_write_mask"], forced_waw=p["forced_waw"],
+        at_commit=p.get("at_commit", False),
+    )
+
+
+def ref_int_tuple(values) -> tuple[int, ...]:
+    if type(values) is not list or any(
+        type(v) is not int or abs(v) >= REF_INT_LIMIT for v in values
+    ):
+        raise TypeError(f"not a list of ints: {values!r:.40}")
+    return tuple(values)
+
+
+REF_DECODERS = {
+    "txn_start": lambda p: TxnStartEvent(
+        core=p["core"], time=p["time"], attempt=p["attempt"],
+        static_id=p["static_id"],
+    ),
+    "txn_commit": lambda p: TxnCommitEvent(core=p["core"], time=p["time"]),
+    "txn_abort": lambda p: TxnAbortEvent(
+        core=p["core"], time=p["time"], cause=AbortCause(p["cause"]).value,
+        wasted_cycles=p["wasted_cycles"],
+    ),
+    "conflict": ref_decode_conflict,
+    "access": lambda p: AccessEvent(
+        core=p["core"], line_addr=p["line_addr"], offset=p["offset"],
+        is_write=p["is_write"], hit_l1=p["hit_l1"],
+    ),
+    "backoff": lambda p: BackoffEvent(core=p["core"], cycles=p["cycles"]),
+    "stall": lambda p: StallEvent(
+        core=p["core"], time=p["time"], cycles=p["cycles"], aborted=p["aborted"],
+    ),
+    "dirty_reprobe": lambda p: DirtyReprobeEvent(
+        core=p["core"], line_addr=p["line_addr"], time=p["time"],
+    ),
+    "fill": lambda p: FillEvent(
+        core=p["core"], line_addr=p["line_addr"], level=p["level"],
+    ),
+    "run_complete": lambda p: RunCompleteEvent(
+        execution_cycles=p["execution_cycles"],
+        per_core_cycles=ref_int_tuple(p["per_core_cycles"]),
+    ),
+}
+
+REF_JSON_TYPES = {"int": int, "bool": bool, "str": str}
+
+REF_FIELD_TYPES = {
+    cls: tuple(
+        (f.name, REF_JSON_TYPES[f.type]) for f in fields(cls)
+        if f.type in REF_JSON_TYPES
+    )
+    for cls in (
+        TxnStartEvent, TxnCommitEvent, TxnAbortEvent, ConflictEvent,
+        AccessEvent, BackoffEvent, StallEvent, DirtyReprobeEvent, FillEvent,
+        RunCompleteEvent,
+    )
+}
+
+
+def ref_check_fields(event) -> None:
+    for name, kind in REF_FIELD_TYPES[type(event)]:
+        value = getattr(event, name)
+        if type(value) is not kind or kind is int and abs(value) >= REF_INT_LIMIT:
+            raise TypeError(f"field {name!r} must be a {kind.__name__}")
+
+
+def read_reference(path):
+    """(events, truncated, unknown kinds) as the reference decodes them."""
+    TraceReader(path).close()  # the header rules are shared, not under test
+    events, unknown = [], 0
+    with open(path, "rb") as fh:
+        fh.readline()
+        for line_no, raw in enumerate(iter(fh.readline, b""), start=2):
+            if not raw.endswith(b"\n"):
+                return events, True, unknown
+            try:
+                payload = json.loads(raw)
+            except (ValueError, RecursionError):
+                return events, True, unknown
+            kind = payload.get("event") if isinstance(payload, dict) else None
+            if not isinstance(kind, str):
+                raise ConfigError(f"{path}:{line_no}: not an event")
+            decoder = REF_DECODERS.get(kind)
+            if decoder is None:
+                unknown += 1
+                continue
+            try:
+                event = decoder(payload)
+                ref_check_fields(event)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}:{line_no}: malformed {kind!r}") from exc
+            events.append(event)
+    return events, False, unknown
+
+
+def read_fast(path):
+    with TraceReader(path) as reader:
+        return list(reader), reader.truncated, reader.unknown_events
+
+
+def outcome(read, path):
+    """What a read ends in: the events (repr keeps ``True`` apart from
+    ``1``), or where and why it raised ``ConfigError``."""
+    try:
+        events, truncated, unknown = read(path)
+    except ConfigError as exc:
+        where, _, why = str(exc).partition(": ")
+        return "error", where, why.split(" ")[0]
+    return "events", repr(events), truncated, unknown
+
+
+def verdict(parse, raw):
+    try:
+        return "value", repr(parse(raw))
+    except (ValueError, RecursionError) as exc:
+        return "error", type(exc).__name__
+
+
+#: Ways a line can be framed that the parser's fast path must not accept
+#: differently from json.loads: BOM, padding, CRLF, trailing data, UTF-16.
+REFRAMINGS = [
+    lambda line: b"\xef\xbb\xbf" + line,
+    lambda line: b" " + line,
+    lambda line: line[:-1] + b" \t\n",
+    lambda line: line[:-1] + b"\r\n",
+    lambda line: line[:-1] + b" 1\n",
+    lambda line: line[:-1] + b"{}\n",
+    lambda line: line[:-1].decode("utf-8", "replace").encode("utf-16-le") + b"\n",
+]
+
+FRAMES = [b"", b" ", b"\t", b"\r", b"\xef\xbb\xbf", b"\x00", b"x", b"\xed\xa0\x80"]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestMutatedTraces:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -252,6 +469,31 @@ class TestMutatedTraces:
         except ConfigError:
             return
         assert "Trace-derived run counters" in report
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_reader_agrees_with_the_reference_decoder(
+        self, recorded_lines, tmp_path_factory, data
+    ):
+        lines = mutate(recorded_lines, data)
+        if lines and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            lines[i] = data.draw(st.sampled_from(REFRAMINGS))(lines[i])
+        path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
+        path.write_bytes(b"".join(lines))
+        assert outcome(read_fast, str(path)) == outcome(read_reference, str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.one_of(
+        st.binary(max_size=48),
+        st.builds(
+            lambda pre, value, post: pre + json.dumps(value).encode() + post,
+            st.sampled_from(FRAMES), JSON_VALUES, st.sampled_from(FRAMES),
+        ),
+    ))
+    def test_line_parser_is_json_loads(self, raw):
+        raw += b"\n"
+        assert verdict(_parse_line, raw) == verdict(json.loads, raw)
 
 
 class TestCounterParity:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from repro.analysis.trace import ConflictTimeline
 from repro.config import DetectionScheme, default_system
 from repro.errors import SimulationError
 from repro.htm.ops import read_op, work_op, write_op
@@ -61,6 +62,21 @@ class TestBasicExecution:
         cfg = default_system()
         with pytest.raises(SimulationError):
             SimulationEngine(cfg, scripts).run(max_cycles=10)
+
+    @pytest.mark.parametrize("micro_batch", [True, False])
+    def test_trace_is_closed_and_readable_after_a_raise(self, tmp_path, micro_batch):
+        path = tmp_path / "livelock.jsonl"
+        cfg = default_system().with_telemetry(
+            sink="trace", trace_path=str(path), trace_accesses=True
+        )
+        scripts = get_workload("kmeans", 10).build(cfg.n_cores, 1)
+        engine = SimulationEngine(cfg, scripts, micro_batch=micro_batch)
+        with pytest.raises(SimulationError, match="exceeded 2000 cycles"):
+            engine.run(max_cycles=2000)
+        assert engine.sink._fh.closed
+        timeline = ConflictTimeline.from_trace(path)
+        assert len(timeline.attempts) == engine.stats.txn_attempts > 0
+        assert timeline.counters.execution_cycles == 0  # no run_complete
 
 
 class TestConservationLaws:
