@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Sub-block sensitivity sweep (the paper's Figure 8 experiment).
 
-Runs one benchmark under baseline ASF once with conflict-event recording,
-then re-evaluates every recorded conflict at 2/4/8/16 sub-blocks
-(open-loop, the characterization-study method) AND runs full closed-loop
-simulations at each granularity to show the end-to-end effect.
+Runs one benchmark under baseline ASF once (its detail sink keeps every
+conflict record), then re-evaluates every recorded conflict at 2/4/8/16
+sub-blocks (open-loop, the characterization-study method) AND runs full
+closed-loop simulations at each granularity to show the end-to-end effect.
 
 Run:  python examples/sensitivity_sweep.py [benchmark] [txns_per_core]
 """
@@ -29,8 +29,7 @@ def main() -> None:
 
     print(f"[1/2] Baseline ASF run of {name} (recording conflicts)...")
     baseline = run_scripts(
-        scripts, base_cfg, 1, workload_name=name,
-        check_atomicity=False, record_events=True,
+        scripts, base_cfg, 1, workload_name=name, check_atomicity=False,
     )
     events = baseline.stats.conflict_events
     print(

@@ -7,8 +7,8 @@ Three steps a user debugging an HTM workload walks through:
    file pins the experiment independent of generator code drift;
 2. replay the serialized program under two detection schemes and diff the
    headline numbers (identical programs, so any delta is the detector);
-3. attach an access log and zoom into the hottest conflicting line:
-   who touched it, when, with what outcome.
+3. record the run as an event trace (accesses included) and zoom into
+   the hottest conflicting line: who touched it, when, with what outcome.
 
 Run:  python examples/trace_workflow.py
 """
@@ -17,9 +17,16 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from repro import DetectionScheme, default_system, get_workload
+from repro import (
+    ConflictTimeline,
+    DetectionScheme,
+    TraceReader,
+    default_system,
+    get_workload,
+)
 from repro.sim.runner import run_scripts
-from repro.trace import attach_access_log, load_scripts, save_scripts
+from repro.telemetry import AccessEvent
+from repro.trace import load_scripts, save_scripts
 from repro.util.tables import format_table, percent
 
 
@@ -50,26 +57,33 @@ def main() -> None:
     base, sub = results[DetectionScheme.ASF_BASELINE], results[DetectionScheme.SUBBLOCK]
     print(f"    improvement: {percent(sub.speedup_over(base))}\n")
 
-    # -- 3. zoom into the hottest line with the access log -------------------
-    from repro.sim.engine import SimulationEngine
+    # -- 3. record a trace and zoom into the hottest line -------------------
+    trace = path.with_name("genome-seed5-asf.trace.jsonl")
+    cfg = default_system(DetectionScheme.ASF_BASELINE).with_telemetry(
+        sink="trace", trace_path=str(trace), trace_accesses=True,
+    )
+    run_scripts(loaded, cfg, seed=5, workload_name="genome",
+                check_atomicity=False)
+    timeline = ConflictTimeline.from_trace(trace)
 
-    cfg = default_system(DetectionScheme.ASF_BASELINE)
-    engine = SimulationEngine(cfg, loaded, seed=5, check_atomicity=False)
-    log = attach_access_log(engine.machine)
-    stats = engine.run()
-
-    hot_line, n_false = stats.false_by_line.most_common(1)[0]
-    line_addr = hot_line * 64
-    events = log.for_line(line_addr)
-    by_core = Counter(e.core for e in events)
-    conflicts = [e for e in events if e.n_conflicts]
-    print(f"[3] hottest false-conflict line: index {hot_line} "
-          f"({n_false} false conflicts, {len(events)} accesses)")
+    [(hot_index, hot_addr, n_false)] = timeline.line_ranking(top=1)
+    with TraceReader(trace) as reader:
+        by_core = Counter(
+            e.core for e in reader
+            if isinstance(e, AccessEvent) and e.line_addr == hot_addr
+        )
+    conflicts = [c for c in timeline.conflict_events if c.line_index == hot_index]
+    print(f"[3] recorded {trace.name}; hottest false-conflict line: "
+          f"index {hot_index} at {hot_addr:#x} ({n_false} false conflicts, "
+          f"{sum(by_core.values())} accesses)")
     print(f"    cores touching it: {dict(sorted(by_core.items()))}")
-    for e in conflicts[:5]:
-        kind = "W" if e.is_write else "R"
-        print(f"    @cycle {e.time:>7} core{e.core} {kind} "
-              f"+{e.addr % 64:<2} -> aborted {e.n_conflicts} victim(s)")
+    for c in conflicts[:5]:
+        kind = "W" if c.requester_is_write else "R"
+        offset = (c.requester_mask & -c.requester_mask).bit_length() - 1
+        truth = "false" if c.is_false else "true"
+        print(f"    @cycle {c.time:>7} core{c.requester_core} {kind} "
+              f"+{offset:<2} -> aborted core{c.victim_core} "
+              f"({truth} {c.ctype.value})")
     print("\nThe serialized program + seed reproduce every one of these "
           "events bit-for-bit.")
 

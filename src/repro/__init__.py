@@ -48,6 +48,18 @@ returns a :class:`RunSummary`.  ``RunSpec.transfer`` is gone
 ``"detail"``, and the :class:`RunSummary` properties ``conflict_events``,
 ``txn_start_times``, ``record_detail`` and ``record_events``.
 
+Version 4.0.0 is a major release because one
+:class:`~repro.telemetry.DetailSink` now collects a run's detail, fed
+live or replayed from a trace (:class:`ConflictTimeline` is a subclass),
+and always keeps the conflict records.  Gone are the ``record_events``
+keyword (ask for detail with ``RunSpec(record_detail=True)``),
+``RunSpec.keeps_detail``, ``ConflictTimeline.counters`` and
+``.conflicts`` (use its own counters and ``conflict_events`` /
+``conflict_victims``), ``AttemptRecord.duration``, ``DetailSink``'s
+per-figure lists and ``offset_histogram()`` (use its readers, e.g.
+``access_offset_histogram()``), and ``repro.trace.access_log`` (record
+a trace with ``trace_accesses=True``).
+
 Layering (each layer only depends on the ones above it):
 
 * :mod:`repro.util`, :mod:`repro.config`, :mod:`repro.errors`
@@ -113,7 +125,7 @@ from repro.store import MergeReport, ResultsStore, StoreEntry
 from repro.telemetry import RunSummary, aggregate_metrics, merge_summaries
 from repro.workloads.registry import BENCHMARK_NAMES, all_workloads, get_workload
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AtomicityViolation",

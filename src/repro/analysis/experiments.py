@@ -128,16 +128,17 @@ def run_suite(
     n_subblocks: int = 4,
     config: SystemConfig | None = None,
     check_atomicity: bool = False,
-    record_events: bool = True,
     trace_dir: str | None = None,
     executor: "ExecConfig | str | Executor | None" = None,
 ) -> SuiteResults:
     """Run every benchmark under baseline/sub-block/perfect.
 
     ``check_atomicity`` defaults to off here (the correctness suite covers
-    it; the figure harness favours wall-clock).  ``record_events`` keeps
-    the baseline's conflict records for the open-loop Figure 5/8 analysis.
-    ``executor`` says how the benchmarks × schemes batch runs (see
+    it; the figure harness favours wall-clock).  The baseline runs keep
+    detail: Figures 3-5 read their histograms and the open-loop Figure 8
+    replays their conflict records; the other schemes only contribute
+    aggregates and come back as summaries.  ``executor`` says how the
+    benchmarks × schemes batch runs (see
     :func:`~repro.sim.parallel.run_many`); every run is independently
     seeded so the results are identical to a serial suite.  A store on
     the executor config checkpoints the summary runs (the baselines keep
@@ -166,12 +167,6 @@ def run_suite(
             txns_per_core=txns_per_core,
             label=f"{name}:{scheme.value}",
             check_atomicity=check_atomicity,
-            record_events=(
-                record_events and scheme is DetectionScheme.ASF_BASELINE
-            ),
-            # Figures 3-5 read detail off the baseline run even when event
-            # recording is off; the other schemes only contribute
-            # aggregates and come back as summaries.
             record_detail=scheme is DetectionScheme.ASF_BASELINE,
         )
         for name in benchmarks

@@ -112,7 +112,7 @@ def fig5_offset_histogram(
 ) -> dict[str, list[tuple[int, int]]]:
     """Figure 5: access counts by starting byte offset within the line."""
     return {
-        name: suite[name].baseline.stats.offset_histogram()
+        name: suite[name].baseline.stats.access_offset_histogram()
         for name in _focus(suite, benchmarks)
     }
 
@@ -124,7 +124,7 @@ def fig5_dominant_grain(stats: DetailSink) -> int:
     benchmarks and a 4-byte grid for kmeans.  Returns the largest
     power-of-two stride that all (weighted ≥99%) access offsets align to.
     """
-    hist = stats.offset_histogram()
+    hist = stats.access_offset_histogram()
     total = sum(c for _, c in hist)
     if total == 0:
         return 0
@@ -140,10 +140,8 @@ def fig8_sensitivity(
     granularities: tuple[int, ...] = GRANULARITIES,
     include_forced_waw: bool = False,
 ) -> list[tuple[str, dict[int, float]]]:
-    """Figure 8: open-loop false-conflict reduction per sub-block count.
-
-    Requires the suite to have recorded baseline conflict events.
-    """
+    """Figure 8: open-loop false-conflict reduction per sub-block count,
+    replaying each baseline run's conflict records."""
     rows = []
     for name in suite.names():
         events = suite[name].baseline.stats.conflict_events
@@ -321,10 +319,9 @@ def compute_all_figures(suite: SuiteResults) -> dict[str, object]:
 
     This is the full post-simulation analysis pipeline in one call — the
     perf harness times it separately from the simulations that feed it,
-    and reports use it to avoid re-deriving the figure list.  Figure 8 is
-    only included when the suite recorded baseline conflict events.
+    and reports use it to avoid re-deriving the figure list.
     """
-    out: dict[str, object] = {
+    return {
         "fig1_false_rates": fig1_false_rates(suite),
         "fig2_breakdown": fig2_breakdown(suite),
         "fig3_time_series": fig3_time_series(suite),
@@ -333,9 +330,5 @@ def compute_all_figures(suite: SuiteResults) -> dict[str, object]:
         "fig9_overall_reduction": fig9_overall_reduction(suite),
         "fig10_exec_improvement": fig10_exec_improvement(suite),
         "abort_breakdown": abort_breakdown(suite),
+        "fig8_sensitivity": fig8_sensitivity(suite),
     }
-    if any(
-        suite[name].baseline.stats.conflict_events for name in suite.names()
-    ):
-        out["fig8_sensitivity"] = fig8_sensitivity(suite)
-    return out

@@ -3,8 +3,7 @@ back into typed events and reconstruct the paper's characterization
 figures from it.
 
 :class:`repro.telemetry.sinks.JsonlTraceSink` streams every typed event
-of a run to disk; this module closes the loop — the top open item of the
-ROADMAP — with three layers:
+of a run to disk; this module closes the loop with three layers:
 
 * :class:`TraceReader` — a streaming iterator over a trace file.  It
   validates the versioned schema header up front (unknown major versions
@@ -13,32 +12,22 @@ ROADMAP — with three layers:
   :class:`~repro.store.ResultsStore` (a crash loses at most the event
   being written), and yields the frozen dataclasses of
   :mod:`repro.telemetry.events` — the same types the simulator emitted.
-* :class:`ConflictTimeline` — a reconstruction of the run: per-core
-  transaction attempt intervals, every conflict tied to the victim
-  attempt it killed, and a :class:`~repro.telemetry.sinks.CounterSink`
-  *replayed from the events*, so trace-derived WAR/RAW/WAW totals are
-  bit-for-bit comparable with the live run's counters (the parity tests
-  assert equality across schemes × workloads).
-* Figure computations + renderers — the paper's time-distribution
-  (Fig. 3), conflicting-line distribution (Fig. 4) and intra-line
-  conflict-location (Fig. 5) characterizations, plus a forensics report
-  (top conflicting lines, abort cascades, wasted-cycle attribution per
-  static transaction).  :func:`analyze_trace` is the one-call wrapper the
-  ``repro-asf analyze`` subcommand prints.
-
-Fig. 3's cumulative curves use the same
-:func:`~repro.telemetry.sinks.cumulative_series` primitive as the live
-:class:`~repro.telemetry.sinks.DetailSink`, so a trace-derived Figure 3
-bins identically to a live one.
+* :class:`ConflictTimeline` — the run's
+  :class:`~repro.telemetry.sinks.DetailSink`, rebuilt by feeding each
+  decoded event to the hook the live run called, so it equals the live
+  sink bit for bit (the parity tests assert it).
+* Renderers — the paper's Fig. 3/4/5 characterizations of one run plus a
+  forensics report (top conflicting lines, abort cascades, wasted-cycle
+  attribution per static transaction), over any ``DetailSink``, live or
+  replayed.  :func:`analyze_trace` is what ``repro-asf analyze`` prints.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from itertools import compress
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from repro.errors import ConfigError
 from repro.htm.conflict import ConflictType
@@ -58,8 +47,9 @@ from repro.telemetry.events import (
 from repro.telemetry.sinks import (
     TRACE_SCHEMA,
     TRACE_SCHEMA_MAJOR,
-    CounterSink,
-    cumulative_series,
+    AttemptRecord,
+    CascadeStats,
+    DetailSink,
 )
 from repro.util.tables import format_table, percent
 
@@ -76,6 +66,7 @@ __all__ = [
     "render_trace_fig4",
     "render_trace_fig5",
     "render_trace_forensics",
+    "render_trace_report",
 ]
 
 #: Keys of ``summary()`` that can only be recomputed from per-access
@@ -193,21 +184,35 @@ def _field_error(names, types, values) -> TypeError:
     return TypeError(f"field {name!r} must be a {width}{kind.__name__}, got {value!r:.40}")
 
 
-#: Event kind (the JSON ``event`` field) → its decoder.
-_EVENT_DECODERS = {
-    kind: _decoder(cls)
-    for kind, cls in (
-        ("txn_start", TxnStartEvent),
-        ("txn_commit", TxnCommitEvent),
-        ("txn_abort", TxnAbortEvent),
-        ("conflict", ConflictEvent),
-        ("access", AccessEvent),
-        ("backoff", BackoffEvent),
-        ("stall", StallEvent),
-        ("dirty_reprobe", DirtyReprobeEvent),
-        ("fill", FillEvent),
-        ("run_complete", RunCompleteEvent),
+#: Event kind (the JSON ``event`` field) and the event class it decodes to.
+_EVENT_KINDS = (
+    ("txn_start", TxnStartEvent),
+    ("txn_commit", TxnCommitEvent),
+    ("txn_abort", TxnAbortEvent),
+    ("conflict", ConflictEvent),
+    ("access", AccessEvent),
+    ("backoff", BackoffEvent),
+    ("stall", StallEvent),
+    ("dirty_reprobe", DirtyReprobeEvent),
+    ("fill", FillEvent),
+    ("run_complete", RunCompleteEvent),
+)
+
+#: Event kind → its decoder.
+_EVENT_DECODERS = {kind: _decoder(cls) for kind, cls in _EVENT_KINDS}
+
+#: Event class → (the sink hook the live run called, the hook's arguments
+#: taken from the event).  Each event class lists its hook's parameters
+#: as its fields, in order; a conflict is passed whole, as the machine
+#: passes its record.
+_HOOKS = {
+    cls: (
+        "on_" + kind,
+        (lambda event: (event,))
+        if cls is ConflictEvent
+        else attrgetter(*(f.name for f in fields(cls))),
     )
+    for kind, cls in _EVENT_KINDS
 }
 
 
@@ -292,25 +297,27 @@ class TraceReader:
                 f"this reader supports major {TRACE_SCHEMA_MAJOR} only"
             )
         minor = payload.get("minor", 0)
+        trace_accesses = payload.get("trace_accesses", False)
         metadata = payload.get("metadata", {})
         line_size = metadata.get("line_size", 64) if isinstance(metadata, dict) else 0
         # Byte masks are 64-bit, so no wider line can be described.
         if not (
             type(minor) is int
+            and type(trace_accesses) is bool
             and type(line_size) is int
             and 0 < line_size <= _INT_BITS
             and (line_size & (line_size - 1)) == 0
         ):
             raise ConfigError(
                 f"{self.path}:1: malformed trace header: 'minor' must be an "
-                "int, 'metadata' an object and its 'line_size' a power of "
-                f"two of at most {_INT_BITS} bytes"
+                "int, 'trace_accesses' a bool, 'metadata' an object and its "
+                f"'line_size' a power of two of at most {_INT_BITS} bytes"
             )
         return TraceHeader(
             schema=payload["schema"],
             major=major,
             minor=minor,
-            trace_accesses=bool(payload.get("trace_accesses", False)),
+            trace_accesses=trace_accesses,
             metadata=dict(metadata),
         )
 
@@ -385,77 +392,18 @@ def read_events(path) -> tuple[TraceHeader, list]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class AttemptRecord:
-    """One transaction attempt's interval, as reconstructed from a trace.
-
-    ``outcome`` is ``"commit"``, an abort-cause string, or ``None`` for
-    an attempt still open when the trace ended (torn trace).
-    """
-
-    core: int
-    static_id: int
-    attempt: int
-    start: int
-    end: int | None = None
-    outcome: str | None = None
-    wasted_cycles: int = 0
-
-    @property
-    def duration(self) -> int:
-        return (self.end - self.start) if self.end is not None else 0
-
-
-@dataclass(frozen=True, slots=True)
-class CascadeStats:
-    """Abort-cascade measurement over a timeline's conflict stream.
-
-    A conflict extends a cascade when its *requester* was itself the
-    victim of a conflict at most ``window`` cycles earlier — contention
-    propagating through the retry path.  ``depths`` maps chain depth to
-    how many conflicts sat at that depth (depth 1 = cascade roots).
-    """
-
-    window: int
-    depths: dict[int, int]
-
-    @property
-    def max_depth(self) -> int:
-        return max(self.depths, default=0)
-
-    @property
-    def cascaded(self) -> int:
-        """Conflicts at depth ≥ 2 (caused by an earlier abort)."""
-        return sum(n for d, n in self.depths.items() if d >= 2)
-
-
-class ConflictTimeline:
-    """A run reconstructed from its event trace.
-
-    Build with :meth:`from_trace` (a path or an open
-    :class:`TraceReader`) or :meth:`from_events`.  The timeline holds:
-
-    * :attr:`attempts` — every transaction attempt's
-      :class:`AttemptRecord` interval, in start order;
-    * :attr:`conflicts` — every :class:`ConflictEvent`, each paired with
-      the index of the victim attempt it interrupted;
-    * :attr:`counters` — a :class:`CounterSink` replayed from the events:
-      every counter a live run accumulates that is derivable from the
-      traced event kinds is recomputed here, bit-for-bit.
+class ConflictTimeline(DetailSink):
+    """A run's :class:`~repro.telemetry.sinks.DetailSink`, reconstructed
+    from its event trace by feeding each event to the hook the live run
+    called.  Build with :meth:`from_trace` (a path or an open
+    :class:`TraceReader`) or :meth:`from_events`; it adds the trace's
+    :attr:`header` (whose ``line_size`` it bins by) and
+    :meth:`parity_summary`.
     """
 
     def __init__(self, header: TraceHeader | None = None) -> None:
+        super().__init__(header.line_size if header is not None else 64)
         self.header = header
-        self.counters = CounterSink()
-        self.attempts: list[AttemptRecord] = []
-        #: (conflict, victim attempt index or None) in stream order.
-        self.conflicts: list[tuple[ConflictEvent, int | None]] = []
-        self.access_offsets: Counter[int] = Counter()
-        self.wasted_by_static: Counter[int] = Counter()
-        self.aborts_by_static: Counter[int] = Counter()
-        self.commits_by_static: Counter[int] = Counter()
-        self._open: dict[int, int] = {}
-        self._line_addr: dict[int, int] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -464,85 +412,20 @@ class ConflictTimeline:
         """Reconstruct from a trace file path or an open reader."""
         reader = source if isinstance(source, TraceReader) else TraceReader(source)
         with reader:
-            timeline = cls(header=reader.header)
-            for event in reader:
-                timeline.feed(event)
-        return timeline
+            return cls.from_events(reader, header=reader.header)
 
     @classmethod
     def from_events(cls, events, header: TraceHeader | None = None) -> "ConflictTimeline":
-        """Reconstruct from an in-memory event sequence (tests, filters)."""
+        """Reconstruct from a sequence of typed events (tests, filters)."""
         timeline = cls(header=header)
+        hooks = {
+            event_cls: (getattr(timeline, name), args)
+            for event_cls, (name, args) in _HOOKS.items()
+        }
         for event in events:
-            timeline.feed(event)
+            hook, args = hooks[type(event)]
+            hook(*args(event))
         return timeline
-
-    def feed(self, event) -> None:
-        """Fold one typed event into the reconstruction."""
-        c = self.counters
-        if isinstance(event, TxnStartEvent):
-            c.on_txn_start(event.core, event.time, event.attempt, event.static_id)
-            self._open[event.core] = len(self.attempts)
-            self.attempts.append(
-                AttemptRecord(
-                    core=event.core,
-                    static_id=event.static_id,
-                    attempt=event.attempt,
-                    start=event.time,
-                )
-            )
-        elif isinstance(event, TxnCommitEvent):
-            c.on_txn_commit(event.core, event.time)
-            idx = self._open.pop(event.core, None)
-            if idx is not None:
-                rec = self.attempts[idx]
-                rec.end = event.time
-                rec.outcome = "commit"
-                self.commits_by_static[rec.static_id] += 1
-        elif isinstance(event, TxnAbortEvent):
-            c.on_txn_abort(event.core, event.time, event.cause, event.wasted_cycles)
-            idx = self._open.pop(event.core, None)
-            if idx is not None:
-                rec = self.attempts[idx]
-                rec.end = event.time
-                rec.outcome = event.cause
-                rec.wasted_cycles = event.wasted_cycles
-                self.wasted_by_static[rec.static_id] += event.wasted_cycles
-                self.aborts_by_static[rec.static_id] += 1
-        elif isinstance(event, ConflictEvent):
-            c.on_conflict(event)
-            self._line_addr.setdefault(event.line_index, event.line_addr)
-            self.conflicts.append((event, self._open.get(event.victim_core)))
-        elif isinstance(event, AccessEvent):
-            c.on_access(
-                event.core, event.line_addr, event.offset, event.is_write,
-                event.hit_l1,
-            )
-            self.access_offsets[event.offset] += 1
-        elif isinstance(event, BackoffEvent):
-            c.on_backoff(event.core, event.cycles)
-        elif isinstance(event, StallEvent):
-            c.on_stall(event.core, event.time, event.cycles, event.aborted)
-        elif isinstance(event, DirtyReprobeEvent):
-            c.on_dirty_reprobe(event.core, event.line_addr, event.time)
-        elif isinstance(event, FillEvent):
-            c.on_fill(event.core, event.line_addr, event.level)
-        elif isinstance(event, RunCompleteEvent):
-            c.on_run_complete(event.execution_cycles, event.per_core_cycles)
-
-    # -- basic properties ----------------------------------------------------
-
-    @property
-    def line_size(self) -> int:
-        return self.header.line_size if self.header is not None else 64
-
-    @property
-    def execution_cycles(self) -> int:
-        return self.counters.execution_cycles
-
-    def summary(self) -> dict[str, object]:
-        """The replayed counters' summary (same keys as a live run)."""
-        return self.counters.summary()
 
     def parity_summary(self) -> dict[str, object]:
         """The summary restricted to keys a trace of this shape carries.
@@ -557,161 +440,6 @@ class ConflictTimeline:
             for key in ACCESS_DERIVED_KEYS:
                 out.pop(key, None)
         return out
-
-    # -- Figure 3: conflicts over time / transaction lifetime ----------------
-
-    def cumulative_false_series(self, n_points: int = 100) -> list[tuple[int, int]]:
-        """(time, cumulative false conflicts) — live Fig. 3, from a trace."""
-        times = [c.time for c, _ in self.conflicts if c.is_false]
-        return cumulative_series(times, self.execution_cycles, n_points)
-
-    def cumulative_starts_series(self, n_points: int = 100) -> list[tuple[int, int]]:
-        """(time, cumulative transaction starts) — the Fig. 3 companion."""
-        times = [a.start for a in self.attempts]
-        return cumulative_series(times, self.execution_cycles, n_points)
-
-    def conflict_lifetime_histogram(
-        self, bins: int = 10, false_only: bool = True
-    ) -> list[int]:
-        """Conflicts binned over the *victim's* normalized transaction lifetime.
-
-        Bin ``k`` counts conflicts striking in the ``[k/bins, (k+1)/bins)``
-        fraction of the victim transaction's lifetime — "how far through its
-        work was the victim when the conflict landed".  An aborted attempt's
-        own interval ends *at* the abort, which would pin every conflict to
-        the last bin; instead progress is measured against the same static
-        transaction's mean committed duration (its full workload), falling
-        back to the attempt's own span when that transaction never committed.
-        Conflicts whose victim attempt never closed (torn trace) are excluded.
-        """
-        if bins <= 0:
-            raise ConfigError(f"bins must be positive, got {bins}")
-        full_span: dict[int, float] = {}
-        totals: Counter[int] = Counter()
-        for rec in self.attempts:
-            if rec.outcome == "commit" and rec.end is not None:
-                totals[rec.static_id] += rec.end - rec.start
-        for static_id, total in totals.items():
-            n = self.commits_by_static[static_id]
-            if n:
-                full_span[static_id] = total / n
-        out = [0] * bins
-        for conflict, idx in self.conflicts:
-            if false_only and not conflict.is_false:
-                continue
-            if idx is None:
-                continue
-            attempt = self.attempts[idx]
-            if attempt.end is None:
-                continue
-            span = full_span.get(attempt.static_id, attempt.end - attempt.start)
-            frac = (conflict.time - attempt.start) / span if span > 0 else 0.0
-            out[min(max(int(frac * bins), 0), bins - 1)] += 1
-        return out
-
-    # -- Figure 4: conflicts by cache line -----------------------------------
-
-    def line_histogram(self, false_only: bool = True) -> list[tuple[int, int]]:
-        """(line index, conflicts) sorted by line index — live Fig. 4."""
-        counts: Counter[int] = Counter()
-        for conflict, _ in self.conflicts:
-            if false_only and not conflict.is_false:
-                continue
-            counts[conflict.line_index] += 1
-        return sorted(counts.items())
-
-    def line_ranking(
-        self, top: int | None = None, false_only: bool = True
-    ) -> list[tuple[int, int, int]]:
-        """(line index, line addr, conflicts) hottest-first (forensics)."""
-        ranked = sorted(
-            self.line_histogram(false_only=false_only),
-            key=lambda kv: (-kv[1], kv[0]),
-        )
-        if top is not None:
-            ranked = ranked[:top]
-        return [
-            (index, self._line_addr.get(index, index * self.line_size), count)
-            for index, count in ranked
-        ]
-
-    # -- Figure 5: conflict location inside the line -------------------------
-
-    def conflict_offset_histogram(
-        self, false_only: bool = True
-    ) -> list[tuple[int, int]]:
-        """(byte offset, conflicting-access bytes) over requester masks.
-
-        Where inside the cache line the conflicting accesses actually
-        landed — the trace-side edition of the paper's intra-line
-        access-location characterization.
-        """
-        counts: Counter[int] = Counter()
-        for conflict, _ in self.conflicts:
-            if false_only and not conflict.is_false:
-                continue
-            mask = conflict.requester_mask
-            offset = 0
-            while mask:
-                if mask & 1:
-                    counts[offset] += 1
-                mask >>= 1
-                offset += 1
-        return sorted(counts.items())
-
-    def conflict_subblock_histogram(
-        self, n_subblocks: int, false_only: bool = True
-    ) -> list[tuple[int, int]]:
-        """The offset histogram folded into ``n_subblocks`` buckets."""
-        if n_subblocks <= 0 or self.line_size % n_subblocks != 0:
-            raise ConfigError(
-                f"{self.line_size}B line cannot hold {n_subblocks} equal "
-                "sub-blocks"
-            )
-        size = self.line_size // n_subblocks
-        buckets = [0] * n_subblocks
-        for offset, count in self.conflict_offset_histogram(false_only):
-            buckets[min(offset // size, n_subblocks - 1)] += count
-        return list(enumerate(buckets))
-
-    def access_offset_histogram(self) -> list[tuple[int, int]]:
-        """(byte offset, accesses) — live Fig. 5; empty unless the trace
-        was recorded with ``trace_accesses=True``."""
-        return sorted(self.access_offsets.items())
-
-    # -- forensics -----------------------------------------------------------
-
-    def abort_cascades(self, window: int = 5000) -> CascadeStats:
-        """Chain conflicts through the retry path (see :class:`CascadeStats`)."""
-        last_victim: dict[int, tuple[int, int]] = {}
-        depths: Counter[int] = Counter()
-        for conflict, _ in self.conflicts:
-            prev = last_victim.get(conflict.requester_core)
-            depth = 1
-            if prev is not None and conflict.time - prev[0] <= window:
-                depth = prev[1] + 1
-            depths[depth] += 1
-            last_victim[conflict.victim_core] = (conflict.time, depth)
-        return CascadeStats(window=window, depths=dict(depths))
-
-    def wasted_cycle_ranking(
-        self, top: int | None = None
-    ) -> list[tuple[int, int, int, int]]:
-        """(static txn id, aborts, commits, wasted cycles) worst-first."""
-        ranked = sorted(
-            self.wasted_by_static.items(), key=lambda kv: (-kv[1], kv[0])
-        )
-        if top is not None:
-            ranked = ranked[:top]
-        return [
-            (
-                static_id,
-                self.aborts_by_static.get(static_id, 0),
-                self.commits_by_static.get(static_id, 0),
-                wasted,
-            )
-            for static_id, wasted in ranked
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +463,7 @@ def render_trace_counters(timeline: ConflictTimeline) -> str:
     )
 
 
-def render_trace_fig3(timeline: ConflictTimeline, bins: int = 10,
+def render_trace_fig3(timeline: DetailSink, bins: int = 10,
                       n_points: int = 50) -> str:
     """Fig. 3 from a trace: cumulative curves + lifetime distribution."""
     from repro.util.tables import format_series
@@ -767,7 +495,7 @@ def render_trace_fig3(timeline: ConflictTimeline, bins: int = 10,
     )
 
 
-def render_trace_fig4(timeline: ConflictTimeline, top: int = 8) -> str:
+def render_trace_fig4(timeline: DetailSink, top: int = 8) -> str:
     """Fig. 4 from a trace: false-conflict frequency ranking per line."""
     hist = timeline.line_histogram()
     total = sum(count for _, count in hist)
@@ -789,7 +517,7 @@ def render_trace_fig4(timeline: ConflictTimeline, top: int = 8) -> str:
     return table
 
 
-def render_trace_fig5(timeline: ConflictTimeline, n_subblocks: int = 4) -> str:
+def render_trace_fig5(timeline: DetailSink, n_subblocks: int = 4) -> str:
     """Fig. 5 from a trace: conflict location inside the cache line."""
     from repro.util.tables import format_series
 
@@ -827,7 +555,7 @@ def render_trace_fig5(timeline: ConflictTimeline, n_subblocks: int = 4) -> str:
 
 
 def render_trace_forensics(
-    timeline: ConflictTimeline, top: int = 8, cascade_window: int = 5000
+    timeline: DetailSink, top: int = 8, cascade_window: int = 5000
 ) -> str:
     """Top conflicting lines, abort cascades, wasted-cycle attribution."""
     parts = ["Forensics report"]
@@ -873,7 +601,7 @@ def render_trace_forensics(
         )
     )
 
-    total_wasted = timeline.counters.wasted_cycles
+    total_wasted = timeline.wasted_cycles
     wasted_rows = [
         (static_id, aborts, commits, wasted,
          percent(wasted / total_wasted) if total_wasted else "0.0%")
@@ -897,8 +625,17 @@ def render_trace_forensics(
 TRACE_FIGURES = ("3", "4", "5")
 
 
-def analyze_trace(
-    path,
+def _check_figures(figs: tuple[str, ...]) -> None:
+    unknown = set(figs) - set(TRACE_FIGURES)
+    if unknown:
+        raise ConfigError(
+            f"unknown figure selector(s) {sorted(unknown)}; "
+            f"valid: {TRACE_FIGURES}"
+        )
+
+
+def render_trace_report(
+    timeline: ConflictTimeline,
     figs: tuple[str, ...] = TRACE_FIGURES,
     bins: int = 10,
     n_points: int = 50,
@@ -906,19 +643,12 @@ def analyze_trace(
     n_subblocks: int = 4,
     cascade_window: int = 5000,
 ) -> str:
-    """Full post-mortem report over one recorded trace, as printable text.
+    """Full post-mortem report over one reconstructed run, as printable text.
 
     ``figs`` selects which of the Fig. 3/4/5 reconstructions to include;
-    the counter table and forensics report are always rendered.  This is
-    exactly what ``repro-asf analyze`` prints.
+    the counter table and forensics report are always rendered.
     """
-    unknown = set(figs) - set(TRACE_FIGURES)
-    if unknown:
-        raise ConfigError(
-            f"unknown figure selector(s) {sorted(unknown)}; "
-            f"valid: {TRACE_FIGURES}"
-        )
-    timeline = ConflictTimeline.from_trace(path)
+    _check_figures(figs)
     parts = [render_trace_counters(timeline)]
     if "3" in figs:
         parts.append(render_trace_fig3(timeline, bins=bins, n_points=n_points))
@@ -930,3 +660,24 @@ def analyze_trace(
         render_trace_forensics(timeline, top=top, cascade_window=cascade_window)
     )
     return ("\n\n" + "=" * 72 + "\n\n").join(parts)
+
+
+def analyze_trace(
+    path,
+    figs: tuple[str, ...] = TRACE_FIGURES,
+    bins: int = 10,
+    n_points: int = 50,
+    top: int = 8,
+    n_subblocks: int = 4,
+    cascade_window: int = 5000,
+) -> str:
+    """:func:`render_trace_report` over the trace at ``path``.
+
+    This is exactly what ``repro-asf analyze`` prints.  An unknown figure
+    selector fails before the file is opened.
+    """
+    _check_figures(figs)
+    return render_trace_report(
+        ConflictTimeline.from_trace(path), figs, bins, n_points, top,
+        n_subblocks, cascade_window,
+    )

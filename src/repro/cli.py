@@ -437,13 +437,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.trace import (
         TRACE_FIGURES,
         ConflictTimeline,
-        analyze_trace,
+        render_trace_report,
     )
 
     chosen = args.fig or ["all"]
     figs = TRACE_FIGURES if "all" in chosen else tuple(dict.fromkeys(chosen))
-    report = analyze_trace(
-        args.path, figs=figs, bins=args.bins, top=args.top,
+    # One decode: the report and the TSVs read the same timeline.
+    timeline = ConflictTimeline.from_trace(args.path)
+    report = render_trace_report(
+        timeline, figs=figs, bins=args.bins, top=args.top,
         n_subblocks=args.subblocks, cascade_window=args.cascade_window,
     )
     if args.out is None:
@@ -454,7 +456,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report + "\n")
     written = [report_path]
-    timeline = ConflictTimeline.from_trace(args.path)
     tsvs = {}
     if "3" in figs:
         hist = timeline.conflict_lifetime_histogram(bins=args.bins)

@@ -319,7 +319,7 @@ class TelemetryConfig:
     """How a run's events are consumed (see :mod:`repro.telemetry`).
 
     A run keeps per-event detail only when its caller asks for it
-    (``record_detail``/``record_events``); telemetry never changes that.
+    (``record_detail``); telemetry never changes that.
     ``trace_path`` additionally streams the run's events to a JSONL trace
     file, and ``trace_accesses`` adds the per-access events, which
     dominate trace volume.  ``sink="trace"`` states that intent and

@@ -122,7 +122,9 @@ class HtmMachine:
         # accepts any sink (the name survives from the collector era —
         # tests and tools read ``machine.stats``).  ``sink`` is the same
         # object under its role-accurate name.
-        self.sink: EventSink = stats if stats is not None else DetailSink()
+        self.sink: EventSink = (
+            stats if stats is not None else DetailSink(config.line_size)
+        )
         self.stats = self.sink
         self.checker = checker
         self.detector = detector if detector is not None else make_detector(config)

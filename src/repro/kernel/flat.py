@@ -50,7 +50,7 @@ View-aliasing safety argument (why recycling cannot corrupt anything):
   finished with the previous attempt (including the remote-abort notice);
 * the checker copies ``observed``/``redo`` content into its own history
   at ``validate_commit`` time;
-* telemetry hooks and the access log receive scalars only;
+* telemetry hooks receive scalars only;
 * remote probes read ``uid``/``start_time`` of *active* victims, and a
   view stays untouched from its abort until its core's next attempt.
 
@@ -61,8 +61,8 @@ On top of the view recycling the hot lifecycle is specialised:
   alignment guard is skipped), inline status flip, no ``mark_committed``
   guard re-check after ``_require_txn``;
 * fast L1 hits return one preallocated :class:`AccessOutcome` (the engine
-  and the access log consume its scalars immediately and never retain
-  it); miss outcomes reuse a second preallocated outcome whose fields are
+  and any wrapper of ``access`` consume its scalars immediately and never
+  retain it); miss outcomes reuse a second preallocated outcome whose fields are
   all rewritten per call;
 * when no atomicity checker is attached and the scheme does not need
   commit-time validation, transactional *loads* skip token bookkeeping
@@ -195,8 +195,8 @@ class FlatTxnMachine(HtmMachine):
         self._miss_out = AccessOutcome.__new__(AccessOutcome)
         self._no_conflicts: list = []
         # Bound-method caches for the per-access hot path (the sink is
-        # fixed at construction; attach_access_log wraps ``access``, not
-        # the sink, so these cannot go stale).
+        # fixed at construction; instrumentation wraps ``access``, not the
+        # sink, so these cannot go stale).
         self._on_access = self.sink.on_access
         self._on_fill = self.sink.on_fill
         self._count_response = self.bus.count_response

@@ -97,7 +97,6 @@ class SimulationEngine:
         seed: int = 1,
         stats: CounterSink | None = None,
         check_atomicity: bool = True,
-        record_events: bool = False,
         record_detail: bool = True,
         micro_batch: bool = True,
     ) -> None:
@@ -113,8 +112,7 @@ class SimulationEngine:
         # returns; ``sink``, what the machine emits into, wraps it in a
         # trace export whenever the config names a trace file.
         if stats is None:
-            detail = record_detail or record_events
-            stats = DetailSink(record_events) if detail else CounterSink()
+            stats = DetailSink(config.line_size) if record_detail else CounterSink()
         self.stats = self.sink = stats
         tcfg = config.telemetry
         if tcfg.trace_path is not None:
@@ -196,8 +194,8 @@ class SimulationEngine:
         heap = self._heap
         cores = self.cores
         machine = self.machine
-        # Bound at run time, not construction: trace tooling may have
-        # wrapped machine.access since __init__.
+        # Bound at run time, not construction: instrumentation (perfbench's
+        # per-machine spans) may have wrapped these methods since __init__.
         access = machine.access
         new_txn = machine.new_txn
         begin_txn = machine.begin_txn

@@ -18,7 +18,7 @@ Three properties are load-bearing:
   process, so a sweep of K points over one workload compiles it once,
   not K times (and each pool worker compiles it at most once).
 * **Cheap, lossless results** — a run keeps detail only when its spec
-  asks (:attr:`RunSpec.keeps_detail`) and returns exactly what it
+  asks (:attr:`RunSpec.record_detail`) and returns exactly what it
   collected: its :class:`~repro.telemetry.sinks.DetailSink` for such a
   spec, a compact :class:`~repro.telemetry.summary.RunSummary` of its
   counters for every other spec.  The summary's counters are bit-for-bit
@@ -91,8 +91,9 @@ class RunSpec:
     (must be picklable).  ``txns_per_core`` only applies to registry
     names.  ``label`` is carried through untouched for sweep axes.
 
-    ``record_detail`` and ``record_events`` are the caller's request for
-    per-event detail; see :attr:`keeps_detail`.
+    ``record_detail`` is the one rule behind a result's shape: a spec
+    that sets it returns its :class:`~repro.telemetry.sinks.DetailSink`,
+    never goes through the store and never travels to a remote worker.
     """
 
     workload: str | Workload
@@ -101,7 +102,6 @@ class RunSpec:
     txns_per_core: int | None = None
     label: str = ""
     check_atomicity: bool = False
-    record_events: bool = False
     record_detail: bool = False
     max_cycles: int | None = None
     #: Run the atomicity checker in non-raising mode and report the
@@ -109,13 +109,6 @@ class RunSpec:
     #: deliberately broken hardware).
     tolerate_violations: bool = False
     metadata: dict[str, Any] = field(default_factory=dict, compare=False)
-
-    @property
-    def keeps_detail(self) -> bool:
-        """The one rule behind a result's shape: a spec that keeps detail
-        returns its :class:`~repro.telemetry.sinks.DetailSink`, never goes
-        through the store and never travels to a remote worker."""
-        return self.record_detail or self.record_events
 
     def resolve_workload(self) -> Workload:
         if isinstance(self.workload, str):
@@ -200,7 +193,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
         scripts,
         seed=spec.seed,
         check_atomicity=spec.check_atomicity or spec.tolerate_violations,
-        record_events=spec.record_events,
         record_detail=spec.record_detail,
     )
     if spec.tolerate_violations:
@@ -209,7 +201,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
     stats = engine.run(max_cycles=spec.max_cycles)
     violations = len(engine.checker.violations) if engine.checker is not None else 0
     scheme = engine.machine.detector.name
-    if not spec.keeps_detail:
+    if not spec.record_detail:
         stats = RunSummary.from_sink(
             stats, workload=name, scheme=scheme, seed=spec.seed,
             label=spec.label, violations=violations,
@@ -270,7 +262,7 @@ def iter_many(
 
     tasks: list[ExecTask] = []
     for i, spec in enumerate(specs):
-        if store is not None and not spec.keeps_detail and store.has_spec(spec):
+        if store is not None and not spec.record_detail and store.has_spec(spec):
             stats["served_from_store"] += 1
             yield i, store.result_for(spec)
         else:
@@ -304,7 +296,7 @@ def run_many(
     Whatever the backend, each run executes whole specs with its own
     seed, so per-run determinism is untouched and results are
     bit-identical to the serial path; each spec's
-    :attr:`~RunSpec.keeps_detail` decides whether its detail sink or the
+    :attr:`~RunSpec.record_detail` decides whether its detail sink or the
     compact :class:`RunSummary` comes back.
 
     Resilience covers infrastructure failures, not broken experiments:

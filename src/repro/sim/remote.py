@@ -477,8 +477,8 @@ class RemoteExecutor:
         stats.setdefault("workers_joined", 0)
         stats.setdefault("batches_requeued", 0)
         stats.setdefault("duplicates_dropped", 0)
-        local = [t for t in tasks if t.spec.keeps_detail]
-        wire = [t for t in tasks if not t.spec.keeps_detail]
+        local = [t for t in tasks if t.spec.record_detail]
+        wire = [t for t in tasks if not t.spec.record_detail]
         for t in local:
             yield t.index, _execute(t.spec)
         if not wire:

@@ -114,16 +114,15 @@ def run_scripts(
     seed: int,
     workload_name: str = "custom",
     check_atomicity: bool = True,
-    record_events: bool = False,
     max_cycles: int | None = None,
 ) -> RunResult:
-    """Run pre-compiled scripts on a configured machine."""
+    """Run pre-compiled scripts on a configured machine; the result's
+    ``stats`` is the run's :class:`~repro.telemetry.sinks.DetailSink`."""
     engine = SimulationEngine(
         config,
         scripts,
         seed=seed,
         check_atomicity=check_atomicity,
-        record_events=record_events,
     )
     stats = engine.run(max_cycles=max_cycles)
     return RunResult(
@@ -140,10 +139,9 @@ def run_workload(
     config: SystemConfig | None = None,
     seed: int = 1,
     check_atomicity: bool = True,
-    record_events: bool = False,
     max_cycles: int | None = None,
 ) -> RunResult:
-    """Compile and run a workload on one system."""
+    """Compile and run a workload on one system (see :func:`run_scripts`)."""
     cfg = config if config is not None else default_system()
     scripts = workload.build(cfg.n_cores, seed)
     result = run_scripts(
@@ -152,7 +150,6 @@ def run_workload(
         seed,
         workload_name=workload.name,
         check_atomicity=check_atomicity,
-        record_events=record_events,
         max_cycles=max_cycles,
     )
     return result
@@ -169,7 +166,6 @@ def compare_systems(
         DetectionScheme.PERFECT,
     ),
     check_atomicity: bool = True,
-    record_events: bool = False,
     trace_dir: str | None = None,
     executor: "ExecConfig | str | Executor | None" = None,
 ) -> dict[str, RunResult]:
@@ -180,7 +176,8 @@ def compare_systems(
     system executes the same program.  ``executor`` says how the batch
     runs (see :func:`~repro.sim.parallel.run_many`); all backends are
     bit-identical to the serial path.  Runs come back as compact
-    summaries unless ``record_events`` asks for the run's detail sink.
+    summaries; a caller that wants a run's detail sink builds a
+    :class:`~repro.sim.parallel.RunSpec` with ``record_detail=True``.
     ``trace_dir`` additionally records each scheme's run as a JSONL
     event trace (``<workload>_<scheme>.jsonl``) for post-hoc forensics.
     """
@@ -200,7 +197,6 @@ def compare_systems(
             seed=seed,
             label=scheme.value,
             check_atomicity=check_atomicity,
-            record_events=record_events,
         )
         for scheme in schemes
     ]

@@ -71,9 +71,10 @@ def spec_fingerprint(spec) -> dict[str, Any]:
         "seed": spec.seed,
         "txns_per_core": spec.txns_per_core,
         "check_atomicity": spec.check_atomicity,
-        "record_events": spec.record_events,
-        # Layout-v1 constant: detail-keeping results are never stored, so
-        # no stored key ever depended on the spec's record_detail.
+        # Layout-v1 constants: detail-keeping results are never stored, so
+        # no stored key ever depended on the spec's record_events (a flag
+        # since removed) or record_detail.
+        "record_events": False,
         "record_detail": True,
         "tolerate_violations": spec.tolerate_violations,
         "max_cycles": spec.max_cycles,

@@ -18,7 +18,7 @@ so readers never observe a half-written manifest; it is bookkeeping
 (entry count, layout version), never the data itself.
 
 Only summaries are stored: a spec that keeps detail
-(:attr:`~repro.sim.parallel.RunSpec.keeps_detail`) re-runs on resume
+(:attr:`~repro.sim.parallel.RunSpec.record_detail`) re-runs on resume
 rather than silently losing its detail.
 
 Because keys are content hashes of the spec (label and metadata

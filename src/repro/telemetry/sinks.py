@@ -4,9 +4,13 @@ Three sinks cover the evaluation's needs:
 
 * :class:`CounterSink` — aggregate counters only.  What a run records
   unless its caller asks for detail: every hook is a few integer adds.
-* :class:`DetailSink` — counters **plus** the per-event raw material the
-  paper's Figures 3–5 read (timestamps, per-line and per-offset
-  histograms, optionally the full conflict-record list).  Its aggregate
+* :class:`DetailSink` — counters **plus** the per-event record the
+  paper's characterization figures read: attempt intervals, every
+  conflict record with the victim attempt it interrupted, the access
+  offsets, per-static-transaction outcomes.  One class for a live run
+  and for a replayed trace
+  (:class:`~repro.analysis.trace.ConflictTimeline` feeds it the decoded
+  events), so both answer every reader identically.  Its aggregate
   counters equal a :class:`CounterSink`'s for the same run (the parity
   tests assert it).
 * :class:`JsonlTraceSink` — streams every event as one JSON line for
@@ -26,7 +30,11 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
+from repro.errors import ConfigError
+
 __all__ = [
+    "AttemptRecord",
+    "CascadeStats",
     "ConflictCounts",
     "CounterSink",
     "DetailSink",
@@ -307,87 +315,277 @@ class CounterSink:
         return summary_dict(self)
 
 
-class DetailSink(CounterSink):
-    """Counters plus the per-event raw material of Figures 3–5.
+@dataclass(slots=True)
+class AttemptRecord:
+    """One transaction attempt's interval.
 
-    ``record_events`` additionally keeps every conflict record for the
-    open-loop Figure 8 replay.
+    ``outcome`` is ``"commit"``, an abort-cause string, or ``None`` for
+    an attempt still open when the run (or its trace) ended.
     """
 
-    def __init__(self, record_events: bool = False) -> None:
+    core: int
+    static_id: int
+    attempt: int
+    start: int
+    end: int | None = None
+    outcome: str | None = None
+    wasted_cycles: int = 0
+
+
+@dataclass(frozen=True, slots=True)
+class CascadeStats:
+    """Abort-cascade measurement over a run's conflict stream.
+
+    A conflict extends a cascade when its *requester* was itself the
+    victim of a conflict at most ``window`` cycles earlier — contention
+    propagating through the retry path.  ``depths`` maps chain depth to
+    how many conflicts sat at that depth (depth 1 = cascade roots).
+    """
+
+    window: int
+    depths: dict[int, int]
+
+    @property
+    def max_depth(self) -> int:
+        return max(self.depths, default=0)
+
+    @property
+    def cascaded(self) -> int:
+        """Conflicts at depth ≥ 2 (caused by an earlier abort)."""
+        return sum(n for d, n in self.depths.items() if d >= 2)
+
+
+class DetailSink(CounterSink):
+    """Counters plus the per-event record of a run, fed live or by
+    :class:`repro.analysis.trace.ConflictTimeline` from a recorded trace
+    through the same hooks, so every reader answers identically for both.
+
+    It keeps every attempt's :class:`AttemptRecord` (start order), every
+    conflict record (:attr:`conflict_events`, which the open-loop Figure 8
+    replay reads) with, beside it in :attr:`conflict_victims`, the index
+    of the victim attempt it interrupted (``None`` if none was open),
+    accesses by byte offset, and per static transaction its wasted
+    cycles, aborts and commits.  ``line_size`` is the machine's
+    (``config.line_size``, or a trace header's).
+    """
+
+    def __init__(self, line_size: int = 64) -> None:
         super().__init__()
-        self.record_events = record_events
-
+        self.line_size = line_size
+        self.attempts: list[AttemptRecord] = []
         self.conflict_events: list = []
-
-        # Figure 3 raw material: event times.
-        self.false_conflict_times: list[int] = []
-        self.txn_start_times: list[int] = []
-
-        # Figure 4: false conflicts per dense line index.
-        self.false_by_line: Counter[int] = Counter()
-
-        # Figure 5: access starts by byte offset within the line,
-        # split by direction.
-        self.access_offsets_read: Counter[int] = Counter()
-        self.access_offsets_write: Counter[int] = Counter()
+        self.conflict_victims: list[int | None] = []
+        self.access_offsets: Counter[int] = Counter()
+        self.wasted_by_static: Counter[int] = Counter()
+        self.aborts_by_static: Counter[int] = Counter()
+        self.commits_by_static: Counter[int] = Counter()
+        self._open: dict[int, int] = {}  # core → index of its open attempt
 
     # -- detail-recording hooks ---------------------------------------------
+    #
+    # Each hook bumps CounterSink's counters inline rather than through
+    # super(): a live run calls on_access once per simulated access.
+
+    def on_txn_start(self, core: int, time: int, attempt: int, static_id: int) -> None:
+        self.txn_attempts += 1
+        if attempt > 1:
+            self.retries_by_static[static_id] += 1
+        self._open[core] = len(self.attempts)
+        self.attempts.append(AttemptRecord(core, static_id, attempt, time))
+
+    def on_txn_commit(self, core: int, time: int) -> None:
+        self.txn_commits += 1
+        idx = self._open.pop(core, None)
+        if idx is not None:
+            rec = self.attempts[idx]
+            rec.end = time
+            rec.outcome = "commit"
+            self.commits_by_static[rec.static_id] += 1
+
+    def on_txn_abort(self, core: int, time: int, cause: str, wasted_cycles: int) -> None:
+        name = "aborts_" + cause
+        setattr(self, name, getattr(self, name) + 1)
+        self.wasted_cycles += wasted_cycles
+        idx = self._open.pop(core, None)
+        if idx is not None:
+            rec = self.attempts[idx]
+            rec.end = time
+            rec.outcome = cause
+            rec.wasted_cycles = wasted_cycles
+            self.wasted_by_static[rec.static_id] += wasted_cycles
+            self.aborts_by_static[rec.static_id] += 1
 
     def on_conflict(self, rec) -> None:
         self.conflicts.add(rec.ctype, rec.is_false)
-        if rec.is_false:
-            self.false_conflict_times.append(rec.time)
-            self.false_by_line[rec.line_index] += 1
         if rec.forced_waw:
             self.forced_waw_aborts += 1
         if getattr(rec, "at_commit", False):
             self.arbitration_aborts += 1
-        if self.record_events:
-            self.conflict_events.append(rec)
-
-    def on_txn_start(self, core: int, time: int, attempt: int, static_id: int) -> None:
-        self.txn_attempts += 1
-        self.txn_start_times.append(time)
-        if attempt > 1:
-            self.retries_by_static[static_id] += 1
+        self.conflict_events.append(rec)
+        self.conflict_victims.append(self._open.get(rec.victim_core))
 
     def on_access(
         self, core: int, line_addr: int, offset: int, is_write: bool, hit_l1: bool
     ) -> None:
-        if is_write:
-            self.access_offsets_write[offset] += 1
-        else:
-            self.access_offsets_read[offset] += 1
+        self.access_offsets[offset] += 1
         if hit_l1:
             self.l1_hits += 1
         else:
             self.l1_misses += 1
 
-    # -- detail readers (Figures 3-5) ---------------------------------------
+    # -- Figure 3: conflicts over time / transaction lifetime ----------------
 
     def cumulative_false_series(self, n_points: int = 100) -> list[tuple[int, int]]:
         """(time, cumulative false conflicts) sampled at n_points (Fig. 3)."""
-        return cumulative_series(
-            self.false_conflict_times, self.execution_cycles, n_points
-        )
+        times = [c.time for c in self.conflict_events if c.is_false]
+        return cumulative_series(times, self.execution_cycles, n_points)
 
     def cumulative_starts_series(self, n_points: int = 100) -> list[tuple[int, int]]:
-        """(time, cumulative started transactions) (Fig. 3)."""
-        return cumulative_series(
-            self.txn_start_times, self.execution_cycles, n_points
+        """(time, cumulative transaction starts) (Fig. 3)."""
+        times = [a.start for a in self.attempts]
+        return cumulative_series(times, self.execution_cycles, n_points)
+
+    def conflict_lifetime_histogram(
+        self, bins: int = 10, false_only: bool = True
+    ) -> list[int]:
+        """Conflicts binned over the *victim's* normalized transaction lifetime.
+
+        Bin ``k`` counts conflicts striking in the ``[k/bins, (k+1)/bins)``
+        fraction of the victim transaction's lifetime — "how far through its
+        work was the victim when the conflict landed".  An aborted attempt's
+        own interval ends *at* the abort, which would pin every conflict to
+        the last bin; instead progress is measured against the same static
+        transaction's mean committed duration (its full workload), falling
+        back to the attempt's own span when that transaction never committed.
+        Conflicts whose victim attempt never closed (torn trace) are excluded.
+        """
+        if bins <= 0:
+            raise ConfigError(f"bins must be positive, got {bins}")
+        full_span: dict[int, float] = {}
+        totals: Counter[int] = Counter()
+        for rec in self.attempts:
+            if rec.outcome == "commit" and rec.end is not None:
+                totals[rec.static_id] += rec.end - rec.start
+        for static_id, total in totals.items():
+            n = self.commits_by_static[static_id]
+            if n:
+                full_span[static_id] = total / n
+        out = [0] * bins
+        for conflict, idx in zip(self.conflict_events, self.conflict_victims):
+            if false_only and not conflict.is_false:
+                continue
+            if idx is None:
+                continue
+            attempt = self.attempts[idx]
+            if attempt.end is None:
+                continue
+            span = full_span.get(attempt.static_id, attempt.end - attempt.start)
+            frac = (conflict.time - attempt.start) / span if span > 0 else 0.0
+            out[min(max(int(frac * bins), 0), bins - 1)] += 1
+        return out
+
+    # -- Figure 4: conflicts by cache line -----------------------------------
+
+    def line_histogram(self, false_only: bool = True) -> list[tuple[int, int]]:
+        """(line index, conflicts) sorted by line index (Fig. 4)."""
+        counts: Counter[int] = Counter()
+        for conflict in self.conflict_events:
+            if false_only and not conflict.is_false:
+                continue
+            counts[conflict.line_index] += 1
+        return sorted(counts.items())
+
+    def line_ranking(
+        self, top: int | None = None, false_only: bool = True
+    ) -> list[tuple[int, int, int]]:
+        """(line index, line addr, conflicts) hottest-first (forensics)."""
+        ranked = sorted(
+            self.line_histogram(false_only=false_only),
+            key=lambda kv: (-kv[1], kv[0]),
         )
+        if top is not None:
+            ranked = ranked[:top]
+        addr: dict[int, int] = {}
+        for conflict in self.conflict_events:
+            addr.setdefault(conflict.line_index, conflict.line_addr)
+        return [(index, addr[index], count) for index, count in ranked]
 
-    def line_histogram(self) -> list[tuple[int, int]]:
-        """(line index, false conflicts) sorted by line index (Fig. 4)."""
-        return sorted(self.false_by_line.items())
+    # -- Figure 5: where inside the line -------------------------------------
 
-    def offset_histogram(self) -> list[tuple[int, int]]:
-        """(byte offset, accesses) over all accesses (Fig. 5)."""
-        merged: Counter[int] = Counter()
-        merged.update(self.access_offsets_read)
-        merged.update(self.access_offsets_write)
-        return sorted(merged.items())
+    def conflict_offset_histogram(
+        self, false_only: bool = True
+    ) -> list[tuple[int, int]]:
+        """(byte offset, conflicting-access bytes) over requester masks.
+
+        Where inside the cache line the conflicting accesses actually
+        landed.
+        """
+        counts: Counter[int] = Counter()
+        for conflict in self.conflict_events:
+            if false_only and not conflict.is_false:
+                continue
+            mask = conflict.requester_mask
+            offset = 0
+            while mask:
+                if mask & 1:
+                    counts[offset] += 1
+                mask >>= 1
+                offset += 1
+        return sorted(counts.items())
+
+    def conflict_subblock_histogram(
+        self, n_subblocks: int, false_only: bool = True
+    ) -> list[tuple[int, int]]:
+        """The conflict offset histogram folded into ``n_subblocks`` buckets."""
+        if n_subblocks <= 0 or self.line_size % n_subblocks != 0:
+            raise ConfigError(
+                f"{self.line_size}B line cannot hold {n_subblocks} equal "
+                "sub-blocks"
+            )
+        size = self.line_size // n_subblocks
+        buckets = [0] * n_subblocks
+        for offset, count in self.conflict_offset_histogram(false_only):
+            buckets[min(offset // size, n_subblocks - 1)] += count
+        return list(enumerate(buckets))
+
+    def access_offset_histogram(self) -> list[tuple[int, int]]:
+        """(byte offset, accesses) over all accesses (Fig. 5); empty for a
+        trace recorded without ``trace_accesses``."""
+        return sorted(self.access_offsets.items())
+
+    # -- forensics -----------------------------------------------------------
+
+    def abort_cascades(self, window: int = 5000) -> CascadeStats:
+        """Chain conflicts through the retry path (see :class:`CascadeStats`)."""
+        last_victim: dict[int, tuple[int, int]] = {}
+        depths: Counter[int] = Counter()
+        for conflict in self.conflict_events:
+            prev = last_victim.get(conflict.requester_core)
+            depth = 1
+            if prev is not None and conflict.time - prev[0] <= window:
+                depth = prev[1] + 1
+            depths[depth] += 1
+            last_victim[conflict.victim_core] = (conflict.time, depth)
+        return CascadeStats(window=window, depths=dict(depths))
+
+    def wasted_cycle_ranking(
+        self, top: int | None = None
+    ) -> list[tuple[int, int, int, int]]:
+        """(static txn id, aborts, commits, wasted cycles) worst-first."""
+        ranked = sorted(
+            self.wasted_by_static.items(), key=lambda kv: (-kv[1], kv[0])
+        )
+        if top is not None:
+            ranked = ranked[:top]
+        return [
+            (
+                static_id,
+                self.aborts_by_static.get(static_id, 0),
+                self.commits_by_static.get(static_id, 0),
+                wasted,
+            )
+            for static_id, wasted in ranked
+        ]
 
 
 class JsonlTraceSink:
@@ -566,9 +764,8 @@ def cumulative_series(
 ) -> list[tuple[int, int]]:
     """Sample a cumulative count of sorted-ish event times at n_points.
 
-    The Figure 3 primitive, shared by :class:`DetailSink` (live runs) and
-    :class:`repro.analysis.trace.ConflictTimeline` (recorded traces) so
-    both paths bin identically.
+    The Figure 3 primitive behind :class:`DetailSink`'s cumulative
+    series.
     """
     if horizon <= 0:
         horizon = max(times, default=1)

@@ -137,14 +137,6 @@ class TestComputeAllFigures:
             "fig10_exec_improvement", "abort_breakdown",
         } <= set(out)
 
-    def test_fig8_skipped_without_events(self):
-        no_events = run_suite(
-            txns_per_core=40, seed=3, benchmarks=BENCHES, record_events=False
-        )
-        out = figures.compute_all_figures(no_events)
-        assert "fig8_sensitivity" not in out
-        assert "fig1_false_rates" in out
-
     def test_matches_individual_calls(self, suite):
         out = figures.compute_all_figures(suite)
         assert out["fig1_false_rates"] == figures.fig1_false_rates(suite)

@@ -1,6 +1,7 @@
 """Trace forensics: reader round-trip, header validation, torn-line
-tolerance, mutated-trace fuzzing, and live-vs-replayed counter parity
-across schemes × workloads."""
+tolerance, mutated-trace fuzzing, live-vs-replayed counter parity across
+schemes × workloads, and live-vs-replayed parity of every detail reader
+across schemes and policy points."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.granularity import reduction_by_granularity
 from repro.analysis.trace import (
     TRACE_FIGURES,
     ConflictTimeline,
@@ -18,8 +20,17 @@ from repro.analysis.trace import (
     _parse_line,
     analyze_trace,
     read_events,
+    render_trace_fig3,
+    render_trace_fig4,
+    render_trace_fig5,
+    render_trace_forensics,
 )
-from repro.config import DetectionScheme
+from repro.config import (
+    POLICY_PRESETS,
+    ConflictResolution,
+    DetectionScheme,
+    HtmPolicy,
+)
 from repro.errors import ConfigError
 from repro.htm.conflict import ConflictType
 from repro.htm.txn import AbortCause
@@ -36,7 +47,7 @@ from repro.telemetry.events import (
     TxnCommitEvent,
     TxnStartEvent,
 )
-from repro.telemetry.sinks import JsonlTraceSink
+from repro.telemetry.sinks import DetailSink, JsonlTraceSink
 from repro.workloads.registry import get_workload
 
 SCHEMES = (
@@ -231,6 +242,32 @@ class TestTraceReader:
         path.write_text(header_line(line_size=line_size))
         with pytest.raises(ConfigError, match="wide.jsonl:1: malformed trace header"):
             TraceReader(str(path))
+
+    @pytest.mark.parametrize(
+        "value", ["false", "true", 0, 1, None, [], {}],
+        ids=["string-false", "string-true", "zero", "one", "null", "list", "object"],
+    )
+    def test_non_bool_trace_accesses_rejected(self, tmp_path, value):
+        header = json.loads(HEADER)
+        header["trace_accesses"] = value
+        path = tmp_path / "accesses.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(
+            ConfigError, match="accesses.jsonl:1: malformed trace header"
+        ):
+            TraceReader(str(path))
+
+    @pytest.mark.parametrize("value", [True, False, None], ids=["true", "false", "absent"])
+    def test_bool_or_absent_trace_accesses_accepted(self, tmp_path, value):
+        header = json.loads(HEADER)
+        if value is None:
+            del header["trace_accesses"]
+        else:
+            header["trace_accesses"] = value
+        path = tmp_path / "accesses.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        with TraceReader(str(path)) as reader:
+            assert reader.header.trace_accesses is bool(value)
 
     @pytest.mark.parametrize("line_size", [1, 32, 64])
     def test_power_of_two_line_size_accepted(self, tmp_path, line_size):
@@ -527,6 +564,94 @@ class TestCounterParity:
         }
 
 
+def conflict_fields(events) -> list[tuple]:
+    """Each conflict as the tuple of its trace fields (a live
+    ``ConflictRecord`` and a replayed ``ConflictEvent`` compare equal)."""
+    names = [f.name for f in fields(ConflictEvent)]
+    return [tuple(getattr(c, name) for name in names) for c in events]
+
+
+def readers(sink) -> dict:
+    """Every reader of a detail sink, and the single-run renderings."""
+    return {
+        "summary": sink.summary(),
+        "per_core_cycles": list(sink.per_core_cycles),
+        "retries_by_static": dict(sink.retries_by_static),
+        "attempts": sink.attempts,
+        "conflicts": conflict_fields(sink.conflict_events),
+        "conflict_victims": sink.conflict_victims,
+        "wasted_by_static": dict(sink.wasted_by_static),
+        "aborts_by_static": dict(sink.aborts_by_static),
+        "commits_by_static": dict(sink.commits_by_static),
+        "fig3_false": sink.cumulative_false_series(),
+        "fig3_starts": sink.cumulative_starts_series(),
+        "fig3_lifetime": sink.conflict_lifetime_histogram(),
+        "fig3_lifetime_all": sink.conflict_lifetime_histogram(false_only=False),
+        "fig4_lines": sink.line_histogram(),
+        "fig4_lines_all": sink.line_histogram(false_only=False),
+        "fig4_ranking": sink.line_ranking(),
+        "fig4_ranking_all": sink.line_ranking(false_only=False),
+        "fig5_conflicts": sink.conflict_offset_histogram(),
+        "fig5_conflicts_all": sink.conflict_offset_histogram(false_only=False),
+        "fig5_subblocks": sink.conflict_subblock_histogram(4),
+        "fig5_subblocks_8": sink.conflict_subblock_histogram(8, false_only=False),
+        "fig5_accesses": sink.access_offset_histogram(),
+        "fig8": reduction_by_granularity(sink.conflict_events, (2, 4, 8, 16)),
+        "cascades": sink.abort_cascades(),
+        "cascades_tight": sink.abort_cascades(window=100),
+        "wasted_ranking": sink.wasted_cycle_ranking(),
+        "render_fig3": render_trace_fig3(sink),
+        "render_fig4": render_trace_fig4(sink),
+        "render_fig5": render_trace_fig5(sink),
+        "render_forensics": render_trace_forensics(sink),
+    }
+
+
+#: Runs whose live detail sink and replayed trace must agree: two
+#: workloads × two detectors at the paper's ASF point, and genome at the
+#: policy points that add commit-time conflicts, undo logs and stalls.
+PARITY_RUNS = {
+    **{
+        f"{workload}-{scheme.value}": (workload, scheme, None)
+        for workload in ("kmeans", "vacation")
+        for scheme in (DetectionScheme.ASF_BASELINE, DetectionScheme.SUBBLOCK)
+    },
+    "genome-lazy": ("genome", DetectionScheme.ASF_BASELINE, POLICY_PRESETS["lazy"]),
+    "genome-eager": ("genome", DetectionScheme.ASF_BASELINE, POLICY_PRESETS["eager"]),
+    "genome-stall": (
+        "genome", DetectionScheme.ASF_BASELINE,
+        HtmPolicy(resolution=ConflictResolution.STALL_BACKOFF),
+    ),
+}
+
+
+class TestLiveReplayParity:
+    @pytest.mark.parametrize("run", list(PARITY_RUNS))
+    def test_every_reader_matches_the_live_sink(self, tmp_path, run):
+        """A trace wrapped around a live DetailSink replays into a timeline
+        that answers every reader, and renders every figure, identically."""
+        workload, scheme, policy = PARITY_RUNS[run]
+        path = str(tmp_path / "t.jsonl")
+        cfg = default_system(scheme, 4)
+        if policy is not None:
+            cfg = cfg.with_policy(policy)
+        cfg = cfg.with_telemetry(sink="trace", trace_path=path, trace_accesses=True)
+        live = run_workload(
+            get_workload(workload, 30), cfg, seed=3, check_atomicity=False
+        ).stats
+        assert type(live) is DetailSink
+        replayed = ConflictTimeline.from_trace(path)
+        assert replayed.summary() == live.summary()  # not parity_summary()
+        assert readers(replayed) == readers(live)
+        # The run exercised what it is here for.
+        assert any(c.is_false for c in live.conflict_events)
+        assert live.access_offsets
+        if run == "genome-lazy":
+            assert any(c.at_commit for c in live.conflict_events)
+        if run == "genome-stall":
+            assert live.stalls and live.stall_aborts
+
+
 class TestConflictTimeline:
     def test_attempts_and_victim_attribution(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -536,8 +661,8 @@ class TestConflictTimeline:
         aborted = timeline.attempts[0]
         assert aborted.outcome == "conflict_false"
         assert (aborted.start, aborted.end) == (10, 25)
-        ((conflict, victim_idx),) = timeline.conflicts
-        assert victim_idx == 0  # tied to the attempt it killed
+        (conflict,) = timeline.conflict_events
+        assert timeline.conflict_victims == [0]  # tied to the attempt it killed
         assert timeline.wasted_by_static[42] == 15
         assert timeline.commits_by_static[42] == 1
 
@@ -546,7 +671,7 @@ class TestConflictTimeline:
         timeline = ConflictTimeline.from_trace(path)
         hist = timeline.conflict_lifetime_histogram(bins=10)
         closed_false = sum(
-            1 for c, i in timeline.conflicts
+            1 for c, i in zip(timeline.conflict_events, timeline.conflict_victims)
             if c.is_false and i is not None
             and timeline.attempts[i].end is not None
         )
@@ -576,7 +701,7 @@ class TestConflictTimeline:
         path, _ = record_trace(tmp_path)
         timeline = ConflictTimeline.from_trace(path)
         cascades = timeline.abort_cascades(window=5000)
-        assert sum(cascades.depths.values()) == len(timeline.conflicts)
+        assert sum(cascades.depths.values()) == len(timeline.conflict_events)
         # A zero window cannot link anything: all conflicts are roots.
         roots_only = timeline.abort_cascades(window=0)
         assert roots_only.max_depth <= 1
@@ -585,7 +710,7 @@ class TestConflictTimeline:
         path, _ = record_trace(tmp_path)
         timeline = ConflictTimeline.from_trace(path)
         ranked = timeline.wasted_cycle_ranking()
-        assert sum(w for *_, w in ranked) == timeline.counters.wasted_cycles
+        assert sum(w for *_, w in ranked) == timeline.wasted_cycles
 
 
 class TestAnalyzeTrace:

@@ -259,7 +259,6 @@ def test_engine_parity_full_run(workload, scheme):
     def run(kernel: str):
         engine = SimulationEngine(
             cfg.with_kernel(kernel), scripts, seed=9, check_atomicity=True,
-            record_events=True,
         )
         stats = engine.run()
         assert_index_exact(engine.machine)

@@ -76,7 +76,7 @@ class TestBasicExecution:
         assert engine.sink._fh.closed
         timeline = ConflictTimeline.from_trace(path)
         assert len(timeline.attempts) == engine.stats.txn_attempts > 0
-        assert timeline.counters.execution_cycles == 0  # no run_complete
+        assert timeline.execution_cycles == 0  # no run_complete
 
 
 class TestConservationLaws:
@@ -108,7 +108,7 @@ class TestDeterminism:
         a = run(scripts, seed=9)
         b = run(scripts, seed=9)
         assert a.summary() == b.summary()
-        assert a.false_conflict_times == b.false_conflict_times
+        assert a.conflict_events == b.conflict_events
 
     def test_different_seed_differs(self):
         w = SyntheticWorkload(txns_per_core=30, n_records=48)

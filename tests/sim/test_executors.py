@@ -22,6 +22,7 @@ from repro.sim.executors import (
     parse_executor_spec,
 )
 from repro.sim.parallel import RunSpec, iter_many, run_many
+from repro.telemetry.sinks import DetailSink
 
 TXNS = 8
 
@@ -268,11 +269,12 @@ class TestRemoteTransferRules:
             config=default_system(),
             seed=1,
             txns_per_core=TXNS,
-            record_events=True,
+            record_detail=True,
         )
         # connect_timeout=0 would drain immediately; but a spec that keeps
         # detail never reaches the coordinator at all, so no socket is opened.
         exec_ = RemoteExecutor(ExecConfig(backend="remote"))
         out = dict(exec_.run([ExecTask(0, spec)]))
-        assert out[0].stats.record_events
+        assert isinstance(out[0].stats, DetailSink)
+        assert out[0].stats.conflict_events
         assert out[0].worker == ""

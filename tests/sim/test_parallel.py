@@ -128,10 +128,12 @@ class TestRunMany:
 
     def test_record_events_survive_worker_transfer(self):
         spec = spec_for("kmeans", DetectionScheme.ASF_BASELINE,
-                        record_events=True)
+                        record_detail=True)
         serial, pooled = run_many([spec, spec], "process:2")
         assert serial.stats.conflict_events
         assert pooled.stats.conflict_events == serial.stats.conflict_events
+        assert pooled.stats.conflict_victims == serial.stats.conflict_victims
+        assert pooled.stats.attempts == serial.stats.attempts
 
     def test_tolerate_violations_reports_count(self):
         from dataclasses import replace
@@ -153,35 +155,37 @@ class TestRunMany:
         assert isinstance(lean_res.stats, RunSummary)
         assert lean_res.stats.summary() == full_res.stats.summary()
         assert isinstance(full_res.stats, DetailSink)
-        assert full_res.stats.txn_start_times
+        assert full_res.stats.attempts
 
 
 class TestTransferModes:
-    """A result's shape follows RunSpec.keeps_detail and nothing else."""
+    """A result's shape follows RunSpec.record_detail and nothing else."""
 
     def test_auto_ships_summary_without_events(self):
         spec = spec_for("kmeans", DetectionScheme.SUBBLOCK)
-        assert not spec.keeps_detail
+        assert not spec.record_detail
         (res,) = run_many([spec], "serial")
         assert isinstance(res.stats, RunSummary)
         assert res.stats.workload == "kmeans"
         assert res.stats.seed == 1
 
     def test_auto_keeps_full_for_event_recorders(self):
-        spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, record_events=True)
-        assert spec.keeps_detail
+        spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, record_detail=True)
         (res,) = run_many([spec], "serial")
         assert isinstance(res.stats, DetailSink)
         assert res.stats.conflict_events
 
     def test_summary_override_never_drops_events(self):
-        """No record_detail value can ship an event recorder as a summary."""
+        """Detail is one switch: a spec that keeps detail always keeps its
+        conflict records, and a spec that does not ships a summary."""
         from dataclasses import replace
 
-        spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, record_events=True)
-        for detail in (False, True):
-            assert replace(spec, record_detail=detail).keeps_detail
-        assert not replace(spec, record_events=False).keeps_detail
+        spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, record_detail=True)
+        full, lean = run_many([spec, replace(spec, record_detail=False)], "serial")
+        assert isinstance(full.stats, DetailSink)
+        assert full.stats.conflict_events
+        assert isinstance(lean.stats, RunSummary)
+        assert lean.stats.summary() == full.stats.summary()
 
     def test_full_override_matches_summary_counters(self):
         lean_spec = spec_for("genome", DetectionScheme.ASF_BASELINE)

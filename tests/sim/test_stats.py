@@ -62,16 +62,8 @@ class TestStatsCollector:
         s.on_conflict(rec(is_false=True))
         s.on_conflict(rec(is_false=False))
         assert s.conflicts.total == 2
-        assert len(s.false_conflict_times) == 1
-        assert s.false_by_line[3] == 1
-
-    def test_event_list_optional(self):
-        s = DetailSink(record_events=False)
-        s.on_conflict(rec())
-        assert s.conflict_events == []
-        s2 = DetailSink(record_events=True)
-        s2.on_conflict(rec())
-        assert len(s2.conflict_events) == 1
+        assert [c.is_false for c in s.conflict_events] == [True, False]
+        assert s.line_histogram() == [(3, 1)]
 
     def test_forced_waw_counter(self):
         s = DetailSink()
@@ -87,7 +79,7 @@ class TestStatsCollector:
         assert s.txn_commits == 1
         assert s.avg_retries == 2.0
         assert s.retries_by_static[0] == 1
-        assert s.txn_start_times == [5, 9]
+        assert [a.start for a in s.attempts] == [5, 9]
 
     def test_abort_accounting(self):
         s = DetailSink()
@@ -103,14 +95,14 @@ class TestStatsCollector:
         s.on_access(0, 0, 0, is_write=False, hit_l1=True)
         s.on_access(0, 0, 8, is_write=True, hit_l1=False)
         s.on_access(0, 0, 0, is_write=True, hit_l1=True)
-        assert s.offset_histogram() == [(0, 2), (8, 1)]
+        assert s.access_offset_histogram() == [(0, 2), (8, 1)]
         assert s.l1_hits == 2
         assert s.l1_misses == 1
 
     def test_cumulative_series_monotone(self):
         s = DetailSink()
         for t in (5, 100, 100, 900):
-            s.false_conflict_times.append(t)
+            s.on_conflict(rec(time=t))
         s.execution_cycles = 1000
         series = s.cumulative_false_series(10)
         counts = [c for _, c in series]

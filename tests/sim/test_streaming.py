@@ -148,7 +148,7 @@ class TestStoreResume:
             config=default_system(DetectionScheme.ASF_BASELINE, 4),
             seed=1,
             txns_per_core=TXNS,
-            record_events=True,
+            record_detail=True,
         )
         with ResultsStore(tmp_path) as store:
             cfg = ExecConfig(backend="serial", store=store)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.trace import ConflictTimeline
 from repro.config import (
     POLICY_PRESETS,
     ConflictResolution,
@@ -63,7 +64,7 @@ def drive(sink) -> None:
 class TestProtocol:
     @pytest.mark.parametrize(
         "sink",
-        [NullSink(), CounterSink(), DetailSink(), DetailSink(record_events=True)],
+        [NullSink(), CounterSink(), DetailSink(), ConflictTimeline()],
     )
     def test_implementations_satisfy_eventsink(self, sink):
         assert isinstance(sink, EventSink)
@@ -101,21 +102,26 @@ class TestDetailSink:
         drive(lean)
         drive(full)
         assert lean.summary() == full.summary()
-        assert not hasattr(lean, "txn_start_times")
-        assert full.txn_start_times == [10, 55]
+        assert not hasattr(lean, "attempts")
+        assert [a.start for a in full.attempts] == [10, 55]
 
     def test_events_imply_detail(self):
-        s = DetailSink(record_events=True)
+        """Every detail sink keeps its conflict records, each tied to the
+        attempt it interrupted, and every attempt's interval."""
+        s = DetailSink()
         drive(s)
         assert len(s.conflict_events) == 1
-        assert s.txn_start_times == [10, 55]
+        assert s.conflict_victims == [0]
+        assert [(a.start, a.end, a.outcome) for a in s.attempts] == [
+            (10, 20, "conflict_false"), (55, 70, "commit"),
+        ]
 
     def test_histograms(self):
         s = DetailSink()
         drive(s)
         assert s.line_histogram() == [(3, 1)]
-        assert s.offset_histogram() == [(0, 1), (8, 1)]
-        assert s.false_by_line[3] == 1
+        assert s.access_offset_histogram() == [(0, 1), (8, 1)]
+        assert s.line_ranking() == [(3, 192, 1)]
 
 
 class TestJsonlTraceSink:
@@ -299,9 +305,9 @@ class TestBuildSink:
         lean = engine(record_detail=False)
         assert type(lean.stats) is CounterSink
         assert lean.sink is lean.stats
-        assert type(engine().stats) is DetailSink  # interactive default
-        events = engine(record_detail=False, record_events=True).stats
-        assert isinstance(events, DetailSink) and events.record_events
+        detail = engine().stats  # interactive default
+        assert type(detail) is DetailSink
+        assert detail.line_size == default_system().line_size
 
     def test_trace_config_wraps(self, tmp_path):
         path = str(tmp_path / "t.jsonl")

@@ -57,6 +57,10 @@ MALFORMED_TRACES = {
         b'{"event":"txn_abort","core":0,"time":5,"cause":"bogus","wasted_cycles":1}\n',
         *lines[1:],
     ],
+    "string-trace-accesses": lambda lines: [
+        lines[0].replace(b'"trace_accesses":false', b'"trace_accesses":"false"'),
+        *lines[1:],
+    ],
 }
 
 
@@ -309,6 +313,29 @@ class TestTraceAnalyze:
         header, *rows = (outdir / "fig4.tsv").read_text().splitlines()
         assert header.split("\t") == ["line_index", "line_addr",
                                       "false_conflicts"]
+
+    def test_analyze_out_decodes_the_trace_once(self, tmp_path, capsys,
+                                                monkeypatch):
+        from repro.analysis.trace import TraceReader
+
+        path = str(tmp_path / "ev.jsonl")
+        assert main(["trace", "kmeans", path, "--txns", "30"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", path]) == 0
+        printed = capsys.readouterr().out
+        opened = []
+        init = TraceReader.__init__
+
+        def counting_init(reader, *args, **kwargs):
+            opened.append(args)
+            init(reader, *args, **kwargs)
+
+        monkeypatch.setattr(TraceReader, "__init__", counting_init)
+        outdir = tmp_path / "figs"
+        assert main(["analyze", path, "--out", str(outdir)]) == 0
+        assert len(opened) == 1
+        # The report on disk is the one ``analyze`` prints.
+        assert (outdir / "report.txt").read_text() == printed
 
     def test_analyze_rejects_non_trace_file(self, tmp_path, capsys):
         path = tmp_path / "not_a_trace.jsonl"
