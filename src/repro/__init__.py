@@ -71,59 +71,62 @@ Layering (each layer only depends on the ones above it):
 * :mod:`repro.analysis` — figure/table regeneration
 """
 
-from repro.analysis.experiments import (
-    SeedSweepResults,
-    SuiteResults,
-    run_seed_sweep,
-    run_suite,
-)
-from repro.analysis.granularity import conflict_survives, reduction_by_granularity
-from repro.analysis.trace import (
-    ConflictTimeline,
-    TraceHeader,
-    TraceReader,
-    analyze_trace,
-    read_events,
-)
-from repro.config import (
-    POLICY_PRESETS,
-    CacheConfig,
-    ConflictResolution,
-    DetectionScheme,
-    DetectionTiming,
-    HtmConfig,
-    HtmPolicy,
-    LatencyConfig,
-    LazyArbitration,
-    SystemConfig,
-    VersionMgmt,
-    default_system,
-)
-from repro.errors import (
-    AtomicityViolation,
-    ConfigError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    WorkloadError,
-)
-from repro.sim.parallel import (
-    ExecConfig,
-    RunSpec,
-    build_executor,
-    iter_many,
-    parse_executor_spec,
-    run_many,
-)
-from repro.sim.runner import (
-    RunResult,
-    compare_systems,
-    compare_systems_seeds,
-    run_workload,
-)
-from repro.store import MergeReport, ResultsStore, StoreEntry
-from repro.telemetry import RunSummary, aggregate_metrics, merge_summaries
-from repro.workloads.registry import BENCHMARK_NAMES, all_workloads, get_workload
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing-time only
+    from repro.analysis.experiments import (
+        SeedSweepResults,
+        SuiteResults,
+        run_seed_sweep,
+        run_suite,
+    )
+    from repro.analysis.granularity import conflict_survives, reduction_by_granularity
+    from repro.analysis.trace import (
+        ConflictTimeline,
+        TraceHeader,
+        TraceReader,
+        analyze_trace,
+        read_events,
+    )
+    from repro.config import (
+        POLICY_PRESETS,
+        CacheConfig,
+        ConflictResolution,
+        DetectionScheme,
+        DetectionTiming,
+        HtmConfig,
+        HtmPolicy,
+        LatencyConfig,
+        LazyArbitration,
+        SystemConfig,
+        VersionMgmt,
+        default_system,
+    )
+    from repro.errors import (
+        AtomicityViolation,
+        ConfigError,
+        ProtocolError,
+        ReproError,
+        SimulationError,
+        WorkloadError,
+    )
+    from repro.sim.parallel import (
+        ExecConfig,
+        RunSpec,
+        build_executor,
+        iter_many,
+        parse_executor_spec,
+        run_many,
+    )
+    from repro.sim.runner import (
+        RunResult,
+        compare_systems,
+        compare_systems_seeds,
+        run_workload,
+    )
+    from repro.store import MergeReport, ResultsStore, StoreEntry
+    from repro.telemetry import RunSummary, aggregate_metrics, merge_summaries
+    from repro.workloads.registry import BENCHMARK_NAMES, all_workloads, get_workload
 
 __version__ = "4.0.0"
 
@@ -178,3 +181,54 @@ __all__ = [
     "run_suite",
     "run_workload",
 ]
+
+#: The module each public name lives in.  Names resolve on first access
+#: (PEP 562), so ``import repro`` loads no submodule and a process pays
+#: only for the layers it uses: a ``repro-asf worker`` never imports the
+#: analysis, store or trace layers.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("repro.analysis.experiments",
+         ("SeedSweepResults", "SuiteResults", "run_seed_sweep", "run_suite")),
+        ("repro.analysis.granularity",
+         ("conflict_survives", "reduction_by_granularity")),
+        ("repro.analysis.trace",
+         ("ConflictTimeline", "TraceHeader", "TraceReader", "analyze_trace",
+          "read_events")),
+        ("repro.config",
+         ("POLICY_PRESETS", "CacheConfig", "ConflictResolution",
+          "DetectionScheme", "DetectionTiming", "HtmConfig", "HtmPolicy",
+          "LatencyConfig", "LazyArbitration", "SystemConfig", "VersionMgmt",
+          "default_system")),
+        ("repro.errors",
+         ("AtomicityViolation", "ConfigError", "ProtocolError", "ReproError",
+          "SimulationError", "WorkloadError")),
+        ("repro.sim.parallel",
+         ("ExecConfig", "RunSpec", "build_executor", "iter_many",
+          "parse_executor_spec", "run_many")),
+        ("repro.sim.runner",
+         ("RunResult", "compare_systems", "compare_systems_seeds",
+          "run_workload")),
+        ("repro.store", ("MergeReport", "ResultsStore", "StoreEntry")),
+        ("repro.telemetry",
+         ("RunSummary", "aggregate_metrics", "merge_summaries")),
+        ("repro.workloads.registry",
+         ("BENCHMARK_NAMES", "all_workloads", "get_workload")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -291,6 +291,11 @@ class TraceReader:
                 f"expected {TRACE_SCHEMA!r}"
             )
         major = payload.get("major")
+        # ``true == 1`` and ``1.0 == 1`` in Python, so test the type first.
+        if type(major) is not int:
+            raise ConfigError(
+                f"{self.path}:1: malformed trace header: 'major' must be an int"
+            )
         if major != TRACE_SCHEMA_MAJOR:
             raise ConfigError(
                 f"{self.path} uses trace schema major version {major}; "

@@ -51,7 +51,9 @@ overrides) selects the HTM policy point on every simulating subcommand;
 paper's ASF machine.
 
 The CLI is a thin veneer over the library; anything it prints is computed
-by :mod:`repro.analysis`.
+by :mod:`repro.analysis`.  Each command imports the layers it uses, so
+``repro-asf worker`` — what every remote worker runs — loads only the
+simulator.
 """
 
 from __future__ import annotations
@@ -60,14 +62,6 @@ import argparse
 import os
 import sys
 
-from repro.analysis.experiments import run_seed_sweep, run_suite
-from repro.analysis.report import render_all, render_seed_figures
-from repro.analysis.sweeps import (
-    ablation_dirty_state,
-    ablation_forced_waw,
-    sweep_policy_matrix,
-    sweep_subblocks,
-)
 from repro.config import (
     KERNELS,
     POLICY_PRESETS,
@@ -80,11 +74,7 @@ from repro.config import (
     VersionMgmt,
     default_system,
 )
-from repro.core.overhead import OverheadModel
 from repro.errors import ConfigError, WorkloadError
-from repro.sim.runner import compare_systems, compare_systems_seeds, run_scripts
-from repro.telemetry import aggregate_metrics
-from repro.trace.scriptio import load_scripts, save_scripts
 from repro.util.tables import format_table, percent
 from repro.workloads.registry import BENCHMARK_NAMES, get_workload, workload_table
 
@@ -302,6 +292,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_inner(args: argparse.Namespace) -> int:
+    from repro.sim.runner import compare_systems, compare_systems_seeds
+    from repro.telemetry import aggregate_metrics
+
     workload = get_workload(args.benchmark, args.txns)
     schemes = ALL_SCHEMES if args.all_schemes else (
         DetectionScheme.ASF_BASELINE,
@@ -377,6 +370,9 @@ def _cmd_run_inner(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import run_seed_sweep, run_suite
+    from repro.analysis.report import render_all, render_seed_figures
+
     store = _open_store(args)
     try:
         n_suite = len(BENCHMARK_NAMES) * 3
@@ -409,8 +405,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.analysis.trace import TraceReader
-    from repro.sim.runner import run_workload
+    from repro.sim.engine import SimulationEngine
+    from repro.telemetry.sinks import TRACE_SCHEMA, TRACE_SCHEMA_MAJOR, TRACE_SCHEMA_MINOR
 
     workload = get_workload(args.benchmark, args.txns)
     cfg = _apply_policy(
@@ -420,15 +416,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     ).with_telemetry(
         sink="trace", trace_path=args.path, trace_accesses=args.accesses,
     )
-    res = run_workload(workload, cfg, seed=args.seed, check_atomicity=False)
-    with TraceReader(args.path) as reader:
-        n_events = sum(1 for _ in reader)
-        header = reader.header
+    # The engine's trace writer counts what it wrote (every event after
+    # the header, run_complete included), so the trace is not read back.
+    engine = SimulationEngine(
+        cfg, workload.build(cfg.n_cores, args.seed), seed=args.seed,
+        check_atomicity=False,
+    )
+    stats = engine.run()
     print(
-        f"wrote {args.path}: {n_events} events "
-        f"(schema {header.schema} v{header.major}.{header.minor}, "
-        f"{res.stats.txn_commits} commits, "
-        f"{res.stats.conflicts.total} conflicts)"
+        f"wrote {args.path}: {engine.sink.events_written} events "
+        f"(schema {TRACE_SCHEMA} v{TRACE_SCHEMA_MAJOR}.{TRACE_SCHEMA_MINOR}, "
+        f"{stats.txn_commits} commits, {stats.conflicts.total} conflicts)"
     )
     return 0
 
@@ -545,6 +543,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
+    from repro.core.overhead import OverheadModel
+
     cfg = SystemConfig()
     model = OverheadModel(l1=cfg.l1, n_subblocks=args.subblocks)
     print(model.describe())
@@ -555,6 +555,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     workload = get_workload(args.benchmark, args.txns)
     if args.axis == "policy":
         return _cmd_sweep_policy(args, workload)
+    from repro.analysis.sweeps import sweep_subblocks
+
     counts = tuple(int(c) for c in args.counts.split(","))
     store = _open_store(args)
     progress = _ProgressLine(len(counts))
@@ -592,6 +594,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_policy(args: argparse.Namespace, workload) -> int:
     """Scheme × policy grid: the design-space explorer's head-to-head view."""
+    from repro.analysis.sweeps import sweep_policy_matrix
+
     schemes = (
         DetectionScheme.ASF_BASELINE,
         DetectionScheme.SUBBLOCK,
@@ -684,6 +688,8 @@ def _cmd_policies(_args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
+    from repro.analysis.sweeps import ablation_dirty_state, ablation_forced_waw
+
     workload = get_workload(args.benchmark, args.txns)
     cfg = _base_config(args)
     executor = _executor_config(args)
@@ -713,6 +719,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_save_scripts(args: argparse.Namespace) -> int:
+    from repro.trace.scriptio import save_scripts
+
     workload = get_workload(args.benchmark, args.txns)
     scripts = workload.build(args.cores, args.seed)
     save_scripts(
@@ -725,6 +733,9 @@ def _cmd_save_scripts(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from repro.sim.runner import run_scripts
+    from repro.trace.scriptio import load_scripts
+
     scripts = load_scripts(args.path)
     results = {}
     for scheme in ALL_SCHEMES if args.all_schemes else (

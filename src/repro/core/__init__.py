@@ -16,19 +16,12 @@ data responses.  See :mod:`repro.core.subblock` for the detector,
 :mod:`repro.core.perfect` for the idealised zero-false-conflict upper
 bound, and :mod:`repro.core.overhead` for the Section IV-E hardware cost
 model.
+
+Submodule attributes are resolved lazily, so building a detector does
+not load the cost model.
 """
 
-from repro.core.decoupled import CoherenceDecouplingDetector
-from repro.core.overhead import OverheadModel
-from repro.core.perfect import PerfectDetector
-from repro.core.piggyback import PiggybackCodec
-from repro.core.subblock import SubblockDetector
-from repro.core.subblock_state import (
-    SubblockState,
-    TABLE1_ROWS,
-    decode_state,
-    encode_state,
-)
+from typing import TYPE_CHECKING
 
 __all__ = [
     "CoherenceDecouplingDetector",
@@ -41,3 +34,38 @@ __all__ = [
     "decode_state",
     "encode_state",
 ]
+
+if TYPE_CHECKING:  # pragma: no cover - typing-time only
+    from repro.core.decoupled import CoherenceDecouplingDetector
+    from repro.core.overhead import OverheadModel
+    from repro.core.perfect import PerfectDetector
+    from repro.core.piggyback import PiggybackCodec
+    from repro.core.subblock import SubblockDetector
+    from repro.core.subblock_state import (
+        SubblockState,
+        TABLE1_ROWS,
+        decode_state,
+        encode_state,
+    )
+
+_EXPORTS = {
+    "CoherenceDecouplingDetector": "repro.core.decoupled",
+    "OverheadModel": "repro.core.overhead",
+    "PerfectDetector": "repro.core.perfect",
+    "PiggybackCodec": "repro.core.piggyback",
+    "SubblockDetector": "repro.core.subblock",
+    "SubblockState": "repro.core.subblock_state",
+    "TABLE1_ROWS": "repro.core.subblock_state",
+    "decode_state": "repro.core.subblock_state",
+    "encode_state": "repro.core.subblock_state",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro.core' has no attribute {name!r}") from None
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

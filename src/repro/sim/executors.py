@@ -34,8 +34,6 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -118,7 +116,9 @@ class ExecConfig:
     #: Worker launch lines (see ``parse_executor_spec`` / hosts files):
     #: ``local`` or a command template, spawned as subprocesses.
     launch: tuple[str, ...] = ()
-    #: Specs per wire batch.
+    #: Most specs in one wire batch.  Batches are cut as workers ask for
+    #: work, ⌈pending / (2 × connected workers)⌉ specs up to this cap, so
+    #: they shrink to one spec at the end of a sweep.
     batch_size: int = 4
     #: Seconds between worker heartbeats while a batch executes.
     heartbeat_interval: float = 1.0
@@ -425,6 +425,11 @@ class ProcessExecutor:
         self.stats = stream_stats if stream_stats is not None else {}
 
     def run(self, tasks: Sequence[ExecTask]):
+        # Imported here: the pool machinery (and multiprocessing) costs a
+        # remote worker's start-up, and only this backend uses it.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         jobs = resolve_jobs(self.config.jobs)
         stats = self.stats
         stats.setdefault("peak_inflight", 0)

@@ -1,9 +1,10 @@
 """Remote sweep fabric: TCP coordinator + ``repro-asf worker`` processes.
 
 The ``remote`` executor backend turns one host's sweep into a fleet job.
-The parent process runs a lightweight **coordinator**: it chunks the
+The parent process runs a lightweight **coordinator**: it cuts the
 pending :class:`~repro.sim.parallel.RunSpec` stream into pickle-safe
-batches and hands them to **workers** — plain processes started with
+batches as workers ask for work — smaller ones toward the end of the
+sweep — and hands them to **workers** — plain processes started with
 ``repro-asf worker --connect HOST:PORT`` — over a TCP socket.  Because a
 worker is just a process that dials in, any launcher works: a hosts file
 of ``ssh`` prefixes, a cluster queue submission, or two terminals on one
@@ -48,6 +49,7 @@ import os
 import pickle
 import queue
 import secrets
+import selectors
 import shlex
 import socket
 import struct
@@ -56,6 +58,7 @@ import sys
 import threading
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -157,9 +160,18 @@ class Coordinator:
     """Hands batches to TCP workers; re-queues the ones that go quiet.
 
     Thread layout: one acceptor, one liveness monitor, one handler per
-    connected worker.  All shared state lives behind ``self._lock``;
-    finished/failed work is published to ``self.events`` (a queue) which
-    :class:`RemoteExecutor` drains from the caller's thread.
+    connected worker.  All shared state lives behind ``self._lock``; a
+    handler with no work waits on ``self._work`` (a condition on that
+    lock), which a re-queue, :meth:`finish` or :meth:`stop` signals, so
+    no thread polls on the critical path.  Finished/failed work is
+    published to ``self.events`` (a queue) which :class:`RemoteExecutor`
+    drains from the caller's thread.
+
+    Work arrives as pre-cut batches, handed out as they are, or as tasks
+    that are cut into a batch only when a worker asks for one (guided
+    self-scheduling): ⌈pending / (2 × connected workers)⌉ specs, at most
+    ``batch_size``.  Batches shrink to one spec at the tail, so the
+    workers run out of work at nearly the same time.
     """
 
     def __init__(self, config: ExecConfig, stats: dict) -> None:
@@ -167,16 +179,24 @@ class Coordinator:
         self.stats = stats
         self.events: "queue.Queue[tuple]" = queue.Queue()
         self._lock = threading.Lock()
+        self._work = threading.Condition(self._lock)
         self._batches: dict[int, _Batch] = {}
         self._ready: list[int] = []
+        self._pending: deque[ExecTask] = deque()
+        self._next_id = 0
+        self._max_batch = max(1, config.batch_size)
         self._inflight: dict[int, _Assignment] = {}
         self._fallback: list[int] = []
         self._workers: dict[str, float] = {}  # id -> connect time
         self._stop = threading.Event()
-        self._finished = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._finished = False
+        self._service: list[threading.Thread] = []
+        self._handlers: list[threading.Thread] = []
         self._procs: list[subprocess.Popen] = []
         self._listener: socket.socket | None = None
+        # stop() writes a byte here to wake the acceptor out of select().
+        self._wake_r: socket.socket | None = None
+        self._wake_w: socket.socket | None = None
         self._no_worker_since = time.monotonic()
         self.address = ""
         # Self-launched workers authenticate with a generated token;
@@ -187,14 +207,21 @@ class Coordinator:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, batches: Sequence[_Batch]) -> None:
+    def start(
+        self, batches: Sequence[_Batch] = (), tasks: Sequence[ExecTask] = ()
+    ) -> None:
+        """Open the port, launch the configured workers and serve
+        ``batches`` as cut plus ``tasks`` in guided batches."""
         with self._lock:
             for b in batches:
                 self._batches[b.id] = b
                 self._ready.append(b.id)
+            self._next_id = max(self._batches, default=-1) + 1
+            self._pending.extend(tasks)
         host, port = _parse_addr(self.config.bind)
         self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.2)
+        self._listener.setblocking(False)
+        self._wake_r, self._wake_w = socket.socketpair()
         bound_host, bound_port = self._listener.getsockname()[:2]
         # An advertised wildcard bind is useless to a remote worker;
         # substitute this host's name for launch templates.
@@ -208,16 +235,25 @@ class Coordinator:
                 daemon=True,
             )
             t.start()
-            self._threads.append(t)
+            self._service.append(t)
         self._launch_workers()
 
     def stop(self) -> None:
-        self._finished.set()
-        self._stop.set()
-        if self._listener is not None:
-            self._listener.close()
-        for t in self._threads:
+        """End the sweep: idle workers are sent a shutdown, the port
+        closes, and this returns once the launched workers have exited."""
+        with self._work:
+            if self._stop.is_set():
+                return
+            self._finished = True
+            self._stop.set()
+            self._work.notify_all()
+        if self._wake_w is not None:
+            self._wake_w.send(b"\0")
+        for t in self._service:
             t.join(timeout=2.0)
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            if sock is not None:
+                sock.close()
         for proc in self._procs:
             try:
                 proc.wait(timeout=2.0)
@@ -227,10 +263,16 @@ class Coordinator:
                     proc.wait(timeout=2.0)
                 except subprocess.TimeoutExpired:
                     proc.kill()
+                    proc.wait()
+        # The acceptor has exited, so no handler can start after this.
+        for t in self._handlers:
+            t.join(timeout=2.0)
 
     def finish(self) -> None:
         """All work is done: idle workers are sent a shutdown."""
-        self._finished.set()
+        with self._work:
+            self._finished = True
+            self._work.notify_all()
 
     def _launch_workers(self) -> None:
         connect_addr = self.address
@@ -272,20 +314,52 @@ class Coordinator:
             bid = self._fallback.pop(0)
             return self._batches.pop(bid, None)
 
-    def _acquire(self, worker: str) -> _Batch | None:
-        now = time.monotonic()
-        with self._lock:
-            for pos, bid in enumerate(self._ready):
+    def _cut(self, n: int) -> _Batch:
+        """A new batch of the next ``n`` pending tasks; lock held."""
+        b = _Batch(id=self._next_id, tasks=[self._pending.popleft() for _ in range(n)])
+        self._next_id += 1
+        self._batches[b.id] = b
+        return b
+
+    def _acquire(self, worker: str, now: float) -> _Batch | None:
+        """The next batch for ``worker``, or None; lock held.
+
+        A re-queued batch whose backoff has passed goes first, with the
+        specs it had; otherwise one is cut from the pending tasks.
+        """
+        for pos, bid in enumerate(self._ready):
+            if self._batches[bid].not_before <= now:
+                del self._ready[pos]
                 b = self._batches[bid]
-                if b.not_before <= now:
-                    del self._ready[pos]
-                    deadline = (
-                        now + self.config.batch_deadline
-                        if self.config.batch_deadline is not None
-                        else None
-                    )
-                    self._inflight[bid] = _Assignment(worker, deadline)
+                break
+        else:
+            if not self._pending:
+                return None
+            share = -(-len(self._pending) // (2 * max(1, len(self._workers))))
+            b = self._cut(min(share, self._max_batch))
+        deadline = (
+            now + self.config.batch_deadline
+            if self.config.batch_deadline is not None
+            else None
+        )
+        self._inflight[b.id] = _Assignment(worker, deadline)
+        return b
+
+    def _next_batch(self, worker: str) -> _Batch | None:
+        """Wait for a batch for ``worker``; None once the sweep is over."""
+        with self._work:
+            while not self._finished:
+                now = time.monotonic()
+                b = self._acquire(worker, now)
+                if b is not None:
                     return b
+                # Woken by a re-queue, finish() or stop(); a backed-off
+                # batch also wakes its waiters when its delay is up.
+                due = min(
+                    (self._batches[bid].not_before for bid in self._ready),
+                    default=None,
+                )
+                self._work.wait(None if due is None else due - now)
         return None
 
     def _requeue(self, bid: int, reason: str) -> None:
@@ -304,6 +378,21 @@ class Coordinator:
                 self.config.retry_backoff * (2 ** (b.retries - 1))
             )
             self._ready.append(bid)
+            self._work.notify_all()
+
+    def _drain_to_local(self) -> None:
+        """Hand every batch no worker holds, and every task not yet cut,
+        to local execution; called with the lock held."""
+        while self._pending:
+            b = self._cut(min(len(self._pending), self._max_batch))
+            self._ready.append(b.id)
+        if self._ready:
+            self.stats["drained_to_local"] = (
+                self.stats.get("drained_to_local", 0) + len(self._ready)
+            )
+            self._fallback.extend(self._ready)
+            self._ready.clear()
+            self.events.put(("wake",))
 
     def _complete(self, worker: str, msg: dict) -> None:
         bid = msg["batch_id"]
@@ -323,25 +412,30 @@ class Coordinator:
     # -- threads -------------------------------------------------------------
 
     def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                conn, addr = self._listener.accept()
-            except (TimeoutError, socket.timeout):
-                continue
-            except OSError:
-                return  # listener closed
-            t = threading.Thread(
-                target=self._serve, args=(conn, addr),
-                name=f"repro-coord-{addr[0]}:{addr[1]}", daemon=True,
-            )
-            t.start()
-            self._threads.append(t)
+        assert self._listener is not None and self._wake_r is not None
+        with selectors.DefaultSelector() as sel:
+            sel.register(self._listener, selectors.EVENT_READ)
+            sel.register(self._wake_r, selectors.EVENT_READ)
+            while True:
+                sel.select()
+                if self._stop.is_set():
+                    return
+                try:
+                    conn, addr = self._listener.accept()
+                except BlockingIOError:
+                    continue  # the peer left before we got to it
+                except OSError:
+                    return  # listener closed
+                t = threading.Thread(
+                    target=self._serve, args=(conn, addr),
+                    name=f"repro-coord-{addr[0]}:{addr[1]}", daemon=True,
+                )
+                self._handlers.append(t)
+                t.start()
 
     def _monitor_loop(self) -> None:
         cfg = self.config
-        while not self._stop.is_set():
-            time.sleep(0.1)
+        while not self._stop.wait(0.1):
             now = time.monotonic()
             with self._lock:
                 lost = [
@@ -352,19 +446,15 @@ class Coordinator:
                 ]
                 for bid in lost:
                     self._requeue(bid, "silent")
-                # A workerless coordinator must not sit on ready batches
-                # forever: after the connect grace, drain them to local
+                # A workerless coordinator must not sit on pending work
+                # forever: after the connect grace, drain it to local
                 # execution (and keep draining if the fleet later dies).
-                if not self._workers and not self._inflight:
-                    if now - self._no_worker_since > cfg.connect_timeout:
-                        if self._ready:
-                            self.stats["drained_to_local"] = (
-                                self.stats.get("drained_to_local", 0)
-                                + len(self._ready)
-                            )
-                            self._fallback.extend(self._ready)
-                            self._ready.clear()
-                            self.events.put(("wake",))
+                if (
+                    not self._workers
+                    and not self._inflight
+                    and now - self._no_worker_since > cfg.connect_timeout
+                ):
+                    self._drain_to_local()
 
     def _serve(self, conn: socket.socket, addr) -> None:
         worker = f"{addr[0]}:{addr[1]}"
@@ -399,13 +489,10 @@ class Coordinator:
             conn.settimeout(0.5)
             while not self._stop.is_set():
                 if current is None:
-                    if self._finished.is_set():
+                    batch = self._next_batch(worker)
+                    if batch is None:
                         send_msg(conn, {"type": "shutdown"})
                         return
-                    batch = self._acquire(worker)
-                    if batch is None:
-                        time.sleep(0.05)
-                        continue
                     current = batch.id
                     send_msg(
                         conn,
@@ -458,9 +545,9 @@ class Coordinator:
 class RemoteExecutor:
     """The ``remote`` backend: coordinator in-process, workers over TCP.
 
-    Specs that keep no detail are chunked into batches and distributed;
-    specs that keep detail never travel — the coordinator executes them
-    itself, exactly as the serial path would.  Every
+    Specs that keep no detail are handed to workers in guided batches
+    (see :class:`Coordinator`); specs that keep detail never travel — the
+    coordinator executes them itself, exactly as the serial path would.  Every
     remote result is provenance-stamped with the worker's ``host:pid``;
     batches whose retries are exhausted (or that no worker ever picked
     up) are executed locally with ``serial_fallback`` set.
@@ -483,16 +570,11 @@ class RemoteExecutor:
             yield t.index, _execute(t.spec)
         if not wire:
             return
-        size = max(1, self.config.batch_size)
-        batches = [
-            _Batch(id=n, tasks=list(wire[pos:pos + size]))
-            for n, pos in enumerate(range(0, len(wire), size))
-        ]
         coord = Coordinator(self.config, stats)
-        coord.start(batches)
         done: set[int] = set()
         remaining = {t.index for t in wire}
         try:
+            coord.start(tasks=wire)
             while remaining:
                 try:
                     event = coord.events.get(timeout=0.1)
@@ -534,8 +616,6 @@ class RemoteExecutor:
                         remaining.discard(t.index)
                         yield t.index, res
             coord.finish()
-            # Give cleanly idle workers a beat to pick up the shutdown.
-            time.sleep(0.05)
         finally:
             coord.stop()
 

@@ -257,6 +257,21 @@ class TestTraceReader:
         ):
             TraceReader(str(path))
 
+    @pytest.mark.parametrize(
+        "value", [True, 1.0, "1"], ids=["bool", "float", "string"]
+    )
+    def test_non_int_major_rejected(self, tmp_path, value):
+        """``true`` and ``1.0`` equal 1 in Python; neither is major 1."""
+        header = json.loads(HEADER)
+        header["major"] = value
+        path = tmp_path / "major.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(
+            ConfigError,
+            match="major.jsonl:1: malformed trace header: 'major' must be an int",
+        ):
+            TraceReader(str(path))
+
     @pytest.mark.parametrize("value", [True, False, None], ids=["true", "false", "absent"])
     def test_bool_or_absent_trace_accesses_accepted(self, tmp_path, value):
         header = json.loads(HEADER)

@@ -18,6 +18,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -55,15 +56,19 @@ def _specs(n=3, txns=TXNS):
     ]
 
 
+def _tasks(specs):
+    return [ExecTask(i, s) for i, s in enumerate(specs)]
+
+
 def _batches(specs, size=2):
-    tasks = [ExecTask(i, s) for i, s in enumerate(specs)]
+    tasks = _tasks(specs)
     return [
         _Batch(id=n, tasks=tasks[pos:pos + size])
         for n, pos in enumerate(range(0, len(tasks), size))
     ]
 
 
-def _coordinator(batches, **overrides):
+def _coordinator(batches=(), tasks=(), **overrides):
     kwargs = dict(
         backend="remote",
         bind="127.0.0.1:0",
@@ -77,7 +82,7 @@ def _coordinator(batches, **overrides):
     cfg = ExecConfig(**kwargs)
     stats: dict = {}
     coord = Coordinator(cfg, stats)
-    coord.start(batches)
+    coord.start(batches, tasks)
     return coord, stats
 
 
@@ -143,6 +148,11 @@ class FakeWorker:
             results.append((index, res))
         return results
 
+    def deliver_unrun(self, batch):
+        """Answer a batch without simulating it (the coordinator only
+        routes results, so scheduling tests need not pay for runs)."""
+        self.deliver(batch, [(index, None) for index, _ in batch["tasks"]])
+
     def deliver(self, batch, results=None):
         send_msg(
             self.sock,
@@ -157,6 +167,10 @@ class FakeWorker:
         send_msg(
             self.sock, {"type": "heartbeat", "batch_id": batch["batch_id"]}
         )
+
+    def expect_shutdown(self, timeout=5.0):
+        self.sock.settimeout(timeout)
+        assert recv_msg(self.sock) == {"type": "shutdown"}
 
     def close(self):
         self.sock.close()
@@ -325,6 +339,120 @@ class TestProtocolFaults:
             coord.stop()
 
 
+class TestGuidedBatches:
+    def test_batch_sizes_shrink_to_one_at_the_tail(self):
+        """Each batch is cut when a worker asks: ⌈pending / (2 × workers)⌉
+        specs, at most ``batch_size`` — 36 specs on two workers come out
+        as six batches of 4, then 3, 3, 2, 1, 1, 1, 1."""
+        n = 36
+        coord, stats = _coordinator(tasks=_tasks(_specs(n)))
+        try:
+            workers = [FakeWorker(coord, ident=f"w{k}") for k in range(2)]
+            held = {w: w.take_batch() for w in workers}
+            sizes = [len(b["tasks"]) for b in held.values()]
+            while held:
+                for w in list(held):
+                    w.deliver_unrun(held.pop(w))
+                    if sum(sizes) < n:
+                        held[w] = w.take_batch()
+                        sizes.append(len(held[w]["tasks"]))
+            assert sizes == [4] * 6 + [3, 3, 2, 1, 1, 1, 1]
+            assert sorted(_drain_results(coord, want=n)) == list(range(n))
+            assert stats["batches_completed"] == 13
+            coord.finish()
+            for w in workers:
+                w.expect_shutdown()
+                w.close()
+        finally:
+            coord.stop()
+
+    def test_requeued_batch_keeps_its_specs(self):
+        """A batch lost to a disconnect comes back whole, with the spec
+        indices it was cut with, and every index arrives exactly once."""
+        n = 10
+        coord, stats = _coordinator(tasks=_tasks(_specs(n)))
+        try:
+            victim = FakeWorker(coord, ident="victim")
+            lost = victim.take_batch()
+            victim.close()
+            survivor = FakeWorker(coord, ident="survivor")
+            handed: dict[int, list[int]] = {}
+            while sum(map(len, handed.values())) < n:
+                batch = survivor.take_batch()
+                handed[batch["batch_id"]] = [i for i, _ in batch["tasks"]]
+                survivor.deliver_unrun(batch)
+            assert handed[lost["batch_id"]] == [i for i, _ in lost["tasks"]]
+            assert sorted(_drain_results(coord, want=n)) == list(range(n))
+            assert stats["batches_requeued"] == 1
+            coord.finish()
+            survivor.expect_shutdown()
+            survivor.close()
+        finally:
+            coord.stop()
+
+    def test_racing_workers_get_every_spec_once(self):
+        """Four workers (more than this host's cores) race for guided
+        batches under a tiny switch interval: every spec is cut into
+        exactly one batch, within the cap, and delivered exactly once."""
+        n = 120
+        coord, _ = _coordinator(tasks=_tasks(_specs(n)))
+        handed: list[tuple[int, list[int]]] = []
+        lock = threading.Lock()
+
+        def drive(w):
+            w.sock.settimeout(10.0)
+            while True:
+                msg = recv_msg(w.sock)
+                if msg == {"type": "shutdown"}:
+                    return
+                with lock:
+                    handed.append((msg["batch_id"], [i for i, _ in msg["tasks"]]))
+                w.deliver_unrun(msg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [FakeWorker(coord, ident=f"w{k}") for k in range(4)]
+            threads = [threading.Thread(target=drive, args=(w,)) for w in workers]
+            for t in threads:
+                t.start()
+            assert sorted(_drain_results(coord, want=n)) == list(range(n))
+            coord.finish()
+            for t in threads:
+                t.join(timeout=10.0)
+                assert not t.is_alive()
+            for w in workers:
+                w.close()
+        finally:
+            sys.setswitchinterval(interval)
+            coord.stop()
+        ids = [bid for bid, _ in handed]
+        indices = sorted(i for _, batch in handed for i in batch)
+        assert len(set(ids)) == len(ids)
+        assert indices == list(range(n))
+        assert all(1 <= len(batch) <= 4 for _, batch in handed)
+
+    def test_workerless_drain_cuts_pending_tasks(self):
+        """Tasks no worker ever asked for are cut into ``batch_size``
+        batches and drained to local execution."""
+        coord, stats = _coordinator(
+            tasks=_tasks(_specs(5)), connect_timeout=0.3, batch_size=2
+        )
+        try:
+            deadline = time.monotonic() + 10.0
+            drained = []
+            while len(drained) < 3 and time.monotonic() < deadline:
+                b = coord.pop_fallback()
+                if b is not None:
+                    drained.append([t.index for t in b.tasks])
+                else:
+                    time.sleep(0.05)
+            assert drained == [[0, 1], [2, 3], [4]]
+            assert stats["drained_to_local"] == 3
+        finally:
+            coord.stop()
+
+
 def _spawn_worker(coord, extra=()):
     return subprocess.Popen(
         [
@@ -409,6 +537,11 @@ class TestRealFleet:
         ]
         workers = {r.worker for r in remote}
         assert all(w and ":" in w for w in workers)
+        # run_many returns only after the fleet it launched has exited
+        # (and been reaped: a zombie would still answer signal 0).
+        for worker in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(worker.rsplit(":", 1)[1]), 0)
 
         # Resuming against the same store re-simulates nothing.
         with ResultsStore(tmp_path) as store:

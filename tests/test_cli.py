@@ -271,6 +271,48 @@ class TestCommands:
         assert repro.__version__
         assert "vacation" in repro.BENCHMARK_NAMES
 
+    def test_lazy_package_api(self):
+        """``repro``'s public names resolve on first use, and the
+        package still behaves as if it had imported them all."""
+        import repro
+
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        assert set(repro.__all__) <= set(dir(repro))
+        assert namespace["run_many"] is repro.run_many
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+
+    def test_worker_imports_only_the_simulator(self):
+        """A worker never loads the analysis, store or trace layers or
+        the hardware cost model, not even to parse its arguments."""
+        import socket
+        import subprocess
+        import sys
+
+        with socket.socket() as closed:  # bound, never listening
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+            proc = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "repro.cli",
+                 "worker", "--connect", f"127.0.0.1:{port}"],
+                capture_output=True, text=True, timeout=60,
+            )
+        assert proc.returncode == 1 and "cannot reach" in proc.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {"repro.config", "repro.sim.remote"} <= imported
+        heavy = sorted(
+            name for name in imported
+            if name.startswith(("repro.analysis", "repro.store", "repro.trace"))
+            or name == "repro.core.overhead"
+        )
+        assert heavy == []
+
     def test_version_matches_pyproject(self):
         import re
         from pathlib import Path
@@ -293,6 +335,26 @@ class TestTraceAnalyze:
         assert "Trace-derived run counters" in out
         assert "Figure 3" in out and "Figure 4" in out and "Figure 5" in out
         assert "Forensics report" in out
+
+    def test_trace_counts_events_without_reading_the_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.analysis.trace import TraceReader
+
+        opened = []
+        init = TraceReader.__init__
+
+        def counting_init(reader, *args, **kwargs):
+            opened.append(args)
+            init(reader, *args, **kwargs)
+
+        monkeypatch.setattr(TraceReader, "__init__", counting_init)
+        path = str(tmp_path / "ev.jsonl")
+        assert main(["trace", "kmeans", path, "--txns", "30"]) == 0
+        assert opened == []
+        written = int(capsys.readouterr().out.split(": ")[1].split()[0])
+        with TraceReader(path) as reader:
+            assert written == sum(1 for _ in reader)
 
     def test_analyze_fig_selection(self, tmp_path, capsys):
         path = str(tmp_path / "ev.jsonl")
