@@ -114,7 +114,8 @@ class ExecConfig:
     #: Coordinator bind address, ``HOST:PORT`` (port 0 = ephemeral).
     bind: str = "127.0.0.1:0"
     #: Worker launch lines (see ``parse_executor_spec`` / hosts files):
-    #: ``local`` or a command template, spawned as subprocesses.
+    #: ``local`` forks a worker from the coordinator; any other line is a
+    #: command prefix or template, run as a subprocess.
     launch: tuple[str, ...] = ()
     #: Most specs in one wire batch.  Batches are cut as workers ask for
     #: work, ⌈pending / (2 × connected workers)⌉ specs up to this cap, so
@@ -181,7 +182,10 @@ def parse_executor_spec(text: str) -> ExecConfig:
     Hosts files hold one directive per line (``#`` comments allowed)::
 
         bind 0.0.0.0:7341       optional coordinator bind address
-        local                   spawn one worker subprocess on this host
+        local                   fork one worker from the coordinator on
+                                this host (needs os.fork; elsewhere use
+                                the template `python -m repro.cli worker
+                                --connect {addr} --token {token}`)
         ssh build-04            any other line is a command prefix; the
                                 worker invocation is appended, so this
                                 runs `ssh build-04 repro-asf worker
@@ -265,6 +269,13 @@ def _read_hosts_file(path: str, cfg: ExecConfig) -> ExecConfig:
             launch.append(line)
     if not launch:
         raise ConfigError(f"hosts file {path!r} names no workers")
+    if "local" in launch and not hasattr(os, "fork"):
+        raise ConfigError(
+            f"hosts file {path!r}: a `local` worker is forked from the "
+            "coordinator, and this platform has no os.fork; use the "
+            "template line `python -m repro.cli worker --connect {addr} "
+            "--token {token}` instead"
+        )
     # Launching real workers means the coordinator must be reachable
     # beyond loopback unless every entry is local.
     if bind == "127.0.0.1:0" and any(entry != "local" for entry in launch):

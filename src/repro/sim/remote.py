@@ -8,7 +8,10 @@ sweep — and hands them to **workers** — plain processes started with
 ``repro-asf worker --connect HOST:PORT`` — over a TCP socket.  Because a
 worker is just a process that dials in, any launcher works: a hosts file
 of ``ssh`` prefixes, a cluster queue submission, or two terminals on one
-laptop.
+laptop.  A hosts file's ``local`` worker is instead forked from the
+coordinator before its threads start, so it inherits the imported
+simulator and runs :func:`worker_main` over the same socket protocol
+without starting an interpreter.
 
 Fault model (everything here assumes crashes, not malice):
 
@@ -60,10 +63,13 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.executors import ExecConfig, ExecTask, mark_provenance
+
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "Coordinator",
@@ -139,6 +145,19 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _exited(proc: subprocess.Popen | BaseProcess, timeout: float | None) -> bool:
+    """Wait up to ``timeout`` seconds for a launched worker, exec'd or
+    forked; True once it has exited and been reaped."""
+    if isinstance(proc, subprocess.Popen):
+        try:
+            proc.wait(timeout)
+        except subprocess.TimeoutExpired:
+            return False
+        return True
+    proc.join(timeout)
+    return proc.exitcode is not None
+
+
 @dataclass
 class _Batch:
     """One wire batch and its retry bookkeeping."""
@@ -192,7 +211,7 @@ class Coordinator:
         self._finished = False
         self._service: list[threading.Thread] = []
         self._handlers: list[threading.Thread] = []
-        self._procs: list[subprocess.Popen] = []
+        self._procs: list[subprocess.Popen | BaseProcess] = []
         self._listener: socket.socket | None = None
         # stop() writes a byte here to wake the acceptor out of select().
         self._wake_r: socket.socket | None = None
@@ -211,7 +230,12 @@ class Coordinator:
         self, batches: Sequence[_Batch] = (), tasks: Sequence[ExecTask] = ()
     ) -> None:
         """Open the port, launch the configured workers and serve
-        ``batches`` as cut plus ``tasks`` in guided batches."""
+        ``batches`` as cut plus ``tasks`` in guided batches.
+
+        Workers launch before the acceptor and monitor threads start, so
+        a forked ``local`` worker copies a process in which no
+        coordinator thread runs; it dials in once the port is open.
+        """
         with self._lock:
             for b in batches:
                 self._batches[b.id] = b
@@ -228,6 +252,7 @@ class Coordinator:
         adv_host = socket.gethostname() if bound_host == "0.0.0.0" else bound_host
         self.address = f"{adv_host}:{bound_port}"
         self._no_worker_since = time.monotonic()
+        self._launch_workers()
         for name in ("accept", "monitor"):
             t = threading.Thread(
                 target=getattr(self, f"_{name}_loop"),
@@ -236,7 +261,6 @@ class Coordinator:
             )
             t.start()
             self._service.append(t)
-        self._launch_workers()
 
     def stop(self) -> None:
         """End the sweep: idle workers are sent a shutdown, the port
@@ -255,15 +279,11 @@ class Coordinator:
             if sock is not None:
                 sock.close()
         for proc in self._procs:
-            try:
-                proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
+            if not _exited(proc, 2.0):
                 proc.terminate()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
+                if not _exited(proc, 2.0):
                     proc.kill()
-                    proc.wait()
+                    _exited(proc, None)
         # The acceptor has exited, so no handler can start after this.
         for t in self._handlers:
             t.join(timeout=2.0)
@@ -280,13 +300,19 @@ class Coordinator:
         # the hostname (no resolver needed for `local` fleets).
         if self.config.bind.startswith("127."):
             connect_addr = f"127.0.0.1:{self.address.rsplit(':', 1)[1]}"
-        for entry in self.config.launch:
+        for n, entry in enumerate(self.config.launch):
             if entry == "local":
-                argv = [
-                    sys.executable, "-m", "repro.cli", "worker",
-                    "--connect", connect_addr, "--token", self.token,
-                ]
-            elif "{addr}" in entry or "{token}" in entry:
+                # Imported here: set-up and exec'd workers never need it.
+                import multiprocessing
+
+                proc = multiprocessing.get_context("fork").Process(
+                    target=self._forked_worker, args=(connect_addr,),
+                    name=f"repro-worker-{n}", daemon=True,
+                )
+                proc.start()
+                self._procs.append(proc)
+                continue
+            if "{addr}" in entry or "{token}" in entry:
                 argv = shlex.split(
                     entry.replace("{addr}", connect_addr)
                     .replace("{token}", self.token)
@@ -299,6 +325,15 @@ class Coordinator:
             self._procs.append(
                 subprocess.Popen(argv, stdout=subprocess.DEVNULL)
             )
+
+    def _forked_worker(self, connect: str) -> None:
+        """Body of a forked ``local`` worker.  It closes the coordinator
+        sockets it inherited, so the port closes with the coordinator,
+        and it ends only by process exit, never by returning to the
+        code that started the sweep."""
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()
+        sys.exit(worker_main(connect, token=self.token))
 
     # -- shared-state helpers ------------------------------------------------
 
@@ -547,7 +582,8 @@ class RemoteExecutor:
 
     Specs that keep no detail are handed to workers in guided batches
     (see :class:`Coordinator`); specs that keep detail never travel — the
-    coordinator executes them itself, exactly as the serial path would.  Every
+    coordinator executes them itself, exactly as the serial path would,
+    while the workers run the batches.  Every
     remote result is provenance-stamped with the worker's ``host:pid``;
     batches whose retries are exhausted (or that no worker ever picked
     up) are executed locally with ``serial_fallback`` set.
@@ -566,15 +602,16 @@ class RemoteExecutor:
         stats.setdefault("duplicates_dropped", 0)
         local = [t for t in tasks if t.spec.record_detail]
         wire = [t for t in tasks if not t.spec.record_detail]
-        for t in local:
-            yield t.index, _execute(t.spec)
-        if not wire:
-            return
         coord = Coordinator(self.config, stats)
         done: set[int] = set()
         remaining = {t.index for t in wire}
         try:
-            coord.start(tasks=wire)
+            if wire:
+                coord.start(tasks=wire)
+            # The fleet runs the wire batches while this thread runs the
+            # specs that keep detail.
+            for t in local:
+                yield t.index, _execute(t.spec)
             while remaining:
                 try:
                     event = coord.events.get(timeout=0.1)
@@ -666,6 +703,9 @@ def worker_main(
             )
             print(f"worker {ident}: {reason}", file=sys.stderr)
             return 1
+        # The timeout bounds only the dial-in: an idle worker waits for
+        # its next batch as long as the coordinator keeps the socket open.
+        sock.settimeout(None)
         heartbeat = float(welcome.get("heartbeat", 1.0))
         served = 0
         while True:

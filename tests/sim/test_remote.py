@@ -7,8 +7,9 @@ Two layers of coverage:
   deterministic: take a batch and vanish, go silent past the heartbeat
   window, or deliver a result for a batch that was already re-assigned.
 * **Fleet-level** — real ``python -m repro.cli worker`` subprocesses,
-  including one SIGKILLed mid-batch, asserting bit-for-bit parity with
-  the serial backend and exactly-once rows in a results store.
+  including one SIGKILLed mid-batch, and ``local`` workers forked by the
+  coordinator, asserting bit-for-bit parity with the serial backend and
+  exactly-once rows in a results store.
 """
 
 from __future__ import annotations
@@ -20,19 +21,24 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import default_system
-from repro.sim import parallel
+from repro.sim import parallel, remote
 from repro.sim.executors import ExecConfig, ExecTask, mark_provenance
 from repro.sim.parallel import RunSpec, run_many
 from repro.sim.remote import (
     PROTOCOL_VERSION,
+    WORKER_ENV,
     Coordinator,
+    RemoteExecutor,
     _Batch,
     recv_msg,
     send_msg,
+    worker_main,
 )
 from repro.store import ResultsStore
 
@@ -453,6 +459,80 @@ class TestGuidedBatches:
             coord.stop()
 
 
+class TestWorkerMain:
+    def test_idle_worker_outlives_the_dial_in_timeout(self, monkeypatch):
+        """The timeout that bounds the dial-in does not stay on the
+        socket: a worker idle past it still runs its next batch and
+        exits 0 on ``shutdown``."""
+        real_connect = socket.create_connection
+
+        def dial(address, timeout=None, **kwargs):
+            return real_connect(address, 0.3, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", dial)
+        monkeypatch.setenv(WORKER_ENV, "")  # worker_main sets it; undone here
+        exit_code = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            address = f"127.0.0.1:{listener.getsockname()[1]}"
+            worker = threading.Thread(
+                target=lambda: exit_code.append(worker_main(address, "idle"))
+            )
+            worker.start()
+            listener.settimeout(10.0)
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                assert recv_msg(conn)["type"] == "hello"
+                send_msg(
+                    conn,
+                    {"type": "welcome", "version": PROTOCOL_VERSION, "heartbeat": 60.0},
+                )
+                time.sleep(1.0)  # idle past the 0.3-s dial-in timeout
+                send_msg(
+                    conn,
+                    {"type": "batch", "batch_id": 0, "tasks": [(0, _specs(1)[0])]},
+                )
+                reply = recv_msg(conn)
+                assert reply["type"] == "result"
+                assert [index for index, _ in reply["results"]] == [0]
+                send_msg(conn, {"type": "shutdown"})
+                worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert exit_code == [0]
+
+
+class TestDetailOverlap:
+    def test_fleet_serves_while_detail_specs_run(self):
+        """The coordinator is up before the first spec that keeps detail
+        is yielded: while the caller holds that result, a worker joins
+        and runs every wire batch, and the results match serial."""
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            address = f"127.0.0.1:{probe.getsockname()[1]}"
+        specs = [replace(s, record_detail=True) for s in _specs(2)]
+        specs += _specs(6)[2:]
+        config = ExecConfig(backend="remote", bind=address, connect_timeout=60.0)
+        stream = RemoteExecutor(config).run(_tasks(specs))
+        try:
+            got = dict([next(stream)])
+            w = FakeWorker(SimpleNamespace(address=address, token=""))
+            assert w.accepted
+            served = 0
+            while served < 4:
+                batch = w.take_batch()
+                w.deliver(batch)
+                served += len(batch["tasks"])
+            got.update(stream)
+            w.expect_shutdown()
+            w.close()
+        finally:
+            stream.close()
+        serial = run_many(specs, "serial")
+        assert [got[i].stats.summary() for i in range(len(specs))] == [
+            r.stats.summary() for r in serial
+        ]
+        assert {got[i].worker for i in range(2, 6)} == {"fake"}
+
+
 def _spawn_worker(coord, extra=()):
     return subprocess.Popen(
         [
@@ -555,3 +635,101 @@ class TestRealFleet:
             assert [r.stats.summary() for r in again] == [
                 r.stats.summary() for r in serial
             ]
+
+
+def _fleet(launch, **overrides):
+    kwargs = dict(
+        backend="remote",
+        launch=launch,
+        heartbeat_interval=0.2,
+        heartbeat_timeout=5.0,
+        connect_timeout=FLEET_DEADLINE,
+    )
+    kwargs.update(overrides)
+    return ExecConfig(**kwargs)
+
+
+def _summaries(results):
+    return [r.stats.summary() for r in results]
+
+
+class TestForkedLaunch:
+    """A ``local`` entry forks a worker from the coordinator."""
+
+    def test_local_workers_fork_and_templates_exec(self, monkeypatch):
+        """With exec refused, a two-``local`` sweep still matches serial;
+        a template entry still goes through ``Popen``."""
+        execs = []
+
+        class NoExec(subprocess.Popen):
+            def __init__(self, argv, *args, **kwargs):
+                execs.append(argv)
+                raise OSError("exec refused")
+
+        monkeypatch.setattr(subprocess, "Popen", NoExec)
+        specs = _specs(4)
+        stats: dict = {}
+        fleet = run_many(specs, _fleet(("local", "local")), stream_stats=stats)
+        assert execs == []
+        assert stats["workers_joined"] == 2
+        assert stats.get("local_fallback_specs", 0) == 0
+        assert _summaries(fleet) == _summaries(run_many(specs, "serial"))
+        with pytest.raises(OSError, match="exec refused"):
+            run_many(specs, _fleet(("local", "echo {addr} {token}")))
+        [(echo, addr, token)] = execs
+        assert echo == "echo" and addr.startswith("127.0.0.1:")
+        assert len(token) == 16
+
+    def test_no_coordinator_thread_exists_at_fork(self, monkeypatch):
+        """Workers fork before the coordinator starts a thread, and
+        ``stop()`` leaves none behind: at every fork over three sweeps
+        the thread count is the one from before the first."""
+        baseline = threading.active_count()
+        counts = []
+        real_fork = os.fork
+
+        def fork():
+            counts.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        for _ in range(3):
+            run_many(_specs(2), _fleet(("local", "local")))
+        assert counts == [baseline] * 6
+        assert threading.active_count() == baseline
+
+    def test_failed_forked_worker_exits_and_the_sweep_drains(
+        self, monkeypatch, tmp_path
+    ):
+        """A forked worker whose body raises exits non-zero without
+        returning into the caller; the sweep drains to local and still
+        matches serial."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("worker body failed")
+
+        monkeypatch.setattr(remote, "worker_main", broken)
+        exit_codes = []
+        real_stop = Coordinator.stop
+
+        def stop(coord):
+            real_stop(coord)
+            exit_codes.extend(proc.exitcode for proc in coord._procs)
+
+        monkeypatch.setattr(Coordinator, "stop", stop)
+        specs = _specs(3)
+        stats: dict = {}
+        fleet = run_many(
+            specs, _fleet(("local", "local"), connect_timeout=0.3),
+            stream_stats=stats,
+        )
+        # A child that came back from the fork into this test would
+        # append a line of its own.
+        marker = tmp_path / "returned.txt"
+        with open(marker, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        assert marker.read_text(encoding="utf-8").splitlines() == [str(os.getpid())]
+        assert exit_codes == [1, 1]
+        assert stats["workers_joined"] == 0
+        assert stats["local_fallback_specs"] == len(specs)
+        assert _summaries(fleet) == _summaries(run_many(specs, "serial"))

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 
 import pytest
 
@@ -131,6 +132,27 @@ class TestInputErrors:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_local_worker_without_fork(self, tmp_path, capsys, monkeypatch):
+        """A `local` worker is forked, so a platform without os.fork
+        rejects it when the hosts file is parsed and names the template
+        line to use instead, which parses there."""
+        from repro.sim.executors import parse_executor_spec
+
+        path = tmp_path / "hosts"
+        path.write_text("local\n")
+        monkeypatch.delattr(os, "fork")
+        spec = f"remote:{path}"
+        assert main(["run", "kmeans", "--txns", "4", "--executor", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro-asf: error: ")
+        assert str(path) in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        template = "python -m repro.cli worker --connect {addr} --token {token}"
+        assert f"`{template}`" in captured.err
+        path.write_text(template + "\n")
+        assert parse_executor_spec(spec).launch == (template,)
 
     @pytest.mark.parametrize("case", list(MALFORMED_SCRIPTS))
     def test_malformed_script_file(self, tmp_path, capsys, case):
