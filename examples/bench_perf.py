@@ -19,15 +19,16 @@ Five measurements, each with its built-in honesty check:
    identical across kernels before the ratio is reported.
 3. **Parallel orchestration** — ``compare_systems`` over several
    benchmarks with ``executor="process:1"`` vs ``"process:4"``.  The observed speedup depends
-   on the host: on a single-CPU container process-pool fan-out cannot
+   on the host: on a single-CPU container forked-worker fan-out cannot
    beat serial, so the section is *skipped and marked as such* when
    ``cpu_count == 1`` (``cpu_count`` is recorded next to the numbers
    otherwise).
 4. **Summary transfer** — the same ``run_many(specs, "process:4")``
    batch shipping detail sinks (each spec's ``record_detail=True``) vs
-   compact ``RunSummary`` objects across the process boundary.  The per-result pickle payloads are measured and every
-   summary's counters are asserted bit-identical to its full
-   counterpart before the speedup is reported.
+   compact ``RunSummary`` objects over the workers' loopback sockets.
+   The per-result pickle payloads are measured and every summary's
+   counters are asserted bit-identical to its full counterpart before
+   the speedup is reported.
 5. **Figure pipeline** — a small ``run_suite`` plus
    ``compute_all_figures``, timed separately, so simulation cost and
    analysis cost are visible on their own.
@@ -50,7 +51,6 @@ from repro.analysis.experiments import run_suite
 from repro.analysis.figures import compute_all_figures
 from repro.config import DetectionScheme, default_system
 from repro.sim.engine import SimulationEngine
-from repro.sim.executors import ExecConfig
 from repro.sim.parallel import RunSpec, run_many
 from repro.sim.runner import compare_systems
 from repro.workloads.registry import get_workload
@@ -176,15 +176,15 @@ def bench_kernel(txns: int, seed: int = 7, replays: int = 15) -> dict:
 
 
 def bench_parallel(txns: int, jobs: int = 4, seed: int = 1) -> dict:
-    """Serial vs process-pool execution of identical run batches."""
+    """Serial vs forked-worker execution of identical run batches."""
     cpus = os.cpu_count() or 1
     if cpus == 1:
-        # Process-pool fan-out cannot beat serial on one CPU; a "0.6x
+        # Forked-worker fan-out cannot beat serial on one CPU; a "0.6x
         # speedup" here would only be container noise masquerading as a
         # regression, so the section is marked skipped instead.
         return {
             "skipped": True,
-            "reason": "cpu_count == 1: process-pool fan-out cannot "
+            "reason": "cpu_count == 1: forked-worker fan-out cannot "
                       "outrun serial execution",
             "cpu_count": 1,
         }
@@ -218,7 +218,7 @@ def bench_parallel(txns: int, jobs: int = 4, seed: int = 1) -> dict:
 
 
 def bench_transfer(txns: int, jobs: int = 4, seed: int = 1) -> dict:
-    """Detail-sink vs RunSummary transfer for one pooled batch."""
+    """Detail-sink vs RunSummary transfer for one ``process:N`` batch."""
     specs = [
         RunSpec(
             workload=name,
@@ -232,8 +232,8 @@ def bench_transfer(txns: int, jobs: int = 4, seed: int = 1) -> dict:
                        DetectionScheme.PERFECT)
     ]
     full_specs = [replace(spec, record_detail=True) for spec in specs]
-    full, full_s = _timed(lambda: run_many(full_specs, ExecConfig(jobs=jobs)))
-    lean, lean_s = _timed(lambda: run_many(specs, ExecConfig(jobs=jobs)))
+    full, full_s = _timed(lambda: run_many(full_specs, f"process:{jobs}"))
+    lean, lean_s = _timed(lambda: run_many(specs, f"process:{jobs}"))
     identical = all(
         f.stats.summary() == s.stats.summary() for f, s in zip(full, lean)
     )

@@ -60,6 +60,15 @@ per-figure lists and ``offset_histogram()`` (use its readers, e.g.
 ``access_offset_histogram()``), and ``repro.trace.access_log`` (record
 a trace with ``trace_accesses=True``).
 
+Version 5.0.0 is a major release because one parallel backend remains:
+``process:N`` now builds the remote fabric with N workers forked on
+loopback, and ``ExecConfig`` keeps one set of fault knobs, a per-spec
+``timeout`` and a ``retries`` count.  The process-pool executor, its
+worker-count helper, window constant and rotation counter are gone, as
+are the ``ExecConfig`` field ``jobs`` (spell a worker count
+``"process:N"``) and the pool's and the fabric's separate retry and
+deadline fields.  The default ``ExecConfig`` backend is ``"serial"``.
+
 Layering (each layer only depends on the ones above it):
 
 * :mod:`repro.util`, :mod:`repro.config`, :mod:`repro.errors`
@@ -128,7 +137,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-time only
     from repro.telemetry import RunSummary, aggregate_metrics, merge_summaries
     from repro.workloads.registry import BENCHMARK_NAMES, all_workloads, get_workload
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AtomicityViolation",

@@ -10,7 +10,7 @@ figure benches do not re-simulate.
 The suite is benchmarks × schemes independent simulations, so it fans out
 through the streaming :func:`repro.sim.parallel.run_many` path — a
 parallel ``executor=`` runs them concurrently with bit-identical results,
-and the registry-name specs let each pool worker compile a benchmark once
+and the registry-name specs let each worker compile a benchmark once
 and reuse it for all three schemes.  A ``store`` on the executor config
 checkpoints completions to a :class:`~repro.store.ResultsStore`
 (interrupted suites resume); its ``on_result`` fires per completion for
@@ -218,7 +218,7 @@ def run_seed_sweep(
     """Repeat benchmarks × schemes over several seeds.
 
     Every run ships back as a compact summary (no per-event detail), so
-    even a wide sweep is cheap to fan out over a pool; the per-metric
+    even a wide sweep is cheap to fan out over a fleet; the per-metric
     spread comes from :func:`repro.telemetry.aggregate_metrics`.  A
     store on the ``executor`` config checkpoints every completed (bench,
     scheme, seed) run, so an interrupted sweep resumes with only the

@@ -21,15 +21,17 @@ Subcommands::
 
 ``--executor SPEC`` on ``run``/``suite``/``sweep``/``ablate`` picks the
 execution backend: ``serial`` (in-process reference, the default),
-``process`` / ``process:N`` (local pool, N workers), ``remote`` /
-``remote:PORT`` / ``remote:HOST:PORT`` / ``remote:HOSTS_FILE`` (TCP
-coordinator; workers join via ``repro-asf worker``).  See
-``docs/DISTRIBUTED.md`` for the fabric.
+``process`` / ``process:N`` (one worker per core / N workers, forked on
+loopback: the remote fabric below), ``remote`` / ``remote:PORT`` /
+``remote:HOST:PORT`` / ``remote:HOSTS_FILE`` (TCP coordinator; workers
+join via ``repro-asf worker``).  See ``docs/DISTRIBUTED.md`` for the
+fabric.
 
-A :class:`~repro.errors.ConfigError` (bad executor spec, missing or
-malformed trace file, missing store directory) or
-:class:`~repro.errors.WorkloadError` (missing or malformed script file)
-ends in one ``repro-asf: error: ...`` line and exit status 2.
+A :class:`~repro.errors.ConfigError` (bad executor spec or ``worker
+--connect`` address, missing or malformed trace file, missing store
+directory) or :class:`~repro.errors.WorkloadError` (missing or
+malformed script file) ends in one ``repro-asf: error: ...`` line and
+exit status 2.
 
 ``--trace-dir DIR`` on ``run``/``suite`` records every run's event
 trace into DIR *and* writes a ``<run>.report.txt`` forensics report next
@@ -816,8 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--executor", metavar="SPEC", default="serial",
             help="execution backend: 'serial' (in-process reference, the "
-            "default), 'process' (pool, all cores), 'process:N' (pool, N "
-            "workers), 'remote' (coordinator on an ephemeral loopback port), "
+            "default), 'process' (one forked loopback worker per core), "
+            "'process:N' (N forked loopback workers; 1 runs in-process), "
+            "'remote' (coordinator on an ephemeral loopback port), "
             "'remote:PORT' (bound to 0.0.0.0:PORT), 'remote:HOST:PORT', or "
             "'remote:HOSTS_FILE' (bind/launch lines; see docs/DISTRIBUTED.md)"
             "; every backend is bit-identical to serial",
@@ -943,7 +946,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address (printed by the remote executor)",
+        help="coordinator address, HOST:PORT with a port in 0-65535 "
+        "(printed by the remote executor)",
     )
     p_worker.add_argument(
         "--id", default=None,

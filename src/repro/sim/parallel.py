@@ -4,8 +4,8 @@ Every figure, sweep and ablation in the evaluation is a batch of
 *independent* simulations — a pure function of ``(workload, config,
 seed)``.  This module turns such a batch into a pickle-safe list of
 :class:`RunSpec` and executes it with :func:`run_many`, either in-process
-(the deterministic reference path) or fanned out over a process pool or
-a remote fleet.
+(the deterministic reference path) or fanned out over a fleet of
+workers — forked on this host (``process:N``) or remote.
 
 Three properties are load-bearing:
 
@@ -16,7 +16,7 @@ Three properties are load-bearing:
 * **Compile-once script caching** — compiled :class:`CoreScript` lists
   are memoized per ``(workload identity, n_cores, seed)`` in each
   process, so a sweep of K points over one workload compiles it once,
-  not K times (and each pool worker compiles it at most once).
+  not K times (and each worker compiles it at most once).
 * **Cheap, lossless results** — a run keeps detail only when its spec
   asks (:attr:`RunSpec.record_detail`) and returns exactly what it
   collected: its :class:`~repro.telemetry.sinks.DetailSink` for such a
@@ -27,8 +27,9 @@ Three properties are load-bearing:
 The execution core is :func:`iter_many` — a *streaming* generator that
 yields ``(index, result)`` pairs as runs complete.  *How* the batch
 executes is delegated to a pluggable :class:`~repro.sim.executors.Executor`
-(``serial`` in-process, ``process`` pool fan-out, ``remote`` TCP fleet —
-see :mod:`repro.sim.executors` and :mod:`repro.sim.remote`), named by
+(``serial`` in-process, ``remote`` TCP fleet, which ``process:N`` builds
+with N forked loopback workers — see :mod:`repro.sim.executors` and
+:mod:`repro.sim.remote`), named by
 the one ``executor=`` argument: an
 :class:`~repro.sim.executors.ExecConfig`, a spec string, a live executor
 or ``None``.  :func:`run_many` is a thin collector over
@@ -48,13 +49,11 @@ from repro.config import SystemConfig
 from repro.errors import SimulationError
 from repro.sim.engine import SimulationEngine
 from repro.sim.executors import (
-    STREAM_BACKLOG,
     ExecConfig,
     ExecTask,
     Executor,
     build_executor,
     parse_executor_spec,
-    resolve_jobs,
 )
 from repro.sim.runner import RunResult
 from repro.telemetry.summary import RunSummary
@@ -64,13 +63,11 @@ __all__ = [
     "ExecConfig",
     "Executor",
     "RunSpec",
-    "STREAM_BACKLOG",
     "build_executor",
     "compiled_scripts",
     "execute_spec",
     "iter_many",
     "parse_executor_spec",
-    "resolve_jobs",
     "run_many",
 ]
 
@@ -92,8 +89,9 @@ class RunSpec:
     names.  ``label`` is carried through untouched for sweep axes.
 
     ``record_detail`` is the one rule behind a result's shape: a spec
-    that sets it returns its :class:`~repro.telemetry.sinks.DetailSink`,
-    never goes through the store and never travels to a remote worker.
+    that sets it returns its :class:`~repro.telemetry.sinks.DetailSink`
+    (shipped back whole when a worker runs it) and never goes through
+    the store.
     """
 
     workload: str | Workload
@@ -247,15 +245,13 @@ def iter_many(
 
     ``stream_stats`` (a dict, optional) receives instrumentation from
     this layer (``served_from_store``) and the backend
-    (``peak_inflight`` / ``pool_rotations`` for the pool,
-    ``workers_joined`` / ``batches_requeued`` / ``duplicates_dropped``
-    for the remote fabric).
+    (``peak_inflight``, and ``workers_joined`` / ``batches_requeued`` /
+    ``duplicates_dropped`` for the remote fabric).
     """
     specs = list(specs)
     stats = stream_stats if stream_stats is not None else {}
     stats.setdefault("peak_inflight", 0)
     stats.setdefault("served_from_store", 0)
-    stats.setdefault("pool_rotations", 0)
 
     backend = build_executor(executor, stats)
     store = backend.config.store
@@ -300,9 +296,10 @@ def run_many(
     compact :class:`RunSummary` comes back.
 
     Resilience covers infrastructure failures, not broken experiments:
-    worker deaths and stragglers are retried within bounds and finally
-    re-run in-process (stamped ``worker_retries``/``serial_fallback``),
-    while simulation errors (livelock, protocol violations) propagate.
+    a batch lost with its worker is retried within bounds, and stragglers
+    and batches out of retries are re-run in-process (stamped
+    ``worker_retries``/``serial_fallback``), while simulation errors
+    (livelock, protocol violations) propagate.
     """
     stats = stream_stats if stream_stats is not None else {}
     backend = build_executor(executor, stats)

@@ -17,20 +17,28 @@ Fault model (everything here assumes crashes, not malice):
 
 * **Heartbeats** — while executing a batch a worker emits a heartbeat
   every ``heartbeat_interval`` seconds; a batch silent for
-  ``heartbeat_timeout`` (or past its optional hard ``batch_deadline``)
-  is declared lost and re-queued.
+  ``heartbeat_timeout``, or whose worker disconnects, is declared lost
+  and re-queued.
 * **Bounded retry with backoff** — a lost batch re-queues up to
-  ``max_batch_retries`` times, each time no earlier than
+  ``retries`` times, each time no earlier than
   ``retry_backoff × 2^(attempt-1)`` seconds out; after that the
   coordinator runs it locally (serial fallback), so a dying fleet
   degrades to a slower sweep, never a lost one.
+* **Stragglers** — a batch still running ``timeout × len(batch)``
+  seconds after a worker took it goes straight to the local fallback.
+* **Drain** — with no worker connected for ``connect_timeout``, or at
+  once when every forked ``local`` worker has exited (or failed to
+  fork), all pending work runs locally.
 * **Exactly-once results** — a worker presumed dead may still deliver;
   duplicate batch results are dropped by spec index, so each spec is
   yielded (and checkpointed) exactly once.
-* **Cheap wire** — only specs that keep no detail travel, so workers
-  only ever ship :class:`~repro.telemetry.summary.RunSummary` results (a
-  few hundred bytes); specs that keep detail are executed by the
-  coordinator itself.
+
+Every spec travels, including the ones that keep detail: a worker ships
+back whatever the run collected, a
+:class:`~repro.telemetry.summary.RunSummary` (a few hundred bytes) or a
+:class:`~repro.telemetry.sinks.DetailSink` (a few hundred KB at the
+paper's transaction counts).  ``process:N`` is this backend with N
+forked ``local`` workers on loopback.
 
 The wire protocol is length-prefixed pickle (version-checked at hello,
 optionally token-authenticated).  Pickle implies the usual trust
@@ -60,13 +68,12 @@ import subprocess
 import sys
 import threading
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import SimulationError
-from repro.sim.executors import ExecConfig, ExecTask, mark_provenance
+from repro.sim.executors import ExecConfig, ExecTask, _address, mark_provenance
 
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
@@ -87,14 +94,15 @@ __all__ = [
 PROTOCOL_VERSION = 2
 
 #: Environment marker set inside worker processes (workloads and tests
-#: can detect fleet execution the way ``parent_process()`` detects pool
-#: workers).
+#: can detect fleet execution; ``parent_process()`` also detects a
+#: forked ``local`` worker).
 WORKER_ENV = "REPRO_ASF_WORKER"
 
 _LEN = struct.Struct("!I")
 
-#: Hard cap on one message (a batch of summaries is ~KBs; this guards
-#: against garbage on the port, not real traffic).
+#: Hard cap on one message (a batch of summaries is ~KBs, of detail
+#: sinks ~MBs; this guards against garbage on the port, not real
+#: traffic).
 _MAX_MSG = 64 * 1024 * 1024
 
 
@@ -136,13 +144,6 @@ def recv_msg(sock: socket.socket) -> object | None:
 def worker_identity() -> str:
     """This process's provenance stamp: ``host:pid``."""
     return f"{socket.gethostname()}:{os.getpid()}"
-
-
-def _parse_addr(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise SimulationError(f"bad address {text!r}; expected HOST:PORT")
-    return host, int(port)
 
 
 def _exited(proc: subprocess.Popen | BaseProcess, timeout: float | None) -> bool:
@@ -207,6 +208,9 @@ class Coordinator:
         self._inflight: dict[int, _Assignment] = {}
         self._fallback: list[int] = []
         self._workers: dict[str, float] = {}  # id -> connect time
+        # True when every launched worker was forked: once all of them
+        # have exited, no worker is left to join, so the sweep drains.
+        self._forks_only = False
         self._stop = threading.Event()
         self._finished = False
         self._service: list[threading.Thread] = []
@@ -234,7 +238,8 @@ class Coordinator:
 
         Workers launch before the acceptor and monitor threads start, so
         a forked ``local`` worker copies a process in which no
-        coordinator thread runs; it dials in once the port is open.
+        coordinator thread runs; it dials in once the port is open.  No
+        more workers launch than there are specs to run.
         """
         with self._lock:
             for b in batches:
@@ -242,8 +247,9 @@ class Coordinator:
                 self._ready.append(b.id)
             self._next_id = max(self._batches, default=-1) + 1
             self._pending.extend(tasks)
-        host, port = _parse_addr(self.config.bind)
-        self._listener = socket.create_server((host, port))
+        self._listener = socket.create_server(
+            _address(self.config.bind, "coordinator bind")
+        )
         self._listener.setblocking(False)
         self._wake_r, self._wake_w = socket.socketpair()
         bound_host, bound_port = self._listener.getsockname()[:2]
@@ -252,7 +258,7 @@ class Coordinator:
         adv_host = socket.gethostname() if bound_host == "0.0.0.0" else bound_host
         self.address = f"{adv_host}:{bound_port}"
         self._no_worker_since = time.monotonic()
-        self._launch_workers()
+        self._launch_workers(len(tasks) + sum(len(b.tasks) for b in batches))
         for name in ("accept", "monitor"):
             t = threading.Thread(
                 target=getattr(self, f"_{name}_loop"),
@@ -294,13 +300,15 @@ class Coordinator:
             self._finished = True
             self._work.notify_all()
 
-    def _launch_workers(self) -> None:
+    def _launch_workers(self, n_specs: int) -> None:
         connect_addr = self.address
         # Launch templates for the loopback bind advertise loopback, not
         # the hostname (no resolver needed for `local` fleets).
         if self.config.bind.startswith("127."):
             connect_addr = f"127.0.0.1:{self.address.rsplit(':', 1)[1]}"
-        for n, entry in enumerate(self.config.launch):
+        launch = self.config.launch[:n_specs]
+        self._forks_only = bool(launch) and all(e == "local" for e in launch)
+        for n, entry in enumerate(launch):
             if entry == "local":
                 # Imported here: set-up and exec'd workers never need it.
                 import multiprocessing
@@ -309,7 +317,12 @@ class Coordinator:
                     target=self._forked_worker, args=(connect_addr,),
                     name=f"repro-worker-{n}", daemon=True,
                 )
-                proc.start()
+                try:
+                    proc.start()
+                except OSError:
+                    # A refused fork counts as a worker that exited: the
+                    # sweep runs on the others, or locally.
+                    continue
                 self._procs.append(proc)
                 continue
             if "{addr}" in entry or "{token}" in entry:
@@ -372,12 +385,12 @@ class Coordinator:
                 return None
             share = -(-len(self._pending) // (2 * max(1, len(self._workers))))
             b = self._cut(min(share, self._max_batch))
-        deadline = (
-            now + self.config.batch_deadline
-            if self.config.batch_deadline is not None
-            else None
-        )
+        timeout = self.config.timeout
+        deadline = None if timeout is None else now + timeout * len(b.tasks)
         self._inflight[b.id] = _Assignment(worker, deadline)
+        running = sum(len(self._batches[bid].tasks) for bid in self._inflight)
+        if running > self.stats.get("peak_inflight", 0):
+            self.stats["peak_inflight"] = running
         return b
 
     def _next_batch(self, worker: str) -> _Batch | None:
@@ -405,15 +418,36 @@ class Coordinator:
             return  # already delivered
         b.retries += 1
         self.stats["batches_requeued"] = self.stats.get("batches_requeued", 0) + 1
-        if b.retries > self.config.max_batch_retries:
-            self._fallback.append(bid)
-            self.events.put(("wake",))
+        if b.retries > self.config.retries:
+            self._to_local(bid)
         else:
             b.not_before = time.monotonic() + (
                 self.config.retry_backoff * (2 ** (b.retries - 1))
             )
             self._ready.append(bid)
             self._work.notify_all()
+
+    def _to_local(self, bid: int) -> None:
+        """Hand a batch to local execution; called with the lock held."""
+        self._fallback.append(bid)
+        self.events.put(("wake",))
+
+    def _retire(self, bid: int) -> _Batch | None:
+        """Forget a batch a worker answered; called with the lock held.
+
+        The batch may wait in the ready list after a re-queue while its
+        first worker still delivers, so it leaves that list too.
+        """
+        self._inflight.pop(bid, None)
+        if bid in self._ready:
+            self._ready.remove(bid)
+        return self._batches.pop(bid, None)
+
+    def _fleet_gone(self) -> bool:
+        """Every launched worker was forked, and each has exited or
+        failed to fork; exec'd launchers may exit while their workers
+        are still to come, so they never count as gone."""
+        return self._forks_only and all(p.exitcode is not None for p in self._procs)
 
     def _drain_to_local(self) -> None:
         """Hand every batch no worker holds, and every task not yet cut,
@@ -432,8 +466,7 @@ class Coordinator:
     def _complete(self, worker: str, msg: dict) -> None:
         bid = msg["batch_id"]
         with self._lock:
-            b = self._batches.pop(bid, None)
-            self._inflight.pop(bid, None)
+            b = self._retire(bid)
         if b is None:
             # A worker presumed dead delivered after its batch was
             # re-assigned; the whole delivery is a duplicate.
@@ -473,21 +506,25 @@ class Coordinator:
         while not self._stop.wait(0.1):
             now = time.monotonic()
             with self._lock:
-                lost = [
-                    bid
-                    for bid, a in self._inflight.items()
-                    if now - a.last_beat > cfg.heartbeat_timeout
-                    or (a.deadline is not None and now > a.deadline)
-                ]
-                for bid in lost:
-                    self._requeue(bid, "silent")
+                for bid, a in list(self._inflight.items()):
+                    if a.deadline is not None and now > a.deadline:
+                        # A straggler runs locally at once; a late
+                        # delivery from its worker is dropped.
+                        del self._inflight[bid]
+                        self._to_local(bid)
+                    elif now - a.last_beat > cfg.heartbeat_timeout:
+                        self._requeue(bid, "silent")
                 # A workerless coordinator must not sit on pending work
-                # forever: after the connect grace, drain it to local
-                # execution (and keep draining if the fleet later dies).
+                # forever: after the connect grace, or as soon as its
+                # forked fleet is gone, drain it to local execution (and
+                # keep draining if the fleet later dies).
                 if (
                     not self._workers
                     and not self._inflight
-                    and now - self._no_worker_since > cfg.connect_timeout
+                    and (
+                        now - self._no_worker_since > cfg.connect_timeout
+                        or self._fleet_gone()
+                    )
                 ):
                     self._drain_to_local()
 
@@ -558,12 +595,11 @@ class Coordinator:
                     # A broken experiment, not broken infrastructure:
                     # propagate instead of retrying it elsewhere.
                     with self._lock:
-                        self._batches.pop(msg.get("batch_id"), None)
-                        self._inflight.pop(msg.get("batch_id"), None)
+                        self._retire(msg.get("batch_id"))
                     self.events.put(("error", msg.get("message", "worker error")))
                     current = None
-        except (OSError, pickle.PickleError, EOFError):
-            pass
+        except (OSError, pickle.PickleError, EOFError, SimulationError):
+            pass  # a lost or garbled connection: the finally re-queues
         finally:
             conn.close()
             with self._lock:
@@ -580,13 +616,11 @@ class Coordinator:
 class RemoteExecutor:
     """The ``remote`` backend: coordinator in-process, workers over TCP.
 
-    Specs that keep no detail are handed to workers in guided batches
-    (see :class:`Coordinator`); specs that keep detail never travel — the
-    coordinator executes them itself, exactly as the serial path would,
-    while the workers run the batches.  Every
-    remote result is provenance-stamped with the worker's ``host:pid``;
-    batches whose retries are exhausted (or that no worker ever picked
-    up) are executed locally with ``serial_fallback`` set.
+    Every spec is handed to workers in guided batches (see
+    :class:`Coordinator`).  Every remote result is provenance-stamped
+    with the worker's ``host:pid``; batches whose retries are exhausted,
+    that ran past their ``timeout``, or that no worker ever picked up are
+    executed locally with ``serial_fallback`` set.
     """
 
     def __init__(self, config: ExecConfig, stream_stats: dict | None = None):
@@ -600,19 +634,12 @@ class RemoteExecutor:
         stats.setdefault("workers_joined", 0)
         stats.setdefault("batches_requeued", 0)
         stats.setdefault("duplicates_dropped", 0)
-        local = [t for t in tasks if t.spec.record_detail]
-        wire = [t for t in tasks if not t.spec.record_detail]
         coord = Coordinator(self.config, stats)
         done: set[int] = set()
-        remaining = {t.index for t in wire}
         try:
-            if wire:
-                coord.start(tasks=wire)
-            # The fleet runs the wire batches while this thread runs the
-            # specs that keep detail.
-            for t in local:
-                yield t.index, _execute(t.spec)
-            while remaining:
+            if tasks:
+                coord.start(tasks=tasks)
+            while len(done) < len(tasks):
                 try:
                     event = coord.events.get(timeout=0.1)
                 except queue.Empty:
@@ -631,7 +658,6 @@ class RemoteExecutor:
                                     worker=res.worker,
                                 )
                             done.add(index)
-                            remaining.discard(index)
                             yield index, res
                     elif kind == "error":
                         raise SimulationError(event[1])
@@ -650,7 +676,6 @@ class RemoteExecutor:
                             stats.get("local_fallback_specs", 0) + 1
                         )
                         done.add(t.index)
-                        remaining.discard(t.index)
                         yield t.index, res
             coord.finish()
         finally:
@@ -668,17 +693,19 @@ def worker_main(
     Dials the coordinator, executes batches until told to shut down (or
     the connection drops), heartbeating while a batch runs.  Results are
     whatever :func:`~repro.sim.parallel.execute_spec` returns — a
-    :class:`RunSummary` for every spec a coordinator ships — stamped with
-    this worker's identity.  ``max_batches`` exists for tests and drain-style
-    launchers.  Returns a process exit code.
+    :class:`RunSummary`, or the detail sink of a spec that keeps detail —
+    stamped with this worker's identity.  ``max_batches`` exists for
+    tests and drain-style launchers.  A malformed ``connect`` raises
+    :class:`~repro.errors.ConfigError`; otherwise this returns a process
+    exit code.
     """
     from repro.sim import parallel
 
+    address = _address(connect, f"worker --connect {connect!r}")
     os.environ[WORKER_ENV] = "1"
     ident = worker_id or worker_identity()
-    host, port = _parse_addr(connect)
     try:
-        sock = socket.create_connection((host, port), timeout=10.0)
+        sock = socket.create_connection(address, timeout=10.0)
     except OSError as exc:
         print(f"worker {ident}: cannot reach {connect}: {exc}", file=sys.stderr)
         return 1
@@ -767,14 +794,3 @@ def worker_main(
         return 1
     finally:
         sock.close()
-
-
-def warn_no_workers(address: str, waited: float) -> None:
-    """One consistent message for the no-fleet degradation."""
-    warnings.warn(
-        f"remote executor: no workers joined {address} within {waited:.0f}s; "
-        "running locally (start workers with "
-        f"`repro-asf worker --connect {address}`)",
-        RuntimeWarning,
-        stacklevel=3,
-    )

@@ -70,8 +70,8 @@ class RunResult:
     #: Atomicity violations found by a non-raising checker (only ever
     #: non-zero for deliberately broken ablation variants).
     violations: int = 0
-    #: Pool-resilience provenance: how many times this spec was resubmitted
-    #: after a worker death, and whether it ultimately ran in-process.
+    #: Resilience provenance: how many times this spec was resubmitted
+    #: after a worker was lost, and whether it ultimately ran in-process.
     worker_retries: int = 0
     serial_fallback: bool = False
     #: Remote-fabric provenance: ``host:pid`` of the worker that produced

@@ -84,7 +84,7 @@ class RunSummary:
     violations: int = 0
     #: How many runs this summary aggregates (1 for a single run).
     n_runs: int = 1
-    #: Pool-worker deaths survived while producing this result (resilience
+    #: Worker losses survived while producing this result (resilience
     #: bookkeeping — deliberately NOT part of ``summary()`` so retried and
     #: clean runs stay bit-identical).
     worker_retries: int = 0

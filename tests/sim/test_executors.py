@@ -1,28 +1,27 @@
-"""The executor layer: config resolution, the --executor grammar, the
-one ``executor=`` surface of the batch entry points, and the per-spec
-deadline ledger."""
+"""The executor layer: config resolution, the --executor grammar and
+the one ``executor=`` surface of the batch entry points."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import os
+import shlex
 
 import pytest
 
 from repro.config import default_system
 from repro.errors import ConfigError
-from repro.sim import executors as ex
 from repro.sim.executors import (
     ExecConfig,
     ExecTask,
     Executor,
-    ProcessExecutor,
     SerialExecutor,
-    _DeadlineLedger,
     build_executor,
     parse_executor_spec,
 )
 from repro.sim.parallel import RunSpec, iter_many, run_many
-from repro.telemetry.sinks import DetailSink
+from repro.sim.remote import RemoteExecutor
 
 TXNS = 8
 
@@ -45,13 +44,33 @@ class TestExecutorSpecGrammar:
         cfg = parse_executor_spec("serial")
         assert cfg.backend == "serial"
 
-    def test_process_all_cores(self):
-        cfg = parse_executor_spec("process")
-        assert cfg.backend == "process" and cfg.jobs == 0
+    def test_process_all_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert parse_executor_spec("process").launch == ("local",) * 6
 
     def test_process_n(self):
+        """``process:N`` is a loopback fleet of N forked workers."""
         cfg = parse_executor_spec("process:8")
-        assert cfg.backend == "process" and cfg.jobs == 8
+        assert cfg.backend == "remote" and cfg.bind == "127.0.0.1:0"
+        assert cfg.launch == ("local",) * 8
+
+    def test_process_one_runs_in_process(self, monkeypatch):
+        assert parse_executor_spec("process:1").backend == "serial"
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert parse_executor_spec("process").backend == "serial"
+
+    def test_process_without_fork_execs_templates(self, monkeypatch):
+        """Without ``os.fork`` each worker is the exec'd template line,
+        run by this interpreter."""
+        monkeypatch.delattr(os, "fork")
+        cfg = parse_executor_spec("process:3")
+        assert cfg.backend == "remote" and cfg.bind == "127.0.0.1:0"
+        assert len(cfg.launch) == 3 and len(set(cfg.launch)) == 1
+        argv = shlex.split(cfg.launch[0])
+        assert argv[1:] == [
+            "-m", "repro.cli", "worker",
+            "--connect", "{addr}", "--token", "{token}",
+        ]
 
     def test_remote_default(self):
         cfg = parse_executor_spec("remote")
@@ -126,11 +145,11 @@ class TestAsExecConfig:
 
     def test_none_is_inprocess_default(self):
         backend = build_executor(None)
-        assert isinstance(backend.config, ExecConfig)
-        assert backend.config.jobs == 1
+        assert isinstance(backend, SerialExecutor)
+        assert backend.config.backend == "serial"
 
     def test_string_is_parsed(self):
-        assert build_executor("process:3").config.jobs == 3
+        assert build_executor("process:3").config.launch == ("local",) * 3
 
     def test_live_executor_passes_through(self):
         """run_many drives a live executor as-is, config and stats."""
@@ -148,15 +167,15 @@ class TestAsExecConfig:
 class TestBuildExecutor:
     def test_backend_resolution(self):
         assert isinstance(build_executor("serial"), SerialExecutor)
-        assert isinstance(build_executor("process:2"), ProcessExecutor)
+        assert isinstance(build_executor("process:2"), RemoteExecutor)
         assert isinstance(build_executor("serial"), Executor)
-        from repro.sim.remote import RemoteExecutor
-
         assert isinstance(build_executor("remote"), RemoteExecutor)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
             build_executor(ExecConfig(backend="carrier-pigeon"))
+        with pytest.raises(ConfigError):
+            build_executor(ExecConfig(backend="process"))  # a spec, not a backend
         with pytest.raises(ConfigError):
             build_executor(4)  # worker counts are spelled "process:4"
 
@@ -170,7 +189,7 @@ class TestDeprecationShims:
 
     def test_modern_paths_do_not_warn(self, recwarn):
         run_many(_specs(2), "serial")
-        run_many(_specs(2), ExecConfig(jobs=1))
+        run_many(_specs(2), ExecConfig())
         assert not [
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]
@@ -217,7 +236,9 @@ class TestBackendParity:
     def test_serial_process_int_spec_all_identical(self):
         specs = _specs(4)
         baseline = [r.stats.summary() for r in run_many(specs, "serial")]
-        for executor in ("process:2", ExecConfig(backend="process", jobs=2)):
+        for executor in (
+            "process:2", ExecConfig(backend="remote", launch=("local", "local"))
+        ):
             got = [r.stats.summary() for r in run_many(specs, executor)]
             assert got == baseline, f"{executor!r} diverged"
 
@@ -229,52 +250,12 @@ class TestBackendParity:
         assert [i for i, _ in out] == [0, 1, 2]
 
 
-class TestDeadlineLedger:
-    """The double-charge fix: one budget per spec, refreshed only by a
-    genuine worker-death retry."""
-
-    def test_deadline_assigned_once(self):
-        ledger = _DeadlineLedger(timeout=10.0)
-        first = ledger.deadline(0, now=100.0)
-        again = ledger.deadline(0, now=150.0)
-        assert first == again == 100.0 + 10.0 * ex.STREAM_BACKLOG
-
-    def test_requeue_does_not_extend_budget(self):
-        # A pool rotation re-queues the spec; its clock must keep running.
-        ledger = _DeadlineLedger(timeout=1.0)
-        ledger.deadline(0, now=0.0)
-        assert not ledger.expired(0, now=1.0)
-        assert ledger.expired(0, now=1.0 * ex.STREAM_BACKLOG)
-
-    def test_refresh_grants_new_attempt(self):
-        ledger = _DeadlineLedger(timeout=1.0)
-        ledger.deadline(0, now=0.0)
-        ledger.refresh(0, now=5.0)
-        assert not ledger.expired(0, now=5.5)
-        assert ledger.deadline(0, now=6.0) == 5.0 + 1.0 * ex.STREAM_BACKLOG
-
-    def test_no_timeout_never_expires(self):
-        ledger = _DeadlineLedger(timeout=None)
-        assert ledger.deadline(0, now=0.0) is None
-        assert not ledger.expired(0, now=1e9)
-
-
-class TestRemoteTransferRules:
-    def test_full_mode_tasks_never_travel(self):
-        """Event-recording specs run locally in the coordinator process."""
-        from repro.sim.remote import RemoteExecutor
-
-        spec = RunSpec(
-            workload="kmeans",
-            config=default_system(),
-            seed=1,
-            txns_per_core=TXNS,
-            record_detail=True,
-        )
-        # connect_timeout=0 would drain immediately; but a spec that keeps
-        # detail never reaches the coordinator at all, so no socket is opened.
-        exec_ = RemoteExecutor(ExecConfig(backend="remote"))
-        out = dict(exec_.run([ExecTask(0, spec)]))
-        assert isinstance(out[0].stats, DetailSink)
-        assert out[0].stats.conflict_events
-        assert out[0].worker == ""
+def test_exec_config_has_one_set_of_fault_knobs():
+    """One per-spec ``timeout`` and one ``retries`` count serve every
+    parallel sweep; no pool-only knob is left."""
+    assert [f.name for f in dataclasses.fields(ExecConfig)] == [
+        "backend", "store", "on_result",
+        "bind", "launch", "batch_size", "timeout", "retries",
+        "heartbeat_interval", "heartbeat_timeout", "retry_backoff",
+        "connect_timeout", "token",
+    ]

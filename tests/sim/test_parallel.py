@@ -2,13 +2,14 @@
 serial/parallel bit-identity.
 
 The load-bearing claims (module docstring of :mod:`repro.sim.parallel`):
-results come back in spec order, pool execution is bit-identical to the
-serial reference path, and sweeps compile each workload once per process
+results come back in spec order, execution on forked workers is
+bit-identical to the serial reference path, and sweeps compile each workload once per process
 instead of once per point.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -18,7 +19,7 @@ from repro.sim import parallel as par
 from repro.sim.parallel import (
     RunSpec,
     compiled_scripts,
-    resolve_jobs,
+    parse_executor_spec,
     run_many,
 )
 from repro.telemetry.sinks import DetailSink
@@ -89,12 +90,17 @@ class TestCompiledScripts:
 
 
 class TestResolveJobs:
+    """``process[:N]`` resolves its worker count: no N, 0 or a negative
+    N means one worker per core."""
+
     @pytest.mark.parametrize("jobs", [None, 0, -2])
-    def test_all_cores_sentinels(self, jobs):
-        assert resolve_jobs(jobs) >= 1
+    def test_all_cores_sentinels(self, jobs, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        text = "process" if jobs is None else f"process:{jobs}"
+        assert parse_executor_spec(text).launch == ("local",) * 5
 
     def test_explicit_value_passes_through(self):
-        assert resolve_jobs(3) == 3
+        assert parse_executor_spec("process:3").launch == ("local",) * 3
 
 
 class TestRunMany:

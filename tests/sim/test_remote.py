@@ -14,6 +14,7 @@ Two layers of coverage:
 
 from __future__ import annotations
 
+import errno
 import os
 import signal
 import socket
@@ -22,7 +23,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
-from types import SimpleNamespace
+from multiprocessing.process import BaseProcess
 
 import pytest
 
@@ -34,13 +35,13 @@ from repro.sim.remote import (
     PROTOCOL_VERSION,
     WORKER_ENV,
     Coordinator,
-    RemoteExecutor,
     _Batch,
     recv_msg,
     send_msg,
     worker_main,
 )
 from repro.store import ResultsStore
+from repro.telemetry.sinks import DetailSink
 
 TXNS = 8
 
@@ -81,7 +82,7 @@ def _coordinator(batches=(), tasks=(), **overrides):
         heartbeat_interval=0.1,
         heartbeat_timeout=0.6,
         retry_backoff=0.05,
-        max_batch_retries=2,
+        retries=2,
         connect_timeout=60.0,
     )
     kwargs.update(overrides)
@@ -302,11 +303,45 @@ class TestProtocolFaults:
         finally:
             coord.stop()
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"heartbeat_timeout": 0.3}, {"timeout": 0.15}],
+        ids=["silent", "timeout"],
+    )
+    def test_late_result_for_a_requeued_batch(self, monkeypatch, knobs):
+        """The first worker delivers a batch the monitor already took
+        from it (re-queued after silence, with a long backoff, or sent
+        to the local fallback past its timeout): its handler keeps
+        serving, each result arrives once, and it then gets a shutdown."""
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        coord, _ = _coordinator(
+            _batches(_specs(2), size=2), retry_backoff=5.0, **knobs
+        )
+        try:
+            w = FakeWorker(coord)
+            batch = w.take_batch()
+            time.sleep(0.6)  # past the silence window and the deadline
+            w.deliver_unrun(batch)
+            assert sorted(_drain_results(coord, want=2)) == [0, 1]
+            coord.finish()
+            w.expect_shutdown()
+            w.close()
+            time.sleep(0.2)
+            late = []
+            while not coord.events.empty():
+                late.append(coord.events.get_nowait()[0])
+            assert "results" not in late
+            assert coord.pop_fallback() is None  # nothing left to run
+        finally:
+            coord.stop()
+        assert crashes == []
+
     def test_retries_exhausted_falls_back_local(self):
-        """After ``max_batch_retries`` losses the batch lands on the
+        """After ``retries`` losses the batch lands on the
         coordinator's own fallback queue instead of cycling forever."""
         coord, stats = _coordinator(
-            _batches(_specs(2), size=2), max_batch_retries=1
+            _batches(_specs(2), size=2), retries=1
         )
         try:
             for n in range(2):  # initial attempt + one retry
@@ -499,38 +534,6 @@ class TestWorkerMain:
                 worker.join(timeout=10.0)
         assert not worker.is_alive()
         assert exit_code == [0]
-
-
-class TestDetailOverlap:
-    def test_fleet_serves_while_detail_specs_run(self):
-        """The coordinator is up before the first spec that keeps detail
-        is yielded: while the caller holds that result, a worker joins
-        and runs every wire batch, and the results match serial."""
-        with socket.create_server(("127.0.0.1", 0)) as probe:
-            address = f"127.0.0.1:{probe.getsockname()[1]}"
-        specs = [replace(s, record_detail=True) for s in _specs(2)]
-        specs += _specs(6)[2:]
-        config = ExecConfig(backend="remote", bind=address, connect_timeout=60.0)
-        stream = RemoteExecutor(config).run(_tasks(specs))
-        try:
-            got = dict([next(stream)])
-            w = FakeWorker(SimpleNamespace(address=address, token=""))
-            assert w.accepted
-            served = 0
-            while served < 4:
-                batch = w.take_batch()
-                w.deliver(batch)
-                served += len(batch["tasks"])
-            got.update(stream)
-            w.expect_shutdown()
-            w.close()
-        finally:
-            stream.close()
-        serial = run_many(specs, "serial")
-        assert [got[i].stats.summary() for i in range(len(specs))] == [
-            r.stats.summary() for r in serial
-        ]
-        assert {got[i].worker for i in range(2, 6)} == {"fake"}
 
 
 def _spawn_worker(coord, extra=()):
@@ -732,4 +735,53 @@ class TestForkedLaunch:
         assert exit_codes == [1, 1]
         assert stats["workers_joined"] == 0
         assert stats["local_fallback_specs"] == len(specs)
+        assert _summaries(fleet) == _summaries(run_many(specs, "serial"))
+
+    def test_detail_specs_travel(self):
+        """A spec that keeps detail runs on a worker like any other, and
+        its detail sink comes back whole."""
+        specs = [replace(s, record_detail=True) for s in _specs(2)]
+        specs += _specs(4)[2:]
+        fleet = run_many(specs, _fleet(("local", "local")))
+        serial = run_many(specs, "serial")
+        assert all(r.worker and r.worker != remote.worker_identity() for r in fleet)
+        for got, want in zip(fleet[:2], serial[:2]):
+            assert isinstance(got.stats, DetailSink)
+            assert got.stats.conflict_events == want.stats.conflict_events
+        assert _summaries(fleet) == _summaries(serial)
+
+    def test_no_more_forks_than_specs(self, monkeypatch):
+        """``process:64`` on three specs forks three workers; a start
+        past the third is refused here rather than run."""
+        started = []
+        real_start = BaseProcess.start
+
+        def start(proc):
+            started.append(proc.name)
+            if len(started) > 3:
+                raise OSError("a fork beyond the spec count")
+            real_start(proc)
+
+        monkeypatch.setattr(BaseProcess, "start", start)
+        specs = _specs(3)
+        fleet = run_many(specs, "process:64")
+        assert len(started) == 3
+        assert _summaries(fleet) == _summaries(run_many(specs, "serial"))
+
+    def test_refused_fork_runs_the_sweep_locally(self, monkeypatch):
+        """Where every fork is refused, the sweep drains to local at once
+        and raises nothing."""
+
+        def refuse(proc):
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(BaseProcess, "start", refuse)
+        specs = _specs(3)
+        stats: dict = {}
+        start = time.monotonic()
+        fleet = run_many(specs, "process:2", stream_stats=stats)
+        assert time.monotonic() - start < 3.0  # not the 10-s connect grace
+        assert stats["workers_joined"] == 0
+        assert stats["local_fallback_specs"] == len(specs)
+        assert all(r.serial_fallback for r in fleet)
         assert _summaries(fleet) == _summaries(run_many(specs, "serial"))

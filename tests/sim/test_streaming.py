@@ -12,8 +12,8 @@ Three guarantees under test:
   uninterrupted run, with the finished prefix served from disk.
 * **Bounded memory** — a 10k-spec sweep never retains more than a small
   constant of live results in the parent (instrumented via a stubbed
-  executor), and the pooled path keeps at most ``jobs × STREAM_BACKLOG``
-  futures in flight.
+  executor), and ``process:N`` keeps at most ``N × batch_size`` specs
+  in flight.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.config import DetectionScheme, default_system
 from repro.sim import parallel
 from repro.sim.executors import ExecConfig
-from repro.sim.parallel import STREAM_BACKLOG, RunSpec, iter_many, run_many
+from repro.sim.parallel import RunSpec, iter_many, run_many
 from repro.sim.runner import RunResult
 from repro.store import ResultsStore
 from repro.telemetry.summary import (
@@ -226,4 +226,5 @@ class TestBoundedMemory:
             iter_many(specs, f"process:{jobs}", stream_stats=stream_stats)
         )
         assert len(results) == len(specs)
-        assert 0 < stream_stats["peak_inflight"] <= jobs * STREAM_BACKLOG
+        batch_size = ExecConfig().batch_size
+        assert 0 < stream_stats["peak_inflight"] <= jobs * batch_size

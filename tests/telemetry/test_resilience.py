@@ -1,16 +1,18 @@
-"""Mid-batch resilience of run_many: worker deaths and per-spec timeouts
-lose the affected specs' wall-clock, never the batch."""
+"""Mid-batch resilience of run_many under ``process:2``: worker deaths
+and per-spec timeouts lose the affected specs' wall-clock, never the
+batch."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.config import DetectionScheme, default_system
-from repro.sim.executors import ExecConfig
+from repro.sim.executors import ExecConfig, parse_executor_spec
 from repro.sim.parallel import RunSpec, run_many
 from repro.telemetry.summary import RunSummary
 from repro.workloads.synthetic import SyntheticWorkload
@@ -18,14 +20,19 @@ from repro.workloads.synthetic import SyntheticWorkload
 TXNS = 8
 
 
-def _in_pool_worker() -> bool:
+def _in_forked_worker() -> bool:
     return multiprocessing.parent_process() is not None
 
 
+def _fleet(**knobs) -> ExecConfig:
+    """``process:2`` (two forked loopback workers) with fault knobs set."""
+    return replace(parse_executor_spec("process:2"), **knobs)
+
+
 class CrashOnceWorkload(SyntheticWorkload):
-    """Dies (hard, like an OOM kill) the first time a pool worker builds
+    """Dies (hard, like an OOM kill) the first time a forked worker builds
     it; succeeds on any later attempt.  ``marker`` is a path on a shared
-    filesystem, so the retry — in a fresh worker or in-process — sees it.
+    filesystem, so the retry — in another worker or in-process — sees it.
     """
 
     def __init__(self, marker: str, txns_per_core: int = TXNS) -> None:
@@ -33,7 +40,7 @@ class CrashOnceWorkload(SyntheticWorkload):
         self.marker = marker
 
     def build(self, n_cores, seed):
-        if _in_pool_worker() and not os.path.exists(self.marker):
+        if _in_forked_worker() and not os.path.exists(self.marker):
             with open(self.marker, "w") as fh:
                 fh.write("crashed")
             os._exit(1)  # simulate a worker death, not an exception
@@ -41,26 +48,26 @@ class CrashOnceWorkload(SyntheticWorkload):
 
 
 class AlwaysCrashWorkload(SyntheticWorkload):
-    """Dies in every pool worker; only in-process execution survives."""
+    """Dies in every forked worker; only in-process execution survives."""
 
     def __init__(self, txns_per_core: int = TXNS) -> None:
         super().__init__(txns_per_core=txns_per_core, name="always-crash")
 
     def build(self, n_cores, seed):
-        if _in_pool_worker():
+        if _in_forked_worker():
             os._exit(1)
         return super().build(n_cores, seed)
 
 
 class SlowWorkload(SyntheticWorkload):
-    """Sleeps past any reasonable budget, but only inside pool workers."""
+    """Sleeps past any reasonable budget, but only inside forked workers."""
 
     def __init__(self, delay: float = 5.0, txns_per_core: int = TXNS) -> None:
         super().__init__(txns_per_core=txns_per_core, name="slow")
         self.delay = delay
 
     def build(self, n_cores, seed):
-        if _in_pool_worker():
+        if _in_forked_worker():
             time.sleep(self.delay)
         return super().build(n_cores, seed)
 
@@ -77,32 +84,43 @@ def spec(workload, **kw) -> RunSpec:
 
 class TestWorkerDeath:
     def test_crash_once_retries_in_pool(self, tmp_path):
+        """The batch lost with the crashed worker is re-run by the
+        surviving one, not locally."""
         marker = str(tmp_path / "crashed")
         healthy = SyntheticWorkload(txns_per_core=TXNS)
         specs = [spec(CrashOnceWorkload(marker)), spec(healthy)]
-        results = run_many(specs, ExecConfig(jobs=2, worker_retries=2))
+        stats: dict = {}
+        results = run_many(specs, _fleet(retries=2), stream_stats=stats)
         assert os.path.exists(marker)  # the crash really happened
         for res in results:
             assert isinstance(res.stats, RunSummary)
             assert res.stats.txn_commits > 0
-        # The crashing spec records at least one resubmission; the
-        # summary carries the same provenance.
+        # The crashing spec records its resubmission; the summary
+        # carries the same provenance.
         crashed = results[0]
-        assert crashed.worker_retries >= 1
+        assert crashed.worker_retries == 1
         assert crashed.stats.worker_retries == crashed.worker_retries
+        assert not crashed.serial_fallback
+        assert crashed.worker == results[1].worker  # the survivor ran both
+        assert stats["batches_requeued"] == 1
+        assert stats.get("local_fallback_specs", 0) == 0
 
     def test_persistent_crash_falls_back_to_serial(self):
-        # Two specs: run_many short-circuits single-spec batches to the
-        # serial path, which would never exercise the pool.
+        """Each forked worker dies on the spec in turn; with both gone and
+        a retry still left, the sweep drains to local at once instead of
+        waiting out ``connect_timeout``."""
         specs = [spec(AlwaysCrashWorkload()),
                  spec(SyntheticWorkload(txns_per_core=TXNS))]
-        results = run_many(specs, ExecConfig(jobs=2, worker_retries=1))
+        start = time.monotonic()
+        results = run_many(specs, _fleet(retries=2, connect_timeout=60.0))
+        elapsed = time.monotonic() - start
         res = results[0]
         assert res.serial_fallback
-        assert res.worker_retries == 2  # both pool rounds died
+        assert res.worker_retries == 2  # both workers died on it
         assert res.stats.serial_fallback
         assert res.stats.txn_commits > 0
         assert results[1].stats.txn_commits > 0
+        assert elapsed < 3.0
 
     def test_crash_results_match_clean_run(self):
         clean = run_many(
@@ -112,7 +130,7 @@ class TestWorkerDeath:
         crashed = run_many(
             [spec(AlwaysCrashWorkload()),
              spec(SyntheticWorkload(txns_per_core=TXNS))],
-            ExecConfig(jobs=2, worker_retries=0),
+            _fleet(retries=0),
         )[0]
         assert crashed.serial_fallback
         # Provenance fields are excluded from summary() so retried runs
@@ -122,22 +140,27 @@ class TestWorkerDeath:
 
 class TestTimeout:
     def test_straggler_goes_serial(self):
+        """A batch past ``timeout × len(batch)`` runs in the coordinator;
+        the sweep does not wait out the sleeping worker."""
         specs = [spec(SlowWorkload(delay=8.0)),
                  spec(SyntheticWorkload(txns_per_core=TXNS))]
         start = time.monotonic()
-        results = run_many(specs, ExecConfig(jobs=2, timeout=1.5))
+        results = run_many(specs, _fleet(timeout=1.5))
         elapsed = time.monotonic() - start
         res = results[0]
         assert res.serial_fallback
         assert res.stats.txn_commits > 0
         assert results[1].stats.txn_commits > 0
+        assert not results[1].serial_fallback
         assert elapsed < 8.0  # did not wait out the sleeping worker
 
     def test_fast_specs_unaffected_by_generous_timeout(self):
         specs = [spec(SyntheticWorkload(txns_per_core=TXNS))] * 3
-        results = run_many(specs, ExecConfig(jobs=2, timeout=120.0))
+        stats: dict = {}
+        results = run_many(specs, _fleet(timeout=120.0), stream_stats=stats)
         assert all(not r.serial_fallback for r in results)
         assert all(r.stats.txn_commits > 0 for r in results)
+        assert stats.get("local_fallback_specs", 0) == 0
 
 
 class TestSpawnSafety:
@@ -151,12 +174,12 @@ class TestSpawnSafety:
 
 @pytest.fixture(autouse=True)
 def _fork_only():
-    """These tests inject crashes via fork-inherited test classes; skip on
-    platforms whose default start method cannot see them.  The compiled-
+    """These tests inject faults that fire only inside workers forked
+    through multiprocessing; skip where ``process:N`` cannot fork.  The compiled-
     script cache is cleared so forked workers cannot inherit a parent-side
     cache hit and skip the crashing ``build()``."""
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("resilience injection requires the fork start method")
+    if not hasattr(os, "fork"):
+        pytest.skip("resilience injection requires forked workers")
     from repro.sim import parallel as par
 
     par._script_cache.clear()

@@ -117,6 +117,17 @@ class TestInputErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "address", ["bogus", "host:", "127.0.0.1:99999"]
+    )
+    def test_bad_worker_address(self, capsys, address):
+        assert main(["worker", "--connect", address]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro-asf: error: ")
+        assert address in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("case", ["directory", "non-utf8"])
     def test_unreadable_hosts_file(self, tmp_path, capsys, case):
         path = tmp_path / "hosts"
