@@ -27,11 +27,12 @@ loopback: the remote fabric below), ``remote`` / ``remote:PORT`` /
 join via ``repro-asf worker``).  See ``docs/DISTRIBUTED.md`` for the
 fabric.
 
-A :class:`~repro.errors.ConfigError` (bad executor spec or ``worker
---connect`` address, missing or malformed trace file, missing store
-directory) or :class:`~repro.errors.WorkloadError` (missing or
-malformed script file) ends in one ``repro-asf: error: ...`` line and
-exit status 2.
+A :class:`~repro.errors.ConfigError` (bad executor spec, ``worker
+--connect`` address or ``sweep --counts`` list, missing or malformed
+trace file, a ``store`` path that holds no results store, a negative
+``store gc --keep-last``) or :class:`~repro.errors.WorkloadError`
+(missing or malformed script file) ends in one ``repro-asf: error:
+...`` line and exit status 2.
 
 ``--trace-dir DIR`` on ``run``/``suite`` records every run's event
 trace into DIR *and* writes a ``<run>.report.txt`` forensics report next
@@ -481,16 +482,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_stores(paths) -> None:
-    """Refuse, before anything is opened or created, a store path that is missing."""
+def _require_stores(paths, logs_ok: bool = False) -> None:
+    """Refuse, before anything is opened or created, a path that holds no
+    results store: a directory with a ``results.jsonl`` log, or with
+    ``logs_ok`` (merge sources) any existing file, read as such a log."""
     for path in paths:
-        if not os.path.exists(path):
+        if os.path.isfile(os.path.join(path, "results.jsonl")):
+            continue
+        if not (logs_ok and os.path.isfile(path)):
             raise ConfigError(f"no results store at {path}")
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
     from repro.store import ResultsStore
 
+    if args.store_command == "gc" and (args.keep_last or 0) < 0:
+        raise ConfigError(f"--keep-last must be at least 0, got {args.keep_last}")
     _require_stores([args.dir])
     with ResultsStore(args.dir, fresh=False) as store:
         if args.store_command == "ls":
@@ -525,7 +532,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_store_merge(args: argparse.Namespace) -> int:
     from repro.store import ResultsStore
 
-    _require_stores(args.sources)
+    _require_stores(args.sources, logs_ok=True)
     with ResultsStore(args.dest, fresh=False) as store:
         report = store.merge(args.sources)
         print(f"{args.dest}: {report.format()}")
@@ -559,7 +566,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return _cmd_sweep_policy(args, workload)
     from repro.analysis.sweeps import sweep_subblocks
 
-    counts = tuple(int(c) for c in args.counts.split(","))
+    try:
+        counts = tuple(int(c) for c in args.counts.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--counts takes comma-separated integers, got {args.counts!r}"
+        ) from None
     store = _open_store(args)
     progress = _ProgressLine(len(counts))
     try:

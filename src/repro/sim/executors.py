@@ -68,6 +68,10 @@ BACKENDS = ("serial", "remote")
 #: The exec'd worker launch line, for hosts without ``os.fork``.
 WORKER_TEMPLATE = "python -m repro.cli worker --connect {addr} --token {token}"
 
+#: The most loopback workers ``process:N`` asks for: far above any core
+#: count, and a bound on the launch tuple a typo could otherwise demand.
+MAX_PROCESS_WORKERS = 1024
+
 
 @dataclass
 class ExecConfig:
@@ -156,7 +160,8 @@ def parse_executor_spec(text: str) -> ExecConfig:
         serial                  in-process, deterministic reference
         process                 one loopback worker per core
         process:N               N loopback workers (N <= 0: one per core;
-                                N = 1 runs in-process, like serial)
+                                N = 1 runs in-process, like serial;
+                                N > MAX_PROCESS_WORKERS is refused)
         remote                  coordinator on an ephemeral loopback port
                                 (workers attach via `repro-asf worker`)
         remote:PORT             coordinator bound to 0.0.0.0:PORT
@@ -194,6 +199,11 @@ def parse_executor_spec(text: str) -> ExecConfig:
             raise ConfigError(
                 f"process:N needs an integer worker count, got {text!r}"
             ) from None
+        if workers > MAX_PROCESS_WORKERS:
+            raise ConfigError(
+                f"process:N takes at most {MAX_PROCESS_WORKERS} workers, "
+                f"got {text!r}"
+            )
         if workers <= 0:
             workers = os.cpu_count() or 1
         if workers == 1:

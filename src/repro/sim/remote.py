@@ -26,6 +26,8 @@ Fault model (everything here assumes crashes, not malice):
   degrades to a slower sweep, never a lost one.
 * **Stragglers** — a batch still running ``timeout × len(batch)``
   seconds after a worker took it goes straight to the local fallback.
+  When the sweep ends, a forked worker that a straggler batch was taken
+  from is terminated at once instead of getting the shutdown grace.
 * **Drain** — with no worker connected for ``connect_timeout``, or at
   once when every forked ``local`` worker has exited (or failed to
   fork), all pending work runs locally.
@@ -141,9 +143,10 @@ def recv_msg(sock: socket.socket) -> object | None:
     return pickle.loads(payload)
 
 
-def worker_identity() -> str:
-    """This process's provenance stamp: ``host:pid``."""
-    return f"{socket.gethostname()}:{os.getpid()}"
+def worker_identity(pid: int | None = None) -> str:
+    """The provenance stamp ``host:pid`` of this process, or of the
+    process ``pid`` forked on this host."""
+    return f"{socket.gethostname()}:{pid or os.getpid()}"
 
 
 def _exited(proc: subprocess.Popen | BaseProcess, timeout: float | None) -> bool:
@@ -208,6 +211,9 @@ class Coordinator:
         self._inflight: dict[int, _Assignment] = {}
         self._fallback: list[int] = []
         self._workers: dict[str, float] = {}  # id -> connect time
+        # Ids of workers whose batch went to the local fallback past its
+        # deadline: they are still busy with work nobody waits for.
+        self._stragglers: set[str] = set()
         # True when every launched worker was forked: once all of them
         # have exited, no worker is left to join, so the sweep drains.
         self._forks_only = False
@@ -270,7 +276,9 @@ class Coordinator:
 
     def stop(self) -> None:
         """End the sweep: idle workers are sent a shutdown, the port
-        closes, and this returns once the launched workers have exited."""
+        closes, and this returns once the launched workers have exited.
+        Each gets 2 s to exit before it is terminated, except a forked
+        straggler, which is terminated at once."""
         with self._work:
             if self._stop.is_set():
                 return
@@ -285,7 +293,13 @@ class Coordinator:
             if sock is not None:
                 sock.close()
         for proc in self._procs:
-            if not _exited(proc, 2.0):
+            # An exec'd template's pid need not be its worker's (ssh), so
+            # only a forked worker can be known as a straggler.
+            straggler = (
+                not isinstance(proc, subprocess.Popen)
+                and worker_identity(proc.pid) in self._stragglers
+            )
+            if not _exited(proc, 0.0 if straggler else 2.0):
                 proc.terminate()
                 if not _exited(proc, 2.0):
                     proc.kill()
@@ -511,6 +525,7 @@ class Coordinator:
                         # A straggler runs locally at once; a late
                         # delivery from its worker is dropped.
                         del self._inflight[bid]
+                        self._stragglers.add(a.worker)
                         self._to_local(bid)
                     elif now - a.last_beat > cfg.heartbeat_timeout:
                         self._requeue(bid, "silent")

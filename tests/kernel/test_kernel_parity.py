@@ -18,9 +18,12 @@ import pytest
 from repro.config import DetectionScheme, default_system
 from repro.errors import ProtocolError
 from repro.htm.machine import HtmMachine
+from repro.htm.ops import OpKind
 from repro.kernel import FlatTxnMachine, build_machine
 from repro.sim.engine import SimulationEngine
+from repro.sim.parallel import RunSpec, run_many
 from repro.sim.runner import run_workload
+from repro.telemetry.sinks import CounterSink
 from repro.workloads import get_workload
 
 SCHEMES = (
@@ -29,9 +32,16 @@ SCHEMES = (
     DetectionScheme.PERFECT,
 )
 WORKLOADS = ("vacation", "intruder", "kmeans")
+TXNS = 10
 
 
-def _run(config, workload_name, *, txns=10, seed=3):
+def _run(config, workload_name, *, check_atomicity=True, txns=TXNS, seed=3):
+    """Without the checker a run takes ``run_many``'s path for a spec that
+    keeps no detail, as sweeps do; the flat kernel then skips load tokens."""
+    if not check_atomicity:
+        spec = RunSpec(workload=workload_name, config=config, seed=seed,
+                       txns_per_core=txns)
+        return run_many([spec], "serial")[0]
     wl = get_workload(workload_name, txns_per_core=txns)
     return run_workload(wl, config=config, seed=seed, check_atomicity=True)
 
@@ -43,14 +53,18 @@ def test_build_machine_dispatches_on_config():
     assert type(obj) is HtmMachine
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
-def test_kernel_parity_grid(scheme, workload):
-    """3 schemes x 3 workloads: bit-identical counter summaries."""
+@pytest.mark.parametrize("scheme, workload, check_atomicity", [
+    pytest.param(s, w, check, id=f"{s.value}-{w}" + ("" if check else "-no-checker"))
+    for check in (True, False) for s in SCHEMES for w in WORKLOADS
+])
+def test_kernel_parity_grid(scheme, workload, check_atomicity):
+    """3 schemes x 3 workloads, with and without the checker: bit-identical
+    counter summaries, and every scripted transaction commits."""
     cfg = default_system().with_scheme(scheme)
-    obj = _run(cfg.with_kernel("object"), workload)
-    flat = _run(cfg.with_kernel("flat"), workload)
+    obj = _run(cfg.with_kernel("object"), workload, check_atomicity=check_atomicity)
+    flat = _run(cfg.with_kernel("flat"), workload, check_atomicity=check_atomicity)
     assert obj.stats.summary() == flat.stats.summary()
+    assert flat.stats.txn_commits == cfg.n_cores * TXNS
 
 
 @pytest.mark.parametrize("scheme", SCHEMES + (DetectionScheme.DECOUPLED,),
@@ -102,6 +116,26 @@ def test_kernel_parity_subblock_ablations(overrides):
         wl, config=cfg.with_kernel("flat"), seed=3, check_atomicity=check
     )
     assert obj.stats.summary() == flat.stats.summary()
+
+
+def test_kernel_parity_plain_access_replay():
+    """A single-core vacation access stream replayed as plain reads
+    through ``machine.access`` (no transaction, no checker): the
+    per-access counters match across kernels."""
+    (script,) = get_workload("vacation", txns_per_core=40).build(1, 7)
+    stream = [(op.addr, op.size) for st in script.txns for op in st.ops
+              if op.kind is not OpKind.WORK]
+    summaries = []
+    for kernel in ("object", "flat"):
+        cfg = default_system(DetectionScheme.SUBBLOCK, 4).with_kernel(kernel)
+        machine = build_machine(cfg, stats=CounterSink())
+        for addr, size in stream:  # faults the footprint into the L1
+            machine.access(0, addr, size, False, 0)
+        for rep in range(15):
+            for addr, size in stream:
+                machine.access(0, addr, size, False, rep)
+        summaries.append(machine.stats.summary())
+    assert summaries[0] == summaries[1]
 
 
 @pytest.mark.parametrize("workload", ("vacation", "intruder"))

@@ -8,7 +8,8 @@ events and each core's finish time.  These tests record every sink hook
 invocation in order and require the two loops to produce byte-for-byte
 identical timelines, on a contended workload (where the heap actually
 interleaves cores) and on an uncontended synthetic one (where batching
-fires most often), for both the flat and object kernels.
+fires most often), for both the flat and object kernels, with and
+without the atomicity checker (the flat kernel's two load paths).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _uncontended_scripts(n_cores):
     return scripts
 
 
-def _timeline(kernel, scripts_for, micro_batch):
+def _timeline(kernel, scripts_for, micro_batch, check_atomicity=True):
     cfg = default_system().with_scheme(DetectionScheme.SUBBLOCK, 4)
     cfg = cfg.with_kernel(kernel)
     sink = RecordingSink()
@@ -91,7 +92,7 @@ def _timeline(kernel, scripts_for, micro_batch):
         scripts_for(cfg.n_cores),
         seed=11,
         stats=sink,
-        check_atomicity=True,
+        check_atomicity=check_atomicity,
         micro_batch=micro_batch,
     )
     eng.run()
@@ -103,14 +104,16 @@ def _contended(n_cores):
     return get_workload("vacation", txns_per_core=30).build(n_cores, 1)
 
 
-@pytest.mark.parametrize("kernel", ("flat", "object"))
-@pytest.mark.parametrize(
-    "scripts_for", (_contended, _uncontended_scripts),
-    ids=("contended-vacation", "uncontended-synthetic"),
-)
-def test_batched_and_stepwise_timelines_identical(kernel, scripts_for):
-    ev_b, fin_b, sum_b = _timeline(kernel, scripts_for, micro_batch=True)
-    ev_s, fin_s, sum_s = _timeline(kernel, scripts_for, micro_batch=False)
+@pytest.mark.parametrize("scripts_for, kernel, check_atomicity", [
+    pytest.param(f, kernel, check, id=f"{name}-{kernel}" + ("" if check else "-no-checker"))
+    for check in (True, False)
+    for name, f in (("contended-vacation", _contended),
+                    ("uncontended-synthetic", _uncontended_scripts))
+    for kernel in ("flat", "object")
+])
+def test_batched_and_stepwise_timelines_identical(kernel, scripts_for, check_atomicity):
+    ev_b, fin_b, sum_b = _timeline(kernel, scripts_for, True, check_atomicity)
+    ev_s, fin_s, sum_s = _timeline(kernel, scripts_for, False, check_atomicity)
     assert len(ev_b) == len(ev_s)
     assert ev_b == ev_s
     assert fin_b == fin_s

@@ -60,14 +60,22 @@ class AlwaysCrashWorkload(SyntheticWorkload):
 
 
 class SlowWorkload(SyntheticWorkload):
-    """Sleeps past any reasonable budget, but only inside forked workers."""
+    """Sleeps past any reasonable budget, but only inside forked workers;
+    a worker that sleeps first writes its pid to ``pid_file``, if given."""
 
-    def __init__(self, delay: float = 5.0, txns_per_core: int = TXNS) -> None:
+    def __init__(
+        self, delay: float = 5.0, txns_per_core: int = TXNS,
+        pid_file: str | None = None,
+    ) -> None:
         super().__init__(txns_per_core=txns_per_core, name="slow")
         self.delay = delay
+        self.pid_file = pid_file
 
     def build(self, n_cores, seed):
         if _in_forked_worker():
+            if self.pid_file is not None:
+                with open(self.pid_file, "w") as fh:
+                    fh.write(str(os.getpid()))
             time.sleep(self.delay)
         return super().build(n_cores, seed)
 
@@ -139,10 +147,12 @@ class TestWorkerDeath:
 
 
 class TestTimeout:
-    def test_straggler_goes_serial(self):
+    def test_straggler_goes_serial(self, tmp_path):
         """A batch past ``timeout × len(batch)`` runs in the coordinator;
-        the sweep does not wait out the sleeping worker."""
-        specs = [spec(SlowWorkload(delay=8.0)),
+        the sweep neither waits out the sleeping worker nor gives it the
+        shutdown grace, and the worker is reaped before run_many returns."""
+        pid_file = tmp_path / "straggler.pid"
+        specs = [spec(SlowWorkload(delay=8.0, pid_file=str(pid_file))),
                  spec(SyntheticWorkload(txns_per_core=TXNS))]
         start = time.monotonic()
         results = run_many(specs, _fleet(timeout=1.5))
@@ -152,7 +162,9 @@ class TestTimeout:
         assert res.stats.txn_commits > 0
         assert results[1].stats.txn_commits > 0
         assert not results[1].serial_fallback
-        assert elapsed < 8.0  # did not wait out the sleeping worker
+        assert elapsed < 3.0  # no sleep and no grace waited out
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)  # not even a zombie left
 
     def test_fast_specs_unaffected_by_generous_timeout(self):
         specs = [spec(SyntheticWorkload(txns_per_core=TXNS))] * 3

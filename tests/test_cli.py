@@ -108,7 +108,9 @@ class TestParser:
 class TestInputErrors:
     """Bad input ends in one error line and status 2, never a traceback."""
 
-    @pytest.mark.parametrize("spec", ["bogus", "remote:99999"])
+    @pytest.mark.parametrize(
+        "spec", ["bogus", "remote:99999", "process:100000000000000000000"]
+    )
     def test_bad_executor_spec(self, capsys, spec):
         assert main(["run", "kmeans", "--txns", "4", "--executor", spec]) == 2
         captured = capsys.readouterr()
@@ -207,15 +209,41 @@ class TestInputErrors:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("command", ["ls", "gc", "merge"])
-    def test_missing_store_directory(self, tmp_path, capsys, command):
-        missing, dest = tmp_path / "missing", tmp_path / "dest"
-        args = [str(dest), str(missing)] if command == "merge" else [str(missing)]
-        assert main(["store", command, *args]) == 2
+    @pytest.mark.parametrize("counts", ["1,x", ""], ids=["1,x", "empty"])
+    def test_bad_sweep_counts(self, capsys, counts):
+        assert main(["sweep", "ssca2", "--txns", "4", "--counts", counts]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"repro-asf: error: no results store at {missing}\n"
+        assert captured.err == (
+            "repro-asf: error: --counts takes comma-separated integers, "
+            f"got {counts!r}\n"
+        )
         assert captured.out == ""
-        assert not missing.exists() and not dest.exists()
+
+    @pytest.mark.parametrize("command, target, flags", [
+        ("ls", "missing", []), ("gc", "missing", []), ("merge", "missing", []),
+        ("ls", "notes", []), ("gc", "notes", []), ("merge", "notes", []),
+        ("gc", "store", ["--keep-last", "-1"]),
+    ], ids=["ls", "gc", "merge", "ls-non-store", "gc-non-store", "merge-non-store",
+            "gc-negative-keep-last"])
+    def test_missing_store_directory(self, tmp_path, capsys, command, target, flags):
+        """A path that holds no results store (missing, or a directory
+        without a results log) and a negative ``--keep-last`` are refused
+        before anything is opened: no path is created or written."""
+        from repro.store import ResultsStore
+
+        (tmp_path / "notes").mkdir()
+        (tmp_path / "notes" / "notes.txt").write_text("not a store\n")
+        ResultsStore(str(tmp_path / "store")).close()
+        path, dest = tmp_path / target, tmp_path / "dest"
+        listing = sorted(tmp_path.rglob("*"))
+        args = [str(dest), str(path)] if command == "merge" else [str(path)]
+        assert main(["store", command, *args, *flags]) == 2
+        captured = capsys.readouterr()
+        message = "--keep-last must be at least 0, got -1" if flags else (
+            f"no results store at {path}")
+        assert captured.err == f"repro-asf: error: {message}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == listing
 
 
 class TestCommands:
