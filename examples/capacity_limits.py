@@ -48,10 +48,7 @@ def main() -> None:
     print("=== hmm: power-of-two matrix-row strides ===")
     attempt(table2, "Table II machine", HmmWorkload)
 
-    big_l1 = CacheConfig(
-        size_bytes=64 * 1024, line_size=64, associativity=16,
-        load_to_use_cycles=3,
-    )
+    big_l1 = CacheConfig(size_bytes=64 * 1024, line_size=64, associativity=16)
     attempt(
         replace(table2, l1=big_l1),
         "Hypothetical 16-way L1 (same capacity, more ways)",

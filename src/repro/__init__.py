@@ -69,6 +69,25 @@ are the ``ExecConfig`` field ``jobs`` (spell a worker count
 ``"process:N"``) and the pool's and the fabric's separate retry and
 deadline fields.  The default ``ExecConfig`` backend is ``"serial"``.
 
+Version 6.0.0 is a major release because it deletes what no simulation
+step, report or caller read.  Gone are the config fields
+``CacheConfig.load_to_use_cycles`` (Table II prints the
+``LatencyConfig`` hit latencies the machine charges),
+``LatencyConfig.non_mem_op``, ``HtmConfig.max_retries`` and
+``SystemConfig.track_values``; the bus's counter channel
+(``repro.mem.bus.BusStats``, ``ProbeKind``, ``ProbeRequest``,
+``ProbeResponse`` and ``SnoopBus.stats``, ``.count_probe`` and
+``.count_response``: a run reports only through its event sink); the
+``detector`` keyword of ``HtmMachine`` and ``FlatTxnMachine``;
+``worker_main``'s ``max_batches`` and ``repro-asf worker
+--max-batches``; and the modules ``repro.core.piggyback``
+(``PiggybackCodec``), ``repro.util.intervals`` (``ByteInterval``,
+``intervals_overlap``, ``merge_intervals``),
+``repro.workloads.structures.hashtable`` (``TracedHashTable``) and
+``repro.workloads.structures.queuebuf`` (``TracedFifoQueue``).  Store
+keys do not change: the fingerprint keeps each removed field at its
+former default, so checkpoints written with the defaults still resume.
+
 Layering (each layer only depends on the ones above it):
 
 * :mod:`repro.util`, :mod:`repro.config`, :mod:`repro.errors`
@@ -137,7 +156,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-time only
     from repro.telemetry import RunSummary, aggregate_metrics, merge_summaries
     from repro.workloads.registry import BENCHMARK_NAMES, all_workloads, get_workload
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "AtomicityViolation",

@@ -28,11 +28,13 @@ join via ``repro-asf worker``).  See ``docs/DISTRIBUTED.md`` for the
 fabric.
 
 A :class:`~repro.errors.ConfigError` (bad executor spec, ``worker
---connect`` address or ``sweep --counts`` list, missing or malformed
-trace file, a ``store`` path that holds no results store, a negative
-``store gc --keep-last``) or :class:`~repro.errors.WorkloadError`
-(missing or malformed script file) ends in one ``repro-asf: error:
-...`` line and exit status 2.
+--connect`` address or ``sweep --counts`` list, a policy or count flag
+given to ``sweep --axis policy``, missing or malformed trace file, a
+``store`` path that holds no results store, a negative ``store gc
+--keep-last``, ``analyze --top`` or ``--cascade-window``, a ``--seeds``
+or ``save-scripts --cores`` below 1) or
+:class:`~repro.errors.WorkloadError` (missing or malformed script file)
+ends in one ``repro-asf: error: ...`` line and exit status 2.
 
 ``--trace-dir DIR`` on ``run``/``suite`` records every run's event
 trace into DIR *and* writes a ``<run>.report.txt`` forensics report next
@@ -240,6 +242,15 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_at_least(args: argparse.Namespace, **bounds: int) -> None:
+    """Reject a count flag below its bound before any work starts."""
+    for name, low in bounds.items():
+        value = getattr(args, name)
+        if value < low:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} must be at least {low}, got {value}")
+
+
 def _seed_list(args: argparse.Namespace) -> tuple[int, ...]:
     """Seeds for a ``--seeds N`` fan-out: N seeds starting at ``--seed``."""
     return tuple(range(args.seed, args.seed + args.seeds))
@@ -280,6 +291,7 @@ def _print_profile(pr) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _require_at_least(args, seeds=1)
     if getattr(args, "profile", False):
         import cProfile
 
@@ -376,6 +388,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import run_seed_sweep, run_suite
     from repro.analysis.report import render_all, render_seed_figures
 
+    _require_at_least(args, seeds=1)
     store = _open_store(args)
     try:
         n_suite = len(BENCHMARK_NAMES) * 3
@@ -441,6 +454,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         render_trace_report,
     )
 
+    _require_at_least(args, top=0, cascade_window=0)
     chosen = args.fig or ["all"]
     figs = TRACE_FIGURES if "all" in chosen else tuple(dict.fromkeys(chosen))
     # One decode: the report and the TSVs read the same timeline.
@@ -496,8 +510,8 @@ def _require_stores(paths, logs_ok: bool = False) -> None:
 def _cmd_store(args: argparse.Namespace) -> int:
     from repro.store import ResultsStore
 
-    if args.store_command == "gc" and (args.keep_last or 0) < 0:
-        raise ConfigError(f"--keep-last must be at least 0, got {args.keep_last}")
+    if args.store_command == "gc" and args.keep_last is not None:
+        _require_at_least(args, keep_last=0)
     _require_stores([args.dir])
     with ResultsStore(args.dir, fresh=False) as store:
         if args.store_command == "ls":
@@ -543,12 +557,7 @@ def _cmd_store_merge(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.sim.remote import worker_main
 
-    return worker_main(
-        args.connect,
-        worker_id=args.id,
-        token=args.token,
-        max_batches=args.max_batches,
-    )
+    return worker_main(args.connect, worker_id=args.id, token=args.token)
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
@@ -561,16 +570,26 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    workload = get_workload(args.benchmark, args.txns)
     if args.axis == "policy":
-        return _cmd_sweep_policy(args, workload)
+        fixed = [
+            f"--{name}" for name in ("policy", "resolution", "arbitration", "counts")
+            if getattr(args, name) is not None
+        ]
+        if fixed:
+            raise ConfigError(
+                f"--axis policy sweeps a fixed scheme × policy grid; "
+                f"{', '.join(fixed)} cannot be combined with it"
+            )
+        return _cmd_sweep_policy(args, get_workload(args.benchmark, args.txns))
     from repro.analysis.sweeps import sweep_subblocks
 
+    workload = get_workload(args.benchmark, args.txns)
+    counts_arg = "1,2,4,8,16" if args.counts is None else args.counts
     try:
-        counts = tuple(int(c) for c in args.counts.split(","))
+        counts = tuple(int(c) for c in counts_arg.split(","))
     except ValueError:
         raise ConfigError(
-            f"--counts takes comma-separated integers, got {args.counts!r}"
+            f"--counts takes comma-separated integers, got {counts_arg!r}"
         ) from None
     store = _open_store(args)
     progress = _ProgressLine(len(counts))
@@ -735,6 +754,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _cmd_save_scripts(args: argparse.Namespace) -> int:
     from repro.trace.scriptio import save_scripts
 
+    _require_at_least(args, cores=1)
     workload = get_workload(args.benchmark, args.txns)
     scripts = workload.build(args.cores, args.seed)
     save_scripts(
@@ -792,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def policy_flags(p):
         p.add_argument(
-            "--policy", choices=sorted(POLICY_PRESETS), default="asf",
+            "--policy", choices=sorted(POLICY_PRESETS), default=None,
             help="HTM policy preset: the paper's ASF point (default), "
             "eager/eager LogTM-style, or lazy/lazy TCC-style "
             "(see `repro-asf policies`)",
@@ -970,10 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared secret echoed in the hello (must match the "
         "coordinator's --token / hosts-file token)",
     )
-    p_worker.add_argument(
-        "--max-batches", type=int, default=None, metavar="N",
-        help="exit after N batches (drain-style launchers and tests)",
-    )
     p_worker.set_defaults(func=_cmd_worker)
 
     p_ovh = sub.add_parser("overhead", help="Section IV-E hardware cost model")
@@ -984,7 +1000,11 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="closed-loop sub-block or policy-matrix sweep"
     )
     common(p_sweep, checkpoint=True)
-    p_sweep.add_argument("--counts", default="1,2,4,8,16")
+    p_sweep.add_argument(
+        "--counts", default=None,
+        help="sub-block counts to sweep (default: 1,2,4,8,16; --axis "
+        "subblocks only)",
+    )
     p_sweep.add_argument(
         "--axis", choices=("subblocks", "policy"), default="subblocks",
         help="sweep axis: sub-block count (default) or the scheme × "

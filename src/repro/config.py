@@ -211,7 +211,6 @@ class CacheConfig:
     size_bytes: int
     line_size: int
     associativity: int
-    load_to_use_cycles: int
 
     def __post_init__(self) -> None:
         if self.line_size <= 0 or (self.line_size & (self.line_size - 1)) != 0:
@@ -221,8 +220,6 @@ class CacheConfig:
                 f"cache of {self.size_bytes} B cannot be organised as "
                 f"{self.associativity}-way with {self.line_size} B lines"
             )
-        if self.load_to_use_cycles < 0:
-            raise ConfigError("latency must be non-negative")
 
     @property
     def n_lines(self) -> int:
@@ -239,9 +236,7 @@ class LatencyConfig:
 
     ``cache_to_cache`` is the cost of servicing a miss from a remote L1 via
     the coherence fabric; PTLsim models it near the L3 latency, we follow.
-    ``non_mem_op`` is the cost charged per non-memory work unit between
-    accesses (the three-wide core retires several instructions per cycle;
-    workloads express computation directly in cycles).
+    Workloads express computation between accesses directly in cycles.
     """
 
     l1_hit: int = 3
@@ -249,7 +244,6 @@ class LatencyConfig:
     l3_hit: int = 50
     memory: int = 210
     cache_to_cache: int = 60
-    non_mem_op: int = 1
     commit_overhead: int = 6
     abort_overhead: int = 20
     txn_begin_overhead: int = 4
@@ -261,7 +255,6 @@ class LatencyConfig:
             "l3_hit",
             "memory",
             "cache_to_cache",
-            "non_mem_op",
             "commit_overhead",
             "abort_overhead",
             "txn_begin_overhead",
@@ -294,7 +287,6 @@ class HtmConfig:
     backoff_base_cycles: int = 64
     backoff_cap_cycles: int = 8192
     backoff_jitter: float = 0.5
-    max_retries: int | None = None
 
     @property
     def resolution(self) -> ConflictResolution:
@@ -310,8 +302,6 @@ class HtmConfig:
             raise ConfigError("backoff cap must be >= base")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ConfigError("backoff jitter must be in [0, 1]")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ConfigError("max_retries must be None or >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,26 +337,22 @@ class SystemConfig:
     n_cores: int = 8
     l1: CacheConfig = field(
         default_factory=lambda: CacheConfig(
-            size_bytes=64 * 1024, line_size=64, associativity=2, load_to_use_cycles=3
+            size_bytes=64 * 1024, line_size=64, associativity=2
         )
     )
     l2: CacheConfig = field(
         default_factory=lambda: CacheConfig(
-            size_bytes=512 * 1024, line_size=64, associativity=16, load_to_use_cycles=15
+            size_bytes=512 * 1024, line_size=64, associativity=16
         )
     )
     l3: CacheConfig = field(
         default_factory=lambda: CacheConfig(
-            size_bytes=2 * 1024 * 1024,
-            line_size=64,
-            associativity=16,
-            load_to_use_cycles=50,
+            size_bytes=2 * 1024 * 1024, line_size=64, associativity=16
         )
     )
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     htm: HtmConfig = field(default_factory=HtmConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    track_values: bool = True
     # Which machine implementation the engine builds: "flat" (default)
     # is the struct-of-arrays kernel plus the flat transactional runtime
     # (recycled per-core txn views, inlined commit); "object" the per-line
@@ -439,11 +425,11 @@ class SystemConfig:
         lines = [
             f"Processors      {self.n_cores} out-of-order cores",
             f"L1 DCache       {self.l1.size_bytes // 1024}KB, {self.l1.line_size}B lines, "
-            f"{self.l1.associativity}-way, {self.l1.load_to_use_cycles} cycles load-to-use",
+            f"{self.l1.associativity}-way, {self.latency.l1_hit} cycles load-to-use",
             f"Private L2      {self.l2.size_bytes // 1024}KB, {self.l2.associativity}-way, "
-            f"{self.l2.load_to_use_cycles} cycles load-to-use",
+            f"{self.latency.l2_hit} cycles load-to-use",
             f"Private L3      {self.l3.size_bytes // 1024 // 1024}MB, {self.l3.associativity}-way, "
-            f"{self.l3.load_to_use_cycles} cycles load-to-use",
+            f"{self.latency.l3_hit} cycles load-to-use",
             f"Main memory     {self.latency.memory} cycles load-to-use",
             f"HTM scheme      {self.htm.scheme.value}"
             + (

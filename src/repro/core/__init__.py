@@ -11,7 +11,8 @@ keeps the two-bit Table I state per sub-block::
 
 Conflicts are then detected at sub-block granularity while the MOESI
 protocol itself is untouched — only a few piggy-back bits ride on existing
-data responses.  See :mod:`repro.core.subblock` for the detector,
+data responses, and both machines carry them as a plain integer mask.
+See :mod:`repro.core.subblock` for the detector,
 :mod:`repro.core.subblock_state` for the encoding/transition functions,
 :mod:`repro.core.perfect` for the idealised zero-false-conflict upper
 bound, and :mod:`repro.core.overhead` for the Section IV-E hardware cost
@@ -27,7 +28,6 @@ __all__ = [
     "CoherenceDecouplingDetector",
     "OverheadModel",
     "PerfectDetector",
-    "PiggybackCodec",
     "SubblockDetector",
     "SubblockState",
     "TABLE1_ROWS",
@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-time only
     from repro.core.decoupled import CoherenceDecouplingDetector
     from repro.core.overhead import OverheadModel
     from repro.core.perfect import PerfectDetector
-    from repro.core.piggyback import PiggybackCodec
     from repro.core.subblock import SubblockDetector
     from repro.core.subblock_state import (
         SubblockState,
@@ -52,7 +51,6 @@ _EXPORTS = {
     "CoherenceDecouplingDetector": "repro.core.decoupled",
     "OverheadModel": "repro.core.overhead",
     "PerfectDetector": "repro.core.perfect",
-    "PiggybackCodec": "repro.core.piggyback",
     "SubblockDetector": "repro.core.subblock",
     "SubblockState": "repro.core.subblock_state",
     "TABLE1_ROWS": "repro.core.subblock_state",

@@ -29,13 +29,13 @@ from repro.config import (
 )
 from repro.errors import ProtocolError
 from repro.htm.conflict import ConflictRecord, classify_type
-from repro.htm.detector import ConflictDetector, make_detector
+from repro.htm.detector import make_detector
 from repro.htm.ops import TxnOp
 from repro.htm.specstate import SpecLineState
 from repro.htm.txn import AbortCause, Transaction
 from repro.htm.versioning import TokenAllocator, VersionTracker, restore_undo
 from repro.mem.address import WORD_SIZE, AddressMap
-from repro.mem.bus import ProbeKind, ProbeRequest, SnoopBus
+from repro.mem.bus import SnoopBus
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.moesi import (
     MoesiState,
@@ -115,7 +115,6 @@ class HtmMachine:
         config: SystemConfig,
         stats: EventSink | None = None,
         checker=None,
-        detector: ConflictDetector | None = None,
     ) -> None:
         self.config = config
         # All measurement goes through the EventSink protocol; ``stats``
@@ -127,7 +126,7 @@ class HtmMachine:
         )
         self.stats = self.sink
         self.checker = checker
-        self.detector = detector if detector is not None else make_detector(config)
+        self.detector = make_detector(config)
         # Policy-matrix axes, specialized once at construction so the
         # default ASF point pays a single flag test per branch site.
         policy = config.htm.policy
@@ -150,6 +149,7 @@ class HtmMachine:
         self._stall_budget = [0] * config.n_cores
         self.mem = MemorySystem(config)
         self.mem.sink = self.sink
+        # The delivery order ``_rr_order`` reproduces on a candidate set.
         self.bus = SnoopBus(config.n_cores)
         self.amap: AddressMap = self.mem.amap
         self.tokens = TokenAllocator()
@@ -569,15 +569,6 @@ class HtmMachine:
         txn: Transaction | None,
         is_write: bool,
     ) -> list[ConflictRecord]:
-        probe = ProbeRequest(
-            kind=ProbeKind.INVALIDATING if invalidating else ProbeKind.NON_INVALIDATING,
-            line_addr=line_addr,
-            byte_mask=mask,
-            requester=core,
-            requester_txn=txn.uid if txn is not None else None,
-            is_write=is_write,
-        )
-        self.bus.count_probe(probe)
         records: list[ConflictRecord] = []
         for r in self._rr_order(core, self.spec_holders.get(line_addr, 0)):
             rst = self.spec_tables[r].get(line_addr)
@@ -736,12 +727,10 @@ class HtmMachine:
             latency = self.mem.fill_latency(
                 core, line_addr, remote_supplier=True
             ).latency
-            self.bus.count_response(from_cache=True, piggyback=piggy != 0)
         else:
             result = self.mem.fill_latency(core, line_addr, remote_supplier=False)
             data = self.mem.mem_read_line(line_addr)
             latency = result.latency
-            self.bus.count_response(from_cache=False, piggyback=piggy != 0)
         self.mem.install_lower_levels(core, line_addr)
         return data, latency, piggy
 

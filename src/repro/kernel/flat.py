@@ -113,13 +113,7 @@ class FlatTxnMachine(HtmMachine):
         config: SystemConfig,
         stats: EventSink | None = None,
         checker=None,
-        detector=None,
     ) -> None:
-        if detector is not None:
-            raise ProtocolError(
-                "the flat kernel inlines the configured detection scheme; "
-                "custom detector objects need kernel='object'"
-            )
         super().__init__(config, stats=stats, checker=checker)
         s = self.state = SimState(config)
         scheme = config.htm.scheme
@@ -199,8 +193,6 @@ class FlatTxnMachine(HtmMachine):
         # sink, so these cannot go stale).
         self._on_access = self.sink.on_access
         self._on_fill = self.sink.on_fill
-        self._count_response = self.bus.count_response
-        self._bstats = self.bus.stats
 
     # ------------------------------------------------------------------ helpers
 
@@ -665,9 +657,7 @@ class FlatTxnMachine(HtmMachine):
             piggy = 0
         return remote_spec, piggy
 
-    def _fetch_piggy(
-        self, core: int, li: int, line_addr: int, piggy: int
-    ) -> tuple[list[int], int]:
+    def _fetch_piggy(self, core: int, li: int, line_addr: int) -> tuple[list[int], int]:
         """Fetch line data: the owner's cache, local L2/L3, or memory.
 
         The object model's ``_fetch_line`` with the piggy-back walk hoisted
@@ -694,7 +684,6 @@ class FlatTxnMachine(HtmMachine):
             data = list(src)
             on_fill(core, line_addr, "remote")
             latency = self._lat_c2c
-            self._count_response(from_cache=True, piggyback=piggy != 0)
         else:
             if li in s.l2_sets[core][s.set2[li]]:
                 on_fill(core, line_addr, "L2")
@@ -710,7 +699,6 @@ class FlatTxnMachine(HtmMachine):
                 range(line_addr, line_addr + self._line_size, WORD_SIZE),
                 self._fill_zeros,
             ))
-            self._count_response(from_cache=False, piggyback=piggy != 0)
         # Install presence in the private L2/L3 (inclusive, presence-only).
         l2d = s.l2_sets[core][s.set2[li]]
         if li not in l2d:
@@ -799,6 +787,9 @@ class FlatTxnMachine(HtmMachine):
                 out.hit_l1 = True
             else:
                 probed = True
+                # With no other core holding speculative state on the line
+                # the probe is a no-op (snoop order excludes the requester)
+                # and the fused walk yields zero masks, so both are elided.
                 if s.spec_mask[li] & ~bit:
                     try:
                         recs = self._probe(core, li, line_addr, mask, True, time, txn, True)
@@ -814,12 +805,6 @@ class FlatTxnMachine(HtmMachine):
                     if recs:
                         out.conflicts = recs
                     remote_spec, piggy = self._post_probe_walk(core, li)
-                else:
-                    # No other core holds speculative state on this line:
-                    # the probe is a guaranteed no-op (snoop order excludes
-                    # the requester) and the fused walk yields zero masks.
-                    # Only the bus probe counter is observable.
-                    self._bstats.probes_invalidating += 1
                 if valid and not stale:
                     # Ownership upgrade -> M with a probe; data already
                     # local and clean.
@@ -830,7 +815,7 @@ class FlatTxnMachine(HtmMachine):
                     out.latency += self._lat_upgrade
                     out.hit_l1 = True
                 else:
-                    data, fill_lat = self._fetch_piggy(core, li, line_addr, piggy)
+                    data, fill_lat = self._fetch_piggy(core, li, line_addr)
                     if s.holders[li] & ~bit:
                         self._invalidate_remote_copies(core, li)
                     fill_code = MOESI_M
@@ -853,10 +838,7 @@ class FlatTxnMachine(HtmMachine):
                     if recs:
                         out.conflicts = recs
                     remote_spec, piggy = self._post_probe_walk(core, li)
-                else:
-                    # Same no-op probe elision as the write path above.
-                    self._bstats.probes_non_invalidating += 1
-                data, fill_lat = self._fetch_piggy(core, li, line_addr, piggy)
+                data, fill_lat = self._fetch_piggy(core, li, line_addr)
                 # Demote does not touch holder bits, so the sharer test
                 # may be hoisted above it to gate the (often no-op) walk.
                 m = s.holders[li] & ~bit
@@ -1094,15 +1076,10 @@ class FlatTxnMachine(HtmMachine):
         check rule is inlined.
         """
         s = self.state
-        bstats = self._bstats
-        if invalidating:
-            bstats.probes_invalidating += 1
-        else:
-            bstats.probes_non_invalidating += 1
         records: list[ConflictRecord] = []
         if self._lazy_cd:
-            # Lazy detection: the probe goes out (bus counted above) but
-            # never checks conflicts — resolution waits for commit.
+            # Lazy detection: the probe goes out but never checks
+            # conflicts — resolution waits for commit.
             return records
         sub_family = self._sub
         sub = self._subblocks(mask) if sub_family else 0

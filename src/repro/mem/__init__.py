@@ -1,15 +1,16 @@
 """Memory-system substrate: addresses, set-associative caches, MOESI
-coherence, and the Table-II latency hierarchy.
+coherence, the snoop bus's probe delivery order, and the Table-II latency
+hierarchy.
 
 This package knows nothing about transactions.  The HTM layer
-(:mod:`repro.htm`, :mod:`repro.core`) observes the coherence *probes*
-generated here and attaches speculative state to lines; the split mirrors
-the paper's design constraint that the coherence protocol itself stays
-unmodified.
+(:mod:`repro.htm`, :mod:`repro.core`) issues the coherence *probes* in
+the order :class:`SnoopBus` fixes and attaches speculative state to
+lines; the split mirrors the paper's design constraint that the coherence
+protocol itself stays unmodified.
 """
 
 from repro.mem.address import AddressMap
-from repro.mem.bus import ProbeKind, ProbeRequest, ProbeResponse, SnoopBus
+from repro.mem.bus import SnoopBus
 from repro.mem.cache import CacheLine, SetAssocCache
 from repro.mem.hierarchy import AccessResult, MemorySystem
 from repro.mem.moesi import MoesiState
@@ -20,9 +21,6 @@ __all__ = [
     "CacheLine",
     "MemorySystem",
     "MoesiState",
-    "ProbeKind",
-    "ProbeRequest",
-    "ProbeResponse",
     "SetAssocCache",
     "SnoopBus",
 ]

@@ -1,4 +1,4 @@
-"""Snooping-bus probe primitives.
+"""Snooping-bus probe delivery order.
 
 AMD64 coherence is probe-based: a requester broadcasts a probe, every other
 cache snoops it, owners supply data, and copies transition per MOESI.  The
@@ -12,71 +12,18 @@ paper's entire mechanism keys off the two probe kinds:
 The sub-blocking extension additionally rides **piggy-back bits** on the
 data response of a non-invalidating probe: a bitmap of the responder's
 speculatively written sub-blocks, which the requester records as *Dirty*.
+The machine carries those bits as a plain integer mask.
 
-:class:`SnoopBus` only sequences probe delivery deterministically and
-keeps traffic counters; conflict checking and state transitions are done
-by the subscribers (the HTM machine), keeping the protocol itself
-"intact" as the paper requires.
+:class:`SnoopBus` only sequences probe delivery deterministically;
+conflict checking and state transitions are done by the subscribers (the
+HTM machine), keeping the protocol itself "intact" as the paper requires.
+What a run observes of its traffic reaches its
+:class:`~repro.telemetry.events.EventSink`.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-
-__all__ = ["BusStats", "ProbeKind", "ProbeRequest", "ProbeResponse", "SnoopBus"]
-
-
-class ProbeKind(enum.Enum):
-    INVALIDATING = "inval"
-    NON_INVALIDATING = "share"
-
-
-@dataclass(frozen=True, slots=True)
-class ProbeRequest:
-    """One coherence probe as seen by a snooping cache."""
-
-    kind: ProbeKind
-    line_addr: int
-    byte_mask: int
-    requester: int
-    requester_txn: int | None
-    is_write: bool
-
-    @property
-    def invalidating(self) -> bool:
-        return self.kind is ProbeKind.INVALIDATING
-
-
-@dataclass(slots=True)
-class ProbeResponse:
-    """Aggregate outcome of broadcasting one probe.
-
-    ``supplier`` is the core whose cache responded with data (or None when
-    memory responds); ``piggyback_mask`` is the union of responders'
-    speculatively-written sub-block bitmaps (sub-blocking scheme only);
-    ``had_sharers`` drives the requester's fill state (S vs E).
-    """
-
-    supplier: int | None = None
-    piggyback_mask: int = 0
-    had_sharers: bool = False
-    aborted_cores: list[int] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class BusStats:
-    """Coherence-traffic counters (used by the overhead discussion tests)."""
-
-    probes_invalidating: int = 0
-    probes_non_invalidating: int = 0
-    data_responses_cache: int = 0
-    data_responses_memory: int = 0
-    piggyback_responses: int = 0
-
-    @property
-    def total_probes(self) -> int:
-        return self.probes_invalidating + self.probes_non_invalidating
+__all__ = ["SnoopBus"]
 
 
 class SnoopBus:
@@ -87,28 +34,13 @@ class SnoopBus:
     reproducible for a given seed.
     """
 
-    __slots__ = ("n_cores", "stats")
+    __slots__ = ("n_cores",)
 
     def __init__(self, n_cores: int) -> None:
         self.n_cores = n_cores
-        self.stats = BusStats()
 
     def snoop_order(self, requester: int) -> list[int]:
         """Cores that snoop a probe from ``requester``, in delivery order."""
         return [
             (requester + k) % self.n_cores for k in range(1, self.n_cores)
         ]
-
-    def count_probe(self, probe: ProbeRequest) -> None:
-        if probe.invalidating:
-            self.stats.probes_invalidating += 1
-        else:
-            self.stats.probes_non_invalidating += 1
-
-    def count_response(self, from_cache: bool, piggyback: bool) -> None:
-        if from_cache:
-            self.stats.data_responses_cache += 1
-        else:
-            self.stats.data_responses_memory += 1
-        if piggyback:
-            self.stats.piggyback_responses += 1

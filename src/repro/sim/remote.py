@@ -701,7 +701,6 @@ def worker_main(
     connect: str,
     worker_id: str | None = None,
     token: str = "",
-    max_batches: int | None = None,
 ) -> int:
     """Body of ``repro-asf worker --connect HOST:PORT``.
 
@@ -709,8 +708,7 @@ def worker_main(
     the connection drops), heartbeating while a batch runs.  Results are
     whatever :func:`~repro.sim.parallel.execute_spec` returns — a
     :class:`RunSummary`, or the detail sink of a spec that keeps detail —
-    stamped with this worker's identity.  ``max_batches`` exists for
-    tests and drain-style launchers.  A malformed ``connect`` raises
+    stamped with this worker's identity.  A malformed ``connect`` raises
     :class:`~repro.errors.ConfigError`; otherwise this returns a process
     exit code.
     """
@@ -749,7 +747,6 @@ def worker_main(
         # its next batch as long as the coordinator keeps the socket open.
         sock.settimeout(None)
         heartbeat = float(welcome.get("heartbeat", 1.0))
-        served = 0
         while True:
             msg = recv_msg(sock)
             if msg is None:
@@ -801,9 +798,6 @@ def worker_main(
                 {"type": "result", "batch_id": bid, "results": results},
                 send_lock,
             )
-            served += 1
-            if max_batches is not None and served >= max_batches:
-                return 0
     except (OSError, pickle.PickleError, EOFError) as exc:
         print(f"worker {ident}: connection lost: {exc}", file=sys.stderr)
         return 1

@@ -62,12 +62,25 @@ def _workload_identity(workload) -> Any:
     return ident
 
 
+def _config_identity(config) -> dict[str, Any]:
+    """The canonical config, with the fields it has since lost restored at
+    their former defaults: no run read them, so a layout-v1 checkpoint
+    written with the defaults still resumes."""
+    ident = _canonical(config)
+    ident["track_values"] = True
+    ident["htm"]["max_retries"] = None
+    ident["latency"]["non_mem_op"] = 1
+    for level, cycles in (("l1", 3), ("l2", 15), ("l3", 50)):
+        ident[level]["load_to_use_cycles"] = cycles
+    return ident
+
+
 def spec_fingerprint(spec) -> dict[str, Any]:
     """The canonical dict a spec's key hashes (exposed for debugging)."""
     return {
         "version": _FINGERPRINT_VERSION,
         "workload": _workload_identity(spec.workload),
-        "config": _canonical(spec.config),
+        "config": _config_identity(spec.config),
         "seed": spec.seed,
         "txns_per_core": spec.txns_per_core,
         "check_atomicity": spec.check_atomicity,

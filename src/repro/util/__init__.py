@@ -1,5 +1,5 @@
-"""Shared low-level utilities: bit manipulation, deterministic RNG streams,
-interval math, and ASCII table rendering.
+"""Shared low-level utilities: bit manipulation, deterministic RNG streams
+and ASCII table rendering.
 
 These helpers are deliberately free of any simulator state so they can be
 property-tested in isolation and reused by every subsystem.
@@ -16,25 +16,21 @@ from repro.util.bitops import (
     reduce_mask,
     spread_mask,
 )
-from repro.util.intervals import ByteInterval, intervals_overlap, merge_intervals
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.util.tables import format_series, format_table, percent
 
 __all__ = [
-    "ByteInterval",
     "DeterministicRng",
     "bit_count",
     "byte_mask",
     "derive_seed",
     "format_series",
     "format_table",
-    "intervals_overlap",
     "iter_set_bits",
     "lowest_set_bit",
     "mask_covers",
     "mask_to_ranges",
     "masks_overlap",
-    "merge_intervals",
     "percent",
     "reduce_mask",
     "spread_mask",

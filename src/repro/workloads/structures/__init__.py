@@ -1,21 +1,19 @@
 """Traced data structures: real algorithms that emit address traces.
 
 The Table III generators model each benchmark's *sharing statistics*;
-the classes here go one step further for the structures those statistics
-came from: a genuine red-black tree, chained hash table and FIFO ring
-whose operations (insert/lookup/enqueue/…) execute the real algorithm
-over heap-allocated records and **emit the exact memory operations** a
-compiled implementation would perform — reads along search paths, pointer
-writes for links and rotations, head/tail read-modify-writes.
+the class here goes one step further for the structure those statistics
+came from: a genuine red-black tree whose operations (insert, lookup,
+value update) execute the real algorithm over heap-allocated nodes and
+**emit the exact memory operations** a compiled implementation would
+perform — key and pointer reads along search paths, pointer and colour
+writes for links, recolourings and rotations.
 
-Used by the structure-accurate workload variants (e.g.
-:class:`repro.workloads.vacation_tree.VacationTreeWorkload`) and directly
-testable: the hypothesis suites assert the red-black invariants and chain
-integrity on the same objects that produce the traces.
+Used by the structure-accurate vacation variant
+(:class:`repro.workloads.vacation_tree.VacationTreeWorkload`) and directly
+testable: the hypothesis suites assert the red-black invariants on the
+same objects that produce the traces.
 """
 
-from repro.workloads.structures.hashtable import TracedHashTable
-from repro.workloads.structures.queuebuf import TracedFifoQueue
 from repro.workloads.structures.rbtree import TracedRbTree
 
-__all__ = ["TracedFifoQueue", "TracedHashTable", "TracedRbTree"]
+__all__ = ["TracedRbTree"]

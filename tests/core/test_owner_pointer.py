@@ -113,9 +113,9 @@ def test_owner_pointer_parity_with_legacy_walk():
 
     def checked_fetch(core, line_addr):
         expected = legacy_walk(core, line_addr)
-        before = machine.bus.stats.data_responses_cache
+        before = engine.stats.fills_remote
         data, latency, piggy = fetch(core, line_addr)
-        from_cache = machine.bus.stats.data_responses_cache - before
+        from_cache = engine.stats.fills_remote - before
         assert from_cache == (expected is not None)
         if expected is not None:
             assert data == expected

@@ -1,7 +1,10 @@
 """Table I encoding and single-sub-block transition tests."""
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from repro.core.subblock import SubblockDetector
 from repro.core.subblock_state import (
     SubblockState,
     TABLE1_ROWS,
@@ -105,3 +108,78 @@ class TestStatesOf:
         assert st.srd_bits == 0b0010
         assert st.any_spec
         assert st.any_dirty
+
+
+LINE = 64
+
+
+@st.composite
+def lines(draw):
+    """A sub-block count and the Table I state of each sub-block."""
+    n = draw(st.sampled_from((1, 2, 4, 8, 16)))
+    states = draw(st.lists(st.sampled_from(list(SubblockState)), min_size=n, max_size=n))
+    return n, states
+
+
+@st.composite
+def access_masks(draw, n, states):
+    """A nonempty byte mask that touches no Dirty sub-block: the machine
+    re-probes before it reads or writes one (Section IV-C)."""
+    size = LINE // n
+    mask = 0
+    for j, state in enumerate(states):
+        if state is not SubblockState.DIRTY:
+            mask |= draw(st.integers(0, (1 << size) - 1)) << (j * size)
+    assume(mask)
+    return mask
+
+
+def packed(states):
+    line = SpecLineState(0)
+    for j, state in enumerate(states):
+        line.spec_bits |= state.spec << j
+        line.wr_bits |= state.wr << j
+    return line
+
+
+class TestDetectorFollowsTable1:
+    """The detector's vectorised bit updates give, per sub-block, exactly
+    the scalar transition functions above (protocol-valid inputs only)."""
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["read", "write"])
+    @given(data=st.data())
+    def test_local_access(self, is_write, data):
+        n, before = data.draw(lines())
+        mask = data.draw(access_masks(n, before))
+        line = packed(before)
+        det = SubblockDetector(LINE, n)
+        (det.record_write if is_write else det.record_read)(line, mask)
+        step = on_local_write if is_write else on_local_read
+        size = LINE // n
+        touched = [(mask >> (j * size)) & ((1 << size) - 1) for j in range(n)]
+        assert states_of(line, n) == [
+            step(state) if hit else state for state, hit in zip(before, touched)
+        ]
+
+    @given(data=st.data())
+    def test_fill_piggyback(self, data):
+        n, before = data.draw(lines())
+        line = packed(before)
+        # A remote S-WR overlapping our own speculation conflicts at probe
+        # time, so piggy-back bits never cover a speculative sub-block.
+        piggy = data.draw(st.integers(0, (1 << n) - 1)) & ~line.spec_bits
+        SubblockDetector(LINE, n).apply_fill_piggyback(line, piggy)
+        # Fresh data clears Dirty where no responder reports a write.
+        assert states_of(line, n) == [
+            on_piggyback(state) if (piggy >> j) & 1
+            else state if state.spec
+            else SubblockState.NON_SPECULATIVE
+            for j, state in enumerate(before)
+        ]
+
+    @given(lines())
+    def test_commit_or_abort(self, line_states):
+        n, before = line_states
+        line = packed(before)
+        SubblockDetector(LINE, n).clear_spec(line)
+        assert states_of(line, n) == [on_commit_or_abort(s) for s in before]

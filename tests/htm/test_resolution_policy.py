@@ -1,7 +1,5 @@
 """Conflict-resolution policy tests (requester-wins vs older-wins)."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.config import ConflictResolution, DetectionScheme, default_system

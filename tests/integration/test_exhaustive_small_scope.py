@@ -55,9 +55,9 @@ def tiny_config(scheme, n_sub, **htm_overrides):
     cfg = replace(
         default_system(scheme, n_sub),
         n_cores=2,
-        l1=CacheConfig(4 * 1024, 64, 2, 3),
-        l2=CacheConfig(8 * 1024, 64, 16, 15),
-        l3=CacheConfig(16 * 1024, 64, 16, 50),
+        l1=CacheConfig(4 * 1024, 64, 2),
+        l2=CacheConfig(8 * 1024, 64, 16),
+        l3=CacheConfig(16 * 1024, 64, 16),
     )
     if htm_overrides:
         cfg = replace(cfg, htm=replace(cfg.htm, **htm_overrides))

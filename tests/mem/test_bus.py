@@ -1,29 +1,9 @@
-"""Snoop-bus tests: probe semantics, fan-out order, traffic counters."""
+"""Snoop-bus tests: probe fan-out order."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mem.bus import BusStats, ProbeKind, ProbeRequest, SnoopBus
-
-
-def probe(kind=ProbeKind.INVALIDATING, **kw):
-    defaults = dict(
-        line_addr=0, byte_mask=0xFF, requester=0, requester_txn=1, is_write=True
-    )
-    defaults.update(kw)
-    return ProbeRequest(kind=kind, **defaults)
-
-
-class TestProbeRequest:
-    def test_invalidating_flag(self):
-        assert probe(ProbeKind.INVALIDATING).invalidating
-        assert not probe(ProbeKind.NON_INVALIDATING).invalidating
-
-    def test_frozen(self):
-        import pytest
-
-        with pytest.raises(AttributeError):
-            probe().line_addr = 5  # type: ignore[misc]
+from repro.mem.bus import SnoopBus
 
 
 class TestSnoopOrder:
@@ -49,26 +29,3 @@ class TestSnoopOrder:
             r %= n
         order = SnoopBus(n).snoop_order(r)
         assert sorted(order) == [c for c in range(n) if c != r]
-
-
-class TestCounters:
-    def test_probe_counting(self):
-        bus = SnoopBus(2)
-        bus.count_probe(probe(ProbeKind.INVALIDATING))
-        bus.count_probe(probe(ProbeKind.NON_INVALIDATING))
-        bus.count_probe(probe(ProbeKind.NON_INVALIDATING))
-        assert bus.stats.probes_invalidating == 1
-        assert bus.stats.probes_non_invalidating == 2
-        assert bus.stats.total_probes == 3
-
-    def test_response_counting(self):
-        bus = SnoopBus(2)
-        bus.count_response(from_cache=True, piggyback=True)
-        bus.count_response(from_cache=False, piggyback=False)
-        assert bus.stats.data_responses_cache == 1
-        assert bus.stats.data_responses_memory == 1
-        assert bus.stats.piggyback_responses == 1
-
-    def test_fresh_stats_zero(self):
-        s = BusStats()
-        assert s.total_probes == 0

@@ -219,6 +219,55 @@ class TestInputErrors:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--policy", "lazy"],
+        ["--policy", "asf"],
+        ["--resolution", "older_wins"],
+        ["--arbitration", "polite"],
+        ["--counts", "2,8"],
+        ["--policy", "lazy", "--resolution", "older_wins", "--counts", "2,8"],
+    ], ids=["policy", "policy-asf", "resolution", "arbitration", "counts", "all"])
+    def test_policy_sweep_rejects_its_fixed_axes(self, capsys, flags):
+        """The policy grid sets the policy and sub-block count of every
+        point itself, so a flag that would set them is refused, not
+        ignored."""
+        argv = ["sweep", "ssca2", "--txns", "10", "--axis", "policy", *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        named = ", ".join(f for f in flags if f.startswith("--"))
+        assert captured.err == (
+            "repro-asf: error: --axis policy sweeps a fixed scheme × policy "
+            f"grid; {named} cannot be combined with it\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "kmeans", "--txns", "4", "--seeds", "0"], "--seeds must be at least 1, got 0"),
+        (["suite", "--txns", "4", "--seeds", "0"], "--seeds must be at least 1, got 0"),
+        (["save-scripts", "kmeans", "{program}", "--txns", "4", "--cores", "0"],
+         "--cores must be at least 1, got 0"),
+        (["save-scripts", "kmeans", "{program}", "--txns", "4", "--cores", "-2"],
+         "--cores must be at least 1, got -2"),
+        (["analyze", "{trace}", "--top", "-1"], "--top must be at least 0, got -1"),
+        (["analyze", "{trace}", "--cascade-window", "-1"],
+         "--cascade-window must be at least 0, got -1"),
+    ], ids=["run-seeds", "suite-seeds", "save-scripts-cores", "save-scripts-negative-cores",
+            "analyze-top", "analyze-cascade-window"])
+    def test_count_out_of_range(self, tmp_path, capsys, argv, message):
+        """A count below its bound is refused before any work starts:
+        nothing runs, prints or is written."""
+        trace = tmp_path / "trace.jsonl"
+        if "{trace}" in argv:
+            assert main(["trace", "kmeans", str(trace), "--txns", "4"]) == 0
+            capsys.readouterr()
+        listing = sorted(tmp_path.rglob("*"))
+        argv = [a.format(program=tmp_path / "program.jsonl", trace=trace) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro-asf: error: {message}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == listing
+
     @pytest.mark.parametrize("command, target, flags", [
         ("ls", "missing", []), ("gc", "missing", []), ("merge", "missing", []),
         ("ls", "notes", []), ("gc", "notes", []), ("merge", "notes", []),

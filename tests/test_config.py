@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import (
+    KERNELS,
     CacheConfig,
     DetectionScheme,
     HtmConfig,
@@ -11,6 +12,7 @@ from repro.config import (
     default_system,
 )
 from repro.errors import ConfigError
+from repro.kernel import build_machine
 
 
 class TestTable2Defaults:
@@ -24,7 +26,7 @@ class TestTable2Defaults:
         assert l1.size_bytes == 64 * 1024
         assert l1.line_size == 64
         assert l1.associativity == 2
-        assert l1.load_to_use_cycles == 3
+        assert SystemConfig().latency.l1_hit == 3
         assert l1.n_lines == 1024
         assert l1.n_sets == 512
 
@@ -32,13 +34,13 @@ class TestTable2Defaults:
         l2 = SystemConfig().l2
         assert l2.size_bytes == 512 * 1024
         assert l2.associativity == 16
-        assert l2.load_to_use_cycles == 15
+        assert SystemConfig().latency.l2_hit == 15
 
     def test_l3_geometry(self):
         l3 = SystemConfig().l3
         assert l3.size_bytes == 2 * 1024 * 1024
         assert l3.associativity == 16
-        assert l3.load_to_use_cycles == 50
+        assert SystemConfig().latency.l3_hit == 50
 
     def test_memory_latency(self):
         assert SystemConfig().latency.memory == 210
@@ -52,15 +54,11 @@ class TestTable2Defaults:
 class TestCacheConfig:
     def test_rejects_non_power_of_two_line(self):
         with pytest.raises(ConfigError):
-            CacheConfig(1024, 48, 2, 1)
+            CacheConfig(1024, 48, 2)
 
     def test_rejects_impossible_organisation(self):
         with pytest.raises(ConfigError):
-            CacheConfig(1000, 64, 2, 1)
-
-    def test_rejects_negative_latency(self):
-        with pytest.raises(ConfigError):
-            CacheConfig(1024, 64, 2, -1)
+            CacheConfig(1000, 64, 2)
 
 
 class TestLatencyConfig:
@@ -120,3 +118,13 @@ class TestSystemConfig:
         for n in (1, 2, 4, 8, 16, 32, 64):
             cfg = default_system(DetectionScheme.SUBBLOCK, n)
             assert cfg.htm.n_subblocks == n
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_table2_prints_the_l1_latency_the_machine_charges(self, kernel):
+        cfg = SystemConfig(latency=LatencyConfig(l1_hit=5), kernel=kernel)
+        assert "2-way, 5 cycles load-to-use" in cfg.describe()
+        machine = build_machine(cfg)
+        machine.access(0, 0x10000, 8, False, 0)
+        out = machine.access(0, 0x10000, 8, False, 300)
+        assert out.hit_l1
+        assert out.latency == 5

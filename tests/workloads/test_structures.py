@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from repro.errors import WorkloadError
 from repro.htm.ops import OpKind
 from repro.workloads.allocator import HeapAllocator
-from repro.workloads.structures.hashtable import TracedHashTable
-from repro.workloads.structures.queuebuf import TracedFifoQueue
 from repro.workloads.structures.rbtree import NODE_BYTES, TracedRbTree
 
 
@@ -114,83 +112,3 @@ class TestRbTreeTraces:
                 op.addr - (op.addr % NODE_BYTES) == root_addr for op in ops
             )
 
-
-class TestHashTable:
-    def test_insert_lookup_roundtrip(self):
-        h = TracedHashTable(HeapAllocator(), n_buckets=32)
-        _, inserted = h.insert(42)
-        assert inserted
-        _, found = h.lookup(42)
-        assert found
-        _, missing = h.lookup(43)
-        assert not missing
-
-    def test_duplicate_insert_noop(self):
-        h = TracedHashTable(HeapAllocator(), n_buckets=32)
-        h.insert(1)
-        _, inserted = h.insert(1)
-        assert not inserted
-        assert h.size == 1
-
-    def test_update_missing_rejected(self):
-        with pytest.raises(WorkloadError):
-            TracedHashTable(HeapAllocator()).update(9)
-
-    def test_insert_trace_shape(self):
-        h = TracedHashTable(HeapAllocator(), n_buckets=4)
-        ops, _ = h.insert(1)
-        # head read first, head write last (the claim).
-        assert ops[0].kind is OpKind.READ
-        assert ops[-1].kind is OpKind.WRITE
-
-    def test_chain_walk_grows_with_collisions(self):
-        h = TracedHashTable(HeapAllocator(), n_buckets=1)  # everything chains
-        for k in range(8):
-            h.insert(k)
-        ops, found = h.lookup(0)  # oldest node: full chain walk
-        assert found
-        assert len(ops) > 8
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(0, 5000), max_size=120))
-    def test_invariants_after_random_inserts(self, keys):
-        h = TracedHashTable(HeapAllocator(), n_buckets=16)
-        for k in keys:
-            h.insert(k)
-        h.check_invariants()
-        assert h.keys() == set(keys)
-
-
-class TestFifoQueue:
-    def test_fifo_accounting(self):
-        q = TracedFifoQueue(HeapAllocator(), capacity=4)
-        q.enqueue()
-        q.enqueue()
-        assert len(q) == 2
-        q.dequeue()
-        assert len(q) == 1
-        q.check_invariants()
-
-    def test_overflow_underflow_rejected(self):
-        q = TracedFifoQueue(HeapAllocator(), capacity=1)
-        with pytest.raises(WorkloadError):
-            q.dequeue()
-        q.enqueue()
-        with pytest.raises(WorkloadError):
-            q.enqueue()
-
-    def test_descriptor_rmw_shape(self):
-        q = TracedFifoQueue(HeapAllocator(), capacity=4)
-        ops = q.enqueue()
-        assert ops[0].kind is OpKind.READ
-        assert ops[0].addr == ops[-1].addr  # tail RMW
-        assert ops[-1].kind is OpKind.WRITE
-
-    def test_slots_wrap_around(self):
-        q = TracedFifoQueue(HeapAllocator(), capacity=2)
-        first = q.enqueue()[1].addr
-        q.enqueue()
-        q.dequeue()
-        q.dequeue()
-        wrapped = q.enqueue()[1].addr
-        assert wrapped == first

@@ -40,10 +40,7 @@ def test_yada_fits_a_bigger_machine():
 
     w = YadaWorkload(txns_per_core=2)
     cfg = default_system(DetectionScheme.SUBBLOCK, 4)
-    big_l1 = CacheConfig(
-        size_bytes=64 * 1024, line_size=64, associativity=16,
-        load_to_use_cycles=3,
-    )
+    big_l1 = CacheConfig(size_bytes=64 * 1024, line_size=64, associativity=16)
     cfg = replace(cfg, l1=big_l1)
     scripts = w.build(cfg.n_cores, seed=1)
     stats = SimulationEngine(cfg, scripts, seed=1, check_atomicity=True).run()
