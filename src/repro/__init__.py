@@ -88,6 +88,26 @@ step, report or caller read.  Gone are the config fields
 keys do not change: the fingerprint keeps each removed field at its
 former default, so checkpoints written with the defaults still resume.
 
+Version 7.0.0 is a major release because five shared definitions each
+have one owner and their twins are gone.  A run's counters are declared
+once, on ``repro.telemetry.CounterSink``; :class:`RunSummary` is its
+subclass, and a run without detail now returns the ``RunSummary`` the
+engine counted into, with the run's identity stamped on it.
+``repro.telemetry.SUMMARY_KEYS`` is gone (the keys are those of
+``summary()``).  The conflict record is
+``repro.htm.conflict.ConflictRecord``, whose ``forced_waw`` no longer
+has a default; ``repro.telemetry.ConflictEvent`` is gone, and the trace
+reader yields ``ConflictRecord``.  ``SimState.audit_coherence`` checks
+the MOESI invariant through ``repro.mem.moesi.check_global_invariant``;
+``SimState.plane_matrix`` is gone, and with it the one third-party
+runtime dependency: the package needs only the standard library.
+:func:`merge_summaries` and :func:`aggregate_metrics` fold any
+iterable, a lazy stream included, so
+``repro.telemetry.SummaryAccumulator`` and ``MetricsAccumulator`` are
+gone.  A ``remote`` executor spec must name a fixed port or a hosts
+file: ``remote``, ``remote:0`` and ``remote:HOST:0`` launched no worker
+and are now refused.
+
 Layering (each layer only depends on the ones above it):
 
 * :mod:`repro.util`, :mod:`repro.config`, :mod:`repro.errors`
@@ -156,7 +176,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-time only
     from repro.telemetry import RunSummary, aggregate_metrics, merge_summaries
     from repro.workloads.registry import BENCHMARK_NAMES, all_workloads, get_workload
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "AtomicityViolation",

@@ -11,7 +11,8 @@ of a run to disk; this module closes the loop with three layers:
   tolerates a torn final line exactly like
   :class:`~repro.store.ResultsStore` (a crash loses at most the event
   being written), and yields the frozen dataclasses of
-  :mod:`repro.telemetry.events` — the same types the simulator emitted.
+  :mod:`repro.telemetry.events`, with each conflict as the
+  :class:`~repro.htm.conflict.ConflictRecord` the machine emitted.
 * :class:`ConflictTimeline` — the run's
   :class:`~repro.telemetry.sinks.DetailSink`, rebuilt by feeding each
   decoded event to the hook the live run called, so it equals the live
@@ -30,12 +31,11 @@ from itertools import compress
 from operator import attrgetter, itemgetter
 
 from repro.errors import ConfigError
-from repro.htm.conflict import ConflictType
+from repro.htm.conflict import ConflictRecord, ConflictType
 from repro.htm.txn import AbortCause
 from repro.telemetry.events import (
     AccessEvent,
     BackoffEvent,
-    ConflictEvent,
     DirtyReprobeEvent,
     FillEvent,
     RunCompleteEvent,
@@ -189,7 +189,7 @@ _EVENT_KINDS = (
     ("txn_start", TxnStartEvent),
     ("txn_commit", TxnCommitEvent),
     ("txn_abort", TxnAbortEvent),
-    ("conflict", ConflictEvent),
+    ("conflict", ConflictRecord),
     ("access", AccessEvent),
     ("backoff", BackoffEvent),
     ("stall", StallEvent),
@@ -209,7 +209,7 @@ _HOOKS = {
     cls: (
         "on_" + kind,
         (lambda event: (event,))
-        if cls is ConflictEvent
+        if cls is ConflictRecord
         else attrgetter(*(f.name for f in fields(cls))),
     )
     for kind, cls in _EVENT_KINDS

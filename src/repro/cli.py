@@ -22,19 +22,22 @@ Subcommands::
 ``--executor SPEC`` on ``run``/``suite``/``sweep``/``ablate`` picks the
 execution backend: ``serial`` (in-process reference, the default),
 ``process`` / ``process:N`` (one worker per core / N workers, forked on
-loopback: the remote fabric below), ``remote`` / ``remote:PORT`` /
-``remote:HOST:PORT`` / ``remote:HOSTS_FILE`` (TCP coordinator; workers
-join via ``repro-asf worker``).  See ``docs/DISTRIBUTED.md`` for the
+loopback: the remote fabric below), ``remote:PORT`` /
+``remote:HOST:PORT`` (TCP coordinator on a fixed port; workers join via
+``repro-asf worker``) or ``remote:HOSTS_FILE`` (the coordinator launches
+the workers the file names).  See ``docs/DISTRIBUTED.md`` for the
 fabric.
 
 A :class:`~repro.errors.ConfigError` (bad executor spec, ``worker
 --connect`` address or ``sweep --counts`` list, a policy or count flag
 given to ``sweep --axis policy``, missing or malformed trace file, a
 ``store`` path that holds no results store, a negative ``store gc
---keep-last``, ``analyze --top`` or ``--cascade-window``, a ``--seeds``
-or ``save-scripts --cores`` below 1) or
-:class:`~repro.errors.WorkloadError` (missing or malformed script file)
-ends in one ``repro-asf: error: ...`` line and exit status 2.
+--keep-last``, ``analyze --top`` or ``--cascade-window``, an ``analyze
+--bins`` below 1 or a ``--subblocks`` that does not divide the trace's
+line size, a ``--seeds`` or ``save-scripts --cores`` below 1) or
+:class:`~repro.errors.WorkloadError` (missing or malformed script file,
+a ``--txns`` below 1) ends in one ``repro-asf: error: ...`` line and
+exit status 2.
 
 ``--trace-dir DIR`` on ``run``/``suite`` records every run's event
 trace into DIR *and* writes a ``<run>.report.txt`` forensics report next
@@ -402,15 +405,22 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         progress.finish()
         out = render_all(suite)
         if args.seeds > 1:
+            # The suite's own runs are the first seed; only the later
+            # seeds simulate.
             seeds = _seed_list(args)
-            progress = _ProgressLine(n_suite * len(seeds))
+            progress = _ProgressLine(n_suite * (len(seeds) - 1))
             sweep = run_seed_sweep(
-                txns_per_core=args.txns, seeds=seeds,
+                txns_per_core=args.txns, seeds=seeds[1:],
                 config=_base_config(args),
                 executor=_executor_config(args, store=store,
                                           on_result=progress),
             )
             progress.finish()
+            sweep.seeds = seeds
+            for name, bench in suite.benches.items():
+                firsts = (bench.baseline, bench.subblock, bench.perfect)
+                for scheme, run in zip(sweep.schemes, firsts):
+                    sweep.runs[(name, scheme.value)].insert(0, run)
             out += "\n\n" + "=" * 72 + "\n\n" + render_seed_figures(sweep)
         print(out)
         _analyze_trace_dir(args.trace_dir)
@@ -451,14 +461,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.trace import (
         TRACE_FIGURES,
         ConflictTimeline,
+        TraceReader,
         render_trace_report,
     )
 
-    _require_at_least(args, top=0, cascade_window=0)
+    _require_at_least(args, top=0, cascade_window=0, bins=1)
     chosen = args.fig or ["all"]
     figs = TRACE_FIGURES if "all" in chosen else tuple(dict.fromkeys(chosen))
+    reader = TraceReader(args.path)
+    line_size = reader.header.line_size
+    if args.subblocks < 1 or line_size % args.subblocks:
+        reader.close()
+        raise ConfigError(
+            f"--subblocks must divide the trace's {line_size}-byte line, "
+            f"got {args.subblocks}"
+        )
     # One decode: the report and the TSVs read the same timeline.
-    timeline = ConflictTimeline.from_trace(args.path)
+    timeline = ConflictTimeline.from_trace(reader)
     report = render_trace_report(
         timeline, figs=figs, bins=args.bins, top=args.top,
         n_subblocks=args.subblocks, cascade_window=args.cascade_window,
@@ -852,8 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="execution backend: 'serial' (in-process reference, the "
             "default), 'process' (one forked loopback worker per core), "
             "'process:N' (N forked loopback workers; 1 runs in-process), "
-            "'remote' (coordinator on an ephemeral loopback port), "
-            "'remote:PORT' (bound to 0.0.0.0:PORT), 'remote:HOST:PORT', or "
+            "'remote:PORT' (coordinator bound to 0.0.0.0:PORT; workers "
+            "attach with `repro-asf worker`), 'remote:HOST:PORT', or "
             "'remote:HOSTS_FILE' (bind/launch lines; see docs/DISTRIBUTED.md)"
             "; every backend is bit-identical to serial",
         )
@@ -987,8 +1006,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--token", default="",
-        help="shared secret echoed in the hello (must match the "
-        "coordinator's --token / hosts-file token)",
+        help="shared secret echoed in the hello.  A coordinator checks it "
+        "only when it holds one: the token it generates for the workers "
+        "it launches (handed to them at launch) or an "
+        "ExecConfig.token set through the library.  A CLI coordinator on "
+        "remote:PORT holds none and accepts any peer (see ROADMAP item 5)",
     )
     p_worker.set_defaults(func=_cmd_worker)
 

@@ -65,6 +65,9 @@ class ConflictRecord:
     histogram.  ``at_commit`` marks lazy-detection arbitration: the
     "requester" is a committing transaction and the victim was killed by
     its commit broadcast rather than by an access-time probe.
+
+    A trace's ``conflict`` line holds these fields in this order, and the
+    trace reader decodes it back into this class.
     """
 
     time: int
@@ -80,7 +83,7 @@ class ConflictRecord:
     requester_mask: int
     victim_read_mask: int
     victim_write_mask: int
-    forced_waw: bool = False
+    forced_waw: bool
     at_commit: bool = False
 
     @property

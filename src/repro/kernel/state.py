@@ -16,10 +16,8 @@ first touch:
   bit-planes (the :mod:`repro.util.bitops` masks, one word per line), and
   the owning transaction uid.
 
-Planes are plain Python lists because CPython indexes them in ~11 ns while
-a numpy scalar read costs ~60-110 ns (and leaks ``np.intN`` scalars into
-downstream arithmetic); numpy earns its keep only on *batch* operations,
-so it is reserved for the cold-path snapshot/audit helpers at the bottom.
+Planes are plain Python lists because CPython indexes them in ~11 ns,
+which no array library's scalar read matches.
 
 Residency and LRU order live in per-set insertion-ordered dicts exactly
 like :class:`~repro.mem.cache.SetAssocCache` (first key = LRU victim), so
@@ -61,7 +59,7 @@ MOESI_O = 2
 MOESI_E = 3
 MOESI_M = 4
 
-#: code -> MoesiState.name, for debugging and the numpy audit.
+#: code -> MoesiState.name, for debugging and the coherence audit.
 MOESI_NAMES = ("INVALID", "SHARED", "OWNED", "EXCLUSIVE", "MODIFIED")
 
 #: Non-invalidating probe transition table indexed by code:
@@ -208,86 +206,33 @@ class SimState:
                 row.extend(chunk)
         self.capacity += GROW_LINES
 
-    # ---------------------------------------------------------- batch views
-
-    def plane_matrix(self, name: str):
-        """A ``(n_cores, n_lines)`` numpy snapshot of one per-core plane.
-
-        Cold-path only: used by the audit below and by tests/tools that
-        want vectorized reductions over the whole state.  Masks can exceed
-        64 bits (byte masks of 64-byte lines are exactly 64 bits, sub-block
-        planes fewer), so ``uint64`` is wide enough for every plane except
-        ``data``; ``object`` dtype is refused rather than silently used.
-        """
-        import numpy as np
-
-        if name == "data":
-            raise ValueError("data plane has no fixed-width dtype")
-        n = self.n_lines
-        rows = [row[:n] for row in getattr(self, name)]
-        dtype = np.int64 if name in ("sowner", "moesi") else np.uint64
-        return np.array(rows, dtype=dtype)
+    # ---------------------------------------------------------------- audit
 
     def audit_coherence(self) -> None:
-        """Vectorized MOESI invariant check over the entire state.
+        """Check every interned line's MOESI copies and holders/owner indexes.
 
-        The numpy twin of :func:`repro.mem.moesi.check_global_invariant`:
-        one pass of array reductions instead of a per-line Python loop.
-        Raises :class:`~repro.errors.ProtocolError` on the first violated
-        invariant.  Intended for end-of-run audits in the parity and fuzz
-        suites (hot paths never call this).
+        Each line's per-core codes map through :data:`MOESI_NAMES` to the
+        states :func:`~repro.mem.moesi.check_global_invariant` checks; then
+        ``holders`` must name exactly the cores with a valid copy, and a
+        recorded ``owner`` a supply-capable one.  Raises
+        :class:`~repro.errors.ProtocolError` naming the first bad line.
+        For end-of-run audits in the parity and fuzz suites.
         """
-        import numpy as np
-
         from repro.errors import ProtocolError
+        from repro.mem.moesi import MoesiState, check_global_invariant
 
-        if not self.line_addrs:
-            return
-        m = self.plane_matrix("moesi")  # (cores, lines)
-        n_m = (m == MOESI_M).sum(axis=0)
-        n_e = (m == MOESI_E).sum(axis=0)
-        n_o = (m == MOESI_O).sum(axis=0)
-        n_valid = (m != MOESI_I).sum(axis=0)
-        addrs = np.array(self.line_addrs, dtype=np.int64)
-
-        def _first_bad(bad) -> int:
-            return int(addrs[np.argmax(bad)])
-
-        exclusive_writers = n_m + n_e
-        bad = exclusive_writers > 1
-        if bad.any():
-            raise ProtocolError(
-                f"line {_first_bad(bad):#x}: multiple M/E copies"
-            )
-        bad = (exclusive_writers == 1) & (n_valid > 1)
-        if bad.any():
-            raise ProtocolError(
-                f"line {_first_bad(bad):#x}: M/E copy coexists with sharers"
-            )
-        bad = n_o > 1
-        if bad.any():
-            raise ProtocolError(f"line {_first_bad(bad):#x}: multiple O copies")
-        # holders bitmask mirrors the set of valid copies exactly: bit r
-        # is set iff core r holds a valid copy.
-        n = self.n_lines
-        hold = np.array(self.holders[:n], dtype=np.uint64)
-        shifts = np.arange(self.n_cores, dtype=np.uint64)[:, None]
-        expected = np.bitwise_or.reduce(
-            (m != MOESI_I).astype(np.uint64) << shifts, axis=0
-        )
-        bad = hold != expected
-        if bad.any():
-            raise ProtocolError(
-                f"line {_first_bad(bad):#x}: holders bitmask out of sync"
-            )
-        # a recorded owner must hold a supply-capable copy.
-        own = np.array(self.owner[:n], dtype=np.int64)
-        has_owner = own >= 0
-        if has_owner.any():
-            owner_state = m[own[has_owner], np.nonzero(has_owner)[0]]
-            bad_idx = np.nonzero(has_owner)[0][owner_state < MOESI_O]
-            if bad_idx.size:
+        states = [MoesiState[name] for name in MOESI_NAMES]
+        for li, addr in enumerate(self.line_addrs):
+            codes = [row[li] for row in self.moesi]
+            try:
+                check_global_invariant([states[code] for code in codes])
+            except ProtocolError as exc:
+                raise ProtocolError(f"line {addr:#x}: {exc}") from None
+            valid = sum(1 << core for core, code in enumerate(codes) if code != MOESI_I)
+            if self.holders[li] != valid:
+                raise ProtocolError(f"line {addr:#x}: holders bitmask out of sync")
+            owner = self.owner[li]
+            if owner >= 0 and codes[owner] < MOESI_O:
                 raise ProtocolError(
-                    f"line {int(addrs[bad_idx[0]]):#x}: "
-                    "owner pointer at non-supplying copy"
+                    f"line {addr:#x}: owner pointer at non-supplying copy"
                 )

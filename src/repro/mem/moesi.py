@@ -109,8 +109,10 @@ def state_on_fill(had_remote_sharers: bool, for_write: bool) -> MoesiState:
 
 def check_global_invariant(states: list[MoesiState]) -> None:
     """Assert the one-writer/any-readers MOESI invariant over all copies
-    of a single line.  Called by the property tests and (cheaply) by the
-    bus in paranoid mode.
+    of a single line.  The one statement of the invariant: the property
+    tests call it on the object model's copies, and
+    :meth:`repro.kernel.state.SimState.audit_coherence` on the flat
+    kernel's.
 
     * at most one M or E copy, and if one exists, no other valid copies;
     * at most one O copy (the owner) alongside any number of S copies.

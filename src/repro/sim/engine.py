@@ -53,6 +53,7 @@ from repro.htm.txn import AbortCause, Transaction, TxnStatus
 from repro.kernel import MachineProtocol, build_machine
 from repro.sim.atomicity import AtomicityChecker
 from repro.telemetry.sinks import CounterSink, DetailSink, JsonlTraceSink
+from repro.telemetry.summary import RunSummary
 from repro.util.rng import DeterministicRng
 from repro.workloads.base import CoreScript
 
@@ -108,11 +109,12 @@ class SimulationEngine:
         self.scripts = scripts
         self.seed = seed
         self.micro_batch = micro_batch
-        # The run keeps detail only when asked.  ``stats`` is what run()
+        # The run keeps detail only when asked; without detail it counts
+        # straight into the summary it returns.  ``stats`` is what run()
         # returns; ``sink``, what the machine emits into, wraps it in a
         # trace export whenever the config names a trace file.
         if stats is None:
-            stats = DetailSink(config.line_size) if record_detail else CounterSink()
+            stats = DetailSink(config.line_size) if record_detail else RunSummary()
         self.stats = self.sink = stats
         tcfg = config.telemetry
         if tcfg.trace_path is not None:

@@ -11,8 +11,8 @@ executor layer:
   (launch lines, batching, the per-spec ``timeout``, ``retries``,
   heartbeats, backoff).
 * :func:`parse_executor_spec` — the ``--executor`` grammar: ``serial``,
-  ``process``, ``process:8``, ``remote``, ``remote:PORT``,
-  ``remote:HOST:PORT``, ``remote:hosts.txt``.
+  ``process``, ``process:8``, ``remote:PORT``, ``remote:HOST:PORT``,
+  ``remote:hosts.txt``.
 * :func:`build_executor` — resolves an :class:`ExecConfig`, a spec
   string, a live :class:`Executor` or ``None`` into a concrete
   :class:`Executor`: the one ``executor=`` argument every batch entry
@@ -162,11 +162,13 @@ def parse_executor_spec(text: str) -> ExecConfig:
         process:N               N loopback workers (N <= 0: one per core;
                                 N = 1 runs in-process, like serial;
                                 N > MAX_PROCESS_WORKERS is refused)
-        remote                  coordinator on an ephemeral loopback port
-                                (workers attach via `repro-asf worker`)
         remote:PORT             coordinator bound to 0.0.0.0:PORT
+                                (workers attach via `repro-asf worker`)
         remote:HOST:PORT        coordinator bound to HOST:PORT
         remote:HOSTS_FILE       read bind/launch lines from a hosts file
+
+    Without a hosts file ``remote`` needs a fixed, non-zero port: no
+    worker could learn an ephemeral one.
 
     ``process:N`` is a ``remote`` config with N ``local`` launch lines on
     loopback; where ``os.fork`` is missing, each line is the exec'd
@@ -215,19 +217,24 @@ def parse_executor_spec(text: str) -> ExecConfig:
         return ExecConfig(backend="remote", launch=(entry,) * workers)
     if head == "remote":
         cfg = ExecConfig(backend="remote")
-        if not rest:
-            return cfg
-        if os.path.exists(rest):
+        if rest and os.path.exists(rest):
             return _read_hosts_file(rest, cfg)
-        source = f"executor {text!r}"
-        if rest.isdecimal():
-            return replace(cfg, bind="%s:%d" % _address(f"0.0.0.0:{rest}", source))
-        _host, sep, port = rest.rpartition(":")
+        forms = (
+            "expected remote:PORT or remote:HOST:PORT with a port in "
+            "1-65535 (workers attach with `repro-asf worker`), or "
+            "remote:HOSTS_FILE"
+        )
+        bind = f"0.0.0.0:{rest}" if rest.isdecimal() else rest
+        _host, sep, port = bind.rpartition(":")
         if sep and port.isdecimal():
-            return replace(cfg, bind="%s:%d" % _address(rest, source))
+            host, port_no = _address(bind, f"executor {text!r}")
+            if port_no:
+                return replace(cfg, bind=f"{host}:{port_no}")
+        elif rest:
+            raise ConfigError(f"remote spec {text!r}: {forms} (file not found?)")
         raise ConfigError(
-            f"remote spec {text!r}: expected remote, remote:PORT, "
-            "remote:HOST:PORT or remote:HOSTS_FILE (file not found?)"
+            f"remote spec {text!r} names no port a worker could attach to: "
+            f"{forms}"
         )
     raise ConfigError(
         f"unknown executor {text!r}; expected serial, process[:N] or "

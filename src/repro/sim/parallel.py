@@ -20,9 +20,9 @@ Three properties are load-bearing:
 * **Cheap, lossless results** — a run keeps detail only when its spec
   asks (:attr:`RunSpec.record_detail`) and returns exactly what it
   collected: its :class:`~repro.telemetry.sinks.DetailSink` for such a
-  spec, a compact :class:`~repro.telemetry.summary.RunSummary` of its
-  counters for every other spec.  The summary's counters are bit-for-bit
-  equal to the sink's, so only detail-keeping specs pay full pickling.
+  spec, and for every other spec the compact
+  :class:`~repro.telemetry.summary.RunSummary` the engine counted into,
+  so only detail-keeping specs pay full pickling.
 
 The execution core is :func:`iter_many` — a *streaming* generator that
 yields ``(index, result)`` pairs as runs complete.  *How* the batch
@@ -56,7 +56,6 @@ from repro.sim.executors import (
     parse_executor_spec,
 )
 from repro.sim.runner import RunResult
-from repro.telemetry.summary import RunSummary
 from repro.workloads.base import CoreScript, Workload
 
 __all__ = [
@@ -180,7 +179,8 @@ def execute_spec(spec: RunSpec) -> RunResult:
 
     The result carries exactly what the run collected: the run's
     :class:`~repro.telemetry.sinks.DetailSink` when the spec keeps detail,
-    and otherwise a :class:`RunSummary` of its counters.
+    and otherwise the :class:`RunSummary` the engine counted into, with
+    the run's identity stamped on it.
     """
     name = spec.workload if isinstance(spec.workload, str) else spec.workload.name
     scripts = compiled_scripts(
@@ -200,10 +200,11 @@ def execute_spec(spec: RunSpec) -> RunResult:
     violations = len(engine.checker.violations) if engine.checker is not None else 0
     scheme = engine.machine.detector.name
     if not spec.record_detail:
-        stats = RunSummary.from_sink(
-            stats, workload=name, scheme=scheme, seed=spec.seed,
-            label=spec.label, violations=violations,
-        )
+        stats.workload = name
+        stats.scheme = scheme
+        stats.seed = spec.seed
+        stats.label = spec.label
+        stats.violations = violations
     return RunResult(
         workload=name,
         scheme=scheme,

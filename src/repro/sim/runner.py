@@ -19,7 +19,7 @@ from repro.workloads.base import CoreScript, Workload
 
 if TYPE_CHECKING:
     from repro.sim.executors import ExecConfig, Executor
-    from repro.telemetry.sinks import CounterSink
+    from repro.telemetry.sinks import DetailSink
     from repro.telemetry.summary import RunSummary
 
 __all__ = [
@@ -60,13 +60,12 @@ class RunResult:
     scheme: str
     config: SystemConfig
     seed: int
-    #: The sink the run recorded into (a :class:`DetailSink` when the run
-    #: kept detail) or a compact
-    #: :class:`~repro.telemetry.summary.RunSummary` of it (what
-    #: ``run_many`` returns for every spec that keeps none) — both expose
-    #: ``conflicts``, the aggregate counters and ``summary()`` with
-    #: identical values.
-    stats: "CounterSink | RunSummary"
+    #: What the run counted into: its :class:`DetailSink` when it kept
+    #: detail, else the compact
+    #: :class:`~repro.telemetry.summary.RunSummary` (what ``run_many``
+    #: returns for every spec that keeps none) — both expose
+    #: ``conflicts``, the aggregate counters and ``summary()``.
+    stats: "DetailSink | RunSummary"
     #: Atomicity violations found by a non-raising checker (only ever
     #: non-zero for deliberately broken ablation variants).
     violations: int = 0

@@ -87,23 +87,26 @@ def _decode_row(raw: bytes) -> dict | None:
     return None
 
 
-def _scan_log(path: str) -> dict[str, dict]:
-    """Parse a results log into ``{key: payload}``, later lines winning.
+def _scan_log(path: str) -> tuple[dict[str, dict], int]:
+    """Parse a results log into ``({key: payload}, trusted bytes)``.
 
-    Same tolerance as :meth:`ResultsStore._load`: a torn or corrupt line
-    ends the trustworthy prefix (but this read-only scan never truncates
-    the file it reads).
+    Later lines win.  A torn or corrupt line ends the trustworthy
+    prefix; the second value is that prefix's length in bytes, which
+    :meth:`ResultsStore._load` truncates the log to.  A missing log
+    reads as empty.
     """
     payloads: dict[str, dict] = {}
+    trusted = 0
     if not os.path.exists(path):
-        return payloads
+        return payloads, trusted
     with open(path, "rb") as fh:
         for raw in fh:
             payload = _decode_row(raw)
             if payload is None:
                 break
             payloads[payload["key"]] = payload
-    return payloads
+            trusted += len(raw)
+    return payloads, trusted
 
 
 def _physics_diff(a: dict, b: dict) -> list[str]:
@@ -193,20 +196,14 @@ class ResultsStore:
 
     def _load(self) -> None:
         """Re-read the log; drop and truncate away a torn final line."""
-        if not os.path.exists(self.results_path):
-            return
-        valid_bytes = 0
-        with open(self.results_path, "rb") as fh:
-            for raw in fh:
-                payload = _decode_row(raw)
-                if payload is None:
-                    break  # torn or corrupt: nothing after it is trustworthy
-                self._payloads[payload["key"]] = payload
-                valid_bytes += len(raw)
-        if valid_bytes < os.path.getsize(self.results_path):
+        self._payloads, trusted = _scan_log(self.results_path)
+        if (
+            os.path.exists(self.results_path)
+            and trusted < os.path.getsize(self.results_path)
+        ):
             # Truncate the garbage so the next append starts a clean line.
             with open(self.results_path, "r+b") as fh:
-                fh.truncate(valid_bytes)
+                fh.truncate(trusted)
 
     # -- interface -----------------------------------------------------------
 
@@ -280,7 +277,7 @@ class ResultsStore:
                 raise SimulationError(f"no results log at {path!r}")
             if os.path.abspath(path) == os.path.abspath(self.results_path):
                 continue  # merging a store into itself is a no-op
-            for key, payload in _scan_log(path).items():
+            for key, payload in _scan_log(path)[0].items():
                 mine = self._payloads.get(key)
                 if mine is None:
                     self._append(payload)

@@ -4,12 +4,13 @@ The measurement layer of the simulator, sitting *below* every machine
 layer (it imports none of them):
 
 * :mod:`repro.telemetry.events` — the :class:`EventSink` protocol the
-  machine emits through, plus typed event records;
+  machine emits through, plus typed event records (a conflict is the
+  machine's own :class:`~repro.htm.conflict.ConflictRecord`);
 * :mod:`repro.telemetry.sinks` — counter-only, full-detail and JSONL
   trace-export sinks (and :class:`ConflictCounts`);
-* :mod:`repro.telemetry.summary` — pickle-cheap :class:`RunSummary`
-  transfer objects with exact summary parity, merging, and multi-seed
-  mean ± stdev aggregation.
+* :mod:`repro.telemetry.summary` — :class:`RunSummary`, a
+  :class:`CounterSink` that also carries a run's identity, plus the
+  folds that merge runs and aggregate mean ± stdev over seeds.
 
 See ``docs/ARCHITECTURE.md`` for the layering and how to add a sink.
 """
@@ -17,7 +18,6 @@ See ``docs/ARCHITECTURE.md`` for the layering and how to add a sink.
 from repro.telemetry.events import (
     AccessEvent,
     BackoffEvent,
-    ConflictEvent,
     DirtyReprobeEvent,
     EventSink,
     FillEvent,
@@ -28,7 +28,6 @@ from repro.telemetry.events import (
     TxnStartEvent,
 )
 from repro.telemetry.sinks import (
-    SUMMARY_KEYS,
     ConflictCounts,
     CounterSink,
     DetailSink,
@@ -36,10 +35,8 @@ from repro.telemetry.sinks import (
     summary_dict,
 )
 from repro.telemetry.summary import (
-    MetricsAccumulator,
     MetricStats,
     RunSummary,
-    SummaryAccumulator,
     aggregate_metrics,
     merge_summaries,
     stats_of_values,
@@ -49,7 +46,6 @@ __all__ = [
     "AccessEvent",
     "BackoffEvent",
     "ConflictCounts",
-    "ConflictEvent",
     "CounterSink",
     "DetailSink",
     "DirtyReprobeEvent",
@@ -57,12 +53,9 @@ __all__ = [
     "FillEvent",
     "JsonlTraceSink",
     "MetricStats",
-    "MetricsAccumulator",
     "NullSink",
     "RunCompleteEvent",
     "RunSummary",
-    "SUMMARY_KEYS",
-    "SummaryAccumulator",
     "TxnAbortEvent",
     "TxnCommitEvent",
     "TxnStartEvent",

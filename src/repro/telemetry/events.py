@@ -14,9 +14,10 @@ Two design rules keep the hot path hot:
   the trace reader, which rebuilds them from a recorded trace, and for
   tests;
 * this package sits **below** the mem/htm layers — it imports neither, so
-  every layer may depend on it.  Conflict records are duck-typed: any
-  object with the :class:`ConflictEvent` field set (``time``, ``ctype``,
-  ``is_false``, masks, …) is accepted by ``on_conflict``.
+  every layer may depend on it.  ``on_conflict`` receives the machine's
+  :class:`repro.htm.conflict.ConflictRecord` (the trace reader decodes
+  ``conflict`` lines into the same class); sinks read its fields by
+  name.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Protocol, Sequence, runtime_checkable
 __all__ = [
     "AccessEvent",
     "BackoffEvent",
-    "ConflictEvent",
     "DirtyReprobeEvent",
     "EventSink",
     "FillEvent",
@@ -66,31 +66,6 @@ class TxnAbortEvent:
     time: int
     cause: str
     wasted_cycles: int
-
-
-@dataclass(frozen=True, slots=True)
-class ConflictEvent:
-    """Field contract for conflict records passed to ``on_conflict``.
-
-    :class:`repro.htm.conflict.ConflictRecord` satisfies it structurally;
-    sinks must only rely on the fields named here.
-    """
-
-    time: int
-    requester_core: int
-    victim_core: int
-    requester_txn: int
-    victim_txn: int
-    line_addr: int
-    line_index: int
-    ctype: object  # enum with a .value string ("RAW"/"WAR"/"WAW")
-    is_false: bool
-    requester_is_write: bool
-    requester_mask: int
-    victim_read_mask: int
-    victim_write_mask: int
-    forced_waw: bool
-    at_commit: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +135,8 @@ class EventSink(Protocol):
 
     Implementations are free to ignore any event.  Methods take scalars
     (see the matching event dataclasses for field meanings) so the
-    counter-only fast path allocates nothing per event.
+    counter-only fast path allocates nothing per event; ``on_conflict``
+    takes the machine's :class:`repro.htm.conflict.ConflictRecord` whole.
     """
 
     def on_txn_start(self, core: int, time: int, attempt: int, static_id: int) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
@@ -39,7 +39,6 @@ __all__ = [
     "CounterSink",
     "DetailSink",
     "JsonlTraceSink",
-    "SUMMARY_KEYS",
     "TRACE_SCHEMA",
     "TRACE_SCHEMA_MAJOR",
     "TRACE_SCHEMA_MINOR",
@@ -133,34 +132,6 @@ class ConflictCounts:
         }
 
 
-#: Integer counter attributes shared by every counting sink and by
-#: :class:`~repro.telemetry.summary.RunSummary`.  One list so the
-#: summary/merge code cannot drift out of sync with the sinks.
-COUNTER_FIELDS = (
-    "txn_attempts",
-    "txn_commits",
-    "aborts_conflict_true",
-    "aborts_conflict_false",
-    "aborts_capacity",
-    "aborts_user",
-    "aborts_validation",
-    "wasted_cycles",
-    "backoff_cycles",
-    "l1_hits",
-    "l1_misses",
-    "dirty_reprobes",
-    "forced_waw_aborts",
-    "fills_l2",
-    "fills_l3",
-    "fills_memory",
-    "fills_remote",
-    "stalls",
-    "stall_cycles",
-    "stall_aborts",
-    "arbitration_aborts",
-)
-
-
 def summary_dict(s) -> dict[str, object]:
     """Flat summary used by reports and the EXPERIMENTS index.
 
@@ -199,46 +170,53 @@ def summary_dict(s) -> dict[str, object]:
     }
 
 
+@dataclass(slots=True, eq=False)
 class CounterSink:
-    """Aggregate counters only — the per-event cost is a few integer adds."""
+    """Aggregate counters only — the per-event cost is a few integer adds.
 
-    def __init__(self) -> None:
-        self.conflicts = ConflictCounts()
-        self.txn_attempts: int = 0
-        self.txn_commits: int = 0
-        self.aborts_conflict_true: int = 0
-        self.aborts_conflict_false: int = 0
-        self.aborts_capacity: int = 0
-        self.aborts_user: int = 0
-        self.aborts_validation: int = 0
-        self.retries_by_static: Counter[int] = Counter()
-        self.wasted_cycles: int = 0
-        self.backoff_cycles: int = 0
-        self.l1_hits: int = 0
-        self.l1_misses: int = 0
-        self.dirty_reprobes: int = 0
-        self.forced_waw_aborts: int = 0
-        # L1-miss fills by supplying level (emitted by MemorySystem).
-        self.fills_l2: int = 0
-        self.fills_l3: int = 0
-        self.fills_memory: int = 0
-        self.fills_remote: int = 0
-        # Policy-matrix counters: stall/backoff resolution and
-        # lazy-detection commit arbitration (zero under plain ASF).
-        self.stalls: int = 0
-        self.stall_cycles: int = 0
-        self.stall_aborts: int = 0
-        self.arbitration_aborts: int = 0
-        # Filled in by on_run_complete.
-        self.execution_cycles: int = 0
-        self.per_core_cycles: list[int] = []
+    The one declaration of a run's counters: :class:`DetailSink` and
+    :class:`~repro.telemetry.summary.RunSummary` inherit them.
+    """
+
+    conflicts: ConflictCounts = field(default_factory=ConflictCounts)
+    txn_attempts: int = 0
+    txn_commits: int = 0
+    aborts_conflict_true: int = 0
+    aborts_conflict_false: int = 0
+    aborts_capacity: int = 0
+    aborts_user: int = 0
+    aborts_validation: int = 0
+    wasted_cycles: int = 0
+    backoff_cycles: int = 0
+    l1_hits: int = 0
+    l1_misses: int = 0
+    dirty_reprobes: int = 0
+    forced_waw_aborts: int = 0
+    # L1-miss fills by supplying level (emitted by MemorySystem).
+    fills_l2: int = 0
+    fills_l3: int = 0
+    fills_memory: int = 0
+    fills_remote: int = 0
+    # Policy-matrix counters: stall/backoff resolution and
+    # lazy-detection commit arbitration (zero under plain ASF).
+    stalls: int = 0
+    stall_cycles: int = 0
+    stall_aborts: int = 0
+    arbitration_aborts: int = 0
+    # Filled in by on_run_complete.
+    execution_cycles: int = 0
+    per_core_cycles: list[int] = field(default_factory=list)
+    # Retried attempts per static transaction id.  A plain dict, so a
+    # shipped summary pickles without the Counter class.
+    retries_by_static: dict[int, int] = field(default_factory=dict)
 
     # -- event hooks ---------------------------------------------------------
 
     def on_txn_start(self, core: int, time: int, attempt: int, static_id: int) -> None:
         self.txn_attempts += 1
         if attempt > 1:
-            self.retries_by_static[static_id] += 1
+            retries = self.retries_by_static
+            retries[static_id] = retries.get(static_id, 0) + 1
 
     def on_txn_commit(self, core: int, time: int) -> None:
         self.txn_commits += 1
@@ -315,6 +293,14 @@ class CounterSink:
         return summary_dict(self)
 
 
+#: The 21 integer counters of :class:`CounterSink`, in declaration order:
+#: the one list that snapshot, merge and store-row code iterates.
+COUNTER_FIELDS = tuple(
+    f.name for f in fields(CounterSink)
+    if f.type == "int" and f.name != "execution_cycles"
+)
+
+
 @dataclass(slots=True)
 class AttemptRecord:
     """One transaction attempt's interval.
@@ -389,7 +375,8 @@ class DetailSink(CounterSink):
     def on_txn_start(self, core: int, time: int, attempt: int, static_id: int) -> None:
         self.txn_attempts += 1
         if attempt > 1:
-            self.retries_by_static[static_id] += 1
+            retries = self.retries_by_static
+            retries[static_id] = retries.get(static_id, 0) + 1
         self._open[core] = len(self.attempts)
         self.attempts.append(AttemptRecord(core, static_id, attempt, time))
 
@@ -779,34 +766,3 @@ def cumulative_series(
         out.append((t, idx))
     return out
 
-
-SUMMARY_KEYS = (
-    "txn_attempts",
-    "txn_commits",
-    "aborts_total",
-    "aborts_conflict_true",
-    "aborts_conflict_false",
-    "aborts_capacity",
-    "aborts_user",
-    "aborts_validation",
-    "conflicts_total",
-    "conflicts_false",
-    "false_rate",
-    "avg_retries",
-    "execution_cycles",
-    "wasted_cycles",
-    "backoff_cycles",
-    "l1_hits",
-    "l1_misses",
-    "dirty_reprobes",
-    "forced_waw_aborts",
-    "fills_l2",
-    "fills_l3",
-    "fills_memory",
-    "fills_remote",
-    "stalls",
-    "stall_cycles",
-    "stall_aborts",
-    "arbitration_aborts",
-)
-"""Keys of :func:`summary_dict`, in emission order."""

@@ -1,47 +1,40 @@
-"""Compact, pickle-cheap run summaries and cross-run aggregation.
+"""Run summaries and cross-run folds.
 
-A :class:`RunSummary` carries every aggregate a consumer of a sink's
-``summary()`` can read — the counters, derived rates, per-core cycles
-and per-static retry counts — in a small slots dataclass that costs a
+A :class:`RunSummary` is a :class:`~repro.telemetry.sinks.CounterSink`
+that also carries the run's identity and provenance.  A run that keeps
+no detail counts straight into one, so ``run_many`` hands back the very
+object the engine counted into: a small slots dataclass that costs a
 few hundred bytes to pickle, versus a :class:`DetailSink` whose detail
 structures (timestamps, histograms, conflict records) grow with
-simulated work.  ``run_many`` returns a summary for every spec that does
-not keep detail; the exact-parity guarantee is ``RunSummary.summary() ==
-sink.summary()`` bit-for-bit for the same run (one shared
-:func:`summary_dict` implementation makes this true by construction, and
-the parity tests assert it end-to-end).
+simulated work.  :meth:`RunSummary.from_sink` snapshots a detail sink
+into one; its ``summary()`` is the sink's bit for bit, because both
+inherit the one :func:`~repro.telemetry.sinks.summary_dict`.
 
 :func:`merge_summaries` folds many runs into one (counters sum;
 ``execution_cycles`` sums — total simulated cycles across runs);
 :func:`aggregate_metrics` computes mean ± stdev per summary metric for
-multi-seed confidence reporting (``repro-asf suite --seeds N``).
-
-Both aggregations also exist in streaming form so a sweep's parent
-process never has to hold every run at once: a
-:class:`SummaryAccumulator` folds summaries in one at a time and is
-bit-for-bit equal to :func:`merge_summaries` over the same sequence, and
-a :class:`MetricsAccumulator` keeps Welford online mean/variance per
-metric so :func:`aggregate_metrics` (reimplemented on top of it) is O(1)
-in the number of runs.
+multi-seed confidence reporting (``repro-asf suite --seeds N``).  Both
+fold any iterable one run at a time, a lazy ``iter_many`` stream
+included, so a sweep's parent never holds every run at once: the merge
+keeps one summary and the aggregate keeps Welford's online mean and
+variance per metric.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable
 
 from repro.telemetry.sinks import (
     COUNTER_FIELDS,
     ConflictCounts,
-    summary_dict,
+    CounterSink,
 )
 
 __all__ = [
     "MetricStats",
-    "MetricsAccumulator",
     "RunSummary",
-    "SummaryAccumulator",
     "aggregate_metrics",
     "merge_summaries",
     "stats_of_values",
@@ -49,38 +42,17 @@ __all__ = [
 
 
 @dataclass(slots=True)
-class RunSummary:
-    """Aggregates of one run (or a merge of several), cheap to ship."""
+class RunSummary(CounterSink):
+    """The counters of one run (or a merge of several), with identity.
+
+    The counters, hooks and ``summary()`` are :class:`CounterSink`'s;
+    this class adds who ran, what it aggregates, and how it got here.
+    """
 
     workload: str = ""
     scheme: str = ""
     seed: int = 0
     label: str = ""
-    conflicts: ConflictCounts = field(default_factory=ConflictCounts)
-    txn_attempts: int = 0
-    txn_commits: int = 0
-    aborts_conflict_true: int = 0
-    aborts_conflict_false: int = 0
-    aborts_capacity: int = 0
-    aborts_user: int = 0
-    aborts_validation: int = 0
-    wasted_cycles: int = 0
-    backoff_cycles: int = 0
-    l1_hits: int = 0
-    l1_misses: int = 0
-    dirty_reprobes: int = 0
-    forced_waw_aborts: int = 0
-    fills_l2: int = 0
-    fills_l3: int = 0
-    fills_memory: int = 0
-    fills_remote: int = 0
-    stalls: int = 0
-    stall_cycles: int = 0
-    stall_aborts: int = 0
-    arbitration_aborts: int = 0
-    execution_cycles: int = 0
-    per_core_cycles: list[int] = field(default_factory=list)
-    retries_by_static: dict[int, int] = field(default_factory=dict)
     violations: int = 0
     #: How many runs this summary aggregates (1 for a single run).
     n_runs: int = 1
@@ -108,7 +80,7 @@ class RunSummary:
         violations: int = 0,
     ) -> "RunSummary":
         """Snapshot any counting sink (CounterSink/DetailSink)."""
-        out = cls(
+        return cls(
             workload=workload,
             scheme=scheme,
             seed=seed,
@@ -118,33 +90,8 @@ class RunSummary:
             per_core_cycles=list(sink.per_core_cycles),
             retries_by_static=dict(sink.retries_by_static),
             violations=violations,
+            **{name: getattr(sink, name) for name in COUNTER_FIELDS},
         )
-        for name in COUNTER_FIELDS:
-            setattr(out, name, getattr(sink, name))
-        return out
-
-    # -- sink-compatible derived metrics --------------------------------------
-
-    @property
-    def total_aborts(self) -> int:
-        return (
-            self.aborts_conflict_true
-            + self.aborts_conflict_false
-            + self.aborts_capacity
-            + self.aborts_user
-            + self.aborts_validation
-        )
-
-    @property
-    def avg_retries(self) -> float:
-        """Average attempts per *committed* transaction."""
-        if not self.txn_commits:
-            return 0.0
-        return self.txn_attempts / self.txn_commits
-
-    def summary(self) -> dict[str, object]:
-        """Bit-identical to the source sink's ``summary()``."""
-        return summary_dict(self)
 
     # -- portable (JSON-safe) round-trip --------------------------------------
 
@@ -178,7 +125,7 @@ class RunSummary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSummary":
-        out = cls(
+        return cls(
             workload=data["workload"],
             scheme=data["scheme"],
             seed=data["seed"],
@@ -194,36 +141,25 @@ class RunSummary:
             worker_retries=data.get("worker_retries", 0),
             serial_fallback=data.get("serial_fallback", False),
             worker=data.get("worker", ""),
-        )
-        for name in COUNTER_FIELDS:
             # Stored snapshots predating a counter read back as zero.
-            setattr(out, name, data.get(name, 0))
-        return out
+            **{name: data.get(name, 0) for name in COUNTER_FIELDS},
+        )
 
 
-class SummaryAccumulator:
-    """Fold run summaries in one at a time, in O(1) memory.
+def merge_summaries(summaries: Iterable[RunSummary]) -> RunSummary:
+    """Fold several run summaries into one, one at a time.
 
-    ``accumulator.add(s)`` for each summary then ``accumulator.merged()``
-    is bit-for-bit identical to ``merge_summaries([...])`` over the same
-    sequence — :func:`merge_summaries` is in fact implemented on top of
-    this class, so the two cannot drift.  This is what lets a streaming
-    sweep aggregate 10k+ runs without ever materialising them.
+    Counters, conflicts, retries, violations and ``execution_cycles``
+    sum (the merged ``execution_cycles`` is total simulated cycles across
+    runs); ``per_core_cycles`` is dropped (not meaningful across runs);
+    metadata fields are kept when uniform, else marked ``"mixed"`` /
+    ``-1``.  ``summaries`` may be any iterable, a lazy stream included;
+    an empty one is a ``ValueError``.
     """
-
-    def __init__(self) -> None:
-        self._out: RunSummary | None = None
-
-    @property
-    def count(self) -> int:
-        """How many runs have been folded in (``n_runs`` total)."""
-        return self._out.n_runs if self._out is not None else 0
-
-    def add(self, summary: RunSummary) -> None:
-        """Fold one run's summary into the accumulated totals."""
-        out = self._out
+    out: RunSummary | None = None
+    for summary in summaries:
         if out is None:
-            out = self._out = RunSummary(
+            out = RunSummary(
                 workload=summary.workload,
                 scheme=summary.scheme,
                 seed=summary.seed,
@@ -232,7 +168,7 @@ class SummaryAccumulator:
             )
         else:
             # Metadata stays while uniform, collapses to a sentinel on the
-            # first disagreement (same rule merge_summaries always used).
+            # first disagreement.
             if out.workload != summary.workload:
                 out.workload = "mixed"
             if out.scheme != summary.scheme:
@@ -252,30 +188,9 @@ class SummaryAccumulator:
             out.retries_by_static[static_id] = (
                 out.retries_by_static.get(static_id, 0) + n
             )
-
-    def merged(self) -> RunSummary:
-        """The accumulated summary (owned by the accumulator)."""
-        if self._out is None:
-            raise ValueError("SummaryAccumulator has no summaries to merge")
-        return self._out
-
-
-def merge_summaries(summaries: Sequence[RunSummary]) -> RunSummary:
-    """Fold several run summaries into one.
-
-    Counters, conflicts, retries, violations and ``execution_cycles``
-    sum (the merged ``execution_cycles`` is total simulated cycles across
-    runs); ``per_core_cycles`` is dropped (not meaningful across runs);
-    metadata fields are kept when uniform, else marked ``"mixed"`` /
-    ``-1``.  Implemented as a fold over :class:`SummaryAccumulator`, so
-    the batch and streaming paths are identical by construction.
-    """
-    if not summaries:
+    if out is None:
         raise ValueError("merge_summaries needs at least one summary")
-    acc = SummaryAccumulator()
-    for s in summaries:
-        acc.add(s)
-    return acc.merged()
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,43 +251,20 @@ def stats_of_values(values: Iterable[float]) -> MetricStats:
     return acc.stats()
 
 
-class MetricsAccumulator:
-    """Streaming per-metric mean ± stdev over runs.
-
-    Feed it anything exposing ``summary()`` (``RunSummary``,
-    ``CounterSink``, ``DetailSink``); memory is O(#metrics), not
-    O(#runs) — each metric keeps only Welford's ``(n, mean, M2)`` plus
-    min/max.  :func:`aggregate_metrics` is a fold over this class.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: dict[str, _Welford] = {}
-        self.n_runs = 0
-
-    def add(self, run) -> None:
-        """Fold one run (or its summary object) into the statistics."""
-        self.n_runs += 1
-        for key, value in run.summary().items():
-            acc = self._metrics.get(key)
-            if acc is None:
-                acc = self._metrics[key] = _Welford()
-            acc.add(float(value))
-
-    def stats(self) -> dict[str, MetricStats]:
-        """Per-metric statistics over everything folded in so far."""
-        return {key: acc.stats() for key, acc in self._metrics.items()}
-
-
 def aggregate_metrics(runs: Iterable) -> dict[str, MetricStats]:
     """Per-metric mean ± stdev over runs (summaries or sinks).
 
     Every numeric key of ``summary()`` is aggregated; sample standard
     deviation (0.0 for a single run).  Used by the ``--seeds N`` fan-out
-    to report confidence alongside point estimates.  Streams through a
-    :class:`MetricsAccumulator`, so ``runs`` may be a lazy generator of
-    any length without the parent ever holding them all.
+    to report confidence alongside point estimates.  A fold: ``runs`` may
+    be a lazy generator of any length, and only Welford's state per
+    metric is kept.  No runs give an empty dict.
     """
-    acc = MetricsAccumulator()
-    for r in runs:
-        acc.add(r)
-    return acc.stats() if acc.n_runs else {}
+    metrics: dict[str, _Welford] = {}
+    for run in runs:
+        for key, value in run.summary().items():
+            acc = metrics.get(key)
+            if acc is None:
+                acc = metrics[key] = _Welford()
+            acc.add(float(value))
+    return {key: acc.stats() for key, acc in metrics.items()}

@@ -33,7 +33,8 @@ def _factories() -> dict[str, Callable[[int], Workload]]:
     return {
         "intruder": lambda n: IntruderWorkload(txns_per_core=n),
         "kmeans": lambda n: KmeansWorkload(txns_per_core=n),
-        "labyrinth": lambda n: LabyrinthWorkload(txns_per_core=max(n // 8, 8)),
+        # A non-positive count reaches the Workload check unchanged.
+        "labyrinth": lambda n: LabyrinthWorkload(txns_per_core=max(n // 8, 8) if n > 0 else n),
         "ssca2": lambda n: Ssca2Workload(txns_per_core=n),
         "vacation": lambda n: VacationWorkload(txns_per_core=n),
         "genome": lambda n: GenomeWorkload(txns_per_core=n),

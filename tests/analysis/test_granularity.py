@@ -28,6 +28,7 @@ def rec(req_mask, vr=0, vw=0, is_write=True):
         requester_mask=req_mask,
         victim_read_mask=vr,
         victim_write_mask=vw,
+        forced_waw=False,
     )
 
 

@@ -32,13 +32,12 @@ from repro.config import (
     HtmPolicy,
 )
 from repro.errors import ConfigError
-from repro.htm.conflict import ConflictType
+from repro.htm.conflict import ConflictRecord, ConflictType
 from repro.htm.txn import AbortCause
 from repro.sim.runner import default_system, run_workload
 from repro.telemetry.events import (
     AccessEvent,
     BackoffEvent,
-    ConflictEvent,
     DirtyReprobeEvent,
     FillEvent,
     RunCompleteEvent,
@@ -76,7 +75,7 @@ def drive(sink) -> None:
     sink.on_txn_start(0, 10, 1, 42)
     sink.on_txn_start(1, 12, 1, 1_000_007)
     sink.on_conflict(
-        ConflictEvent(
+        ConflictRecord(
             time=20, requester_core=1, victim_core=0, requester_txn=11,
             victim_txn=10, line_addr=192, line_index=3,
             ctype=ConflictType.WAR, is_false=True, requester_is_write=True,
@@ -114,7 +113,7 @@ class TestTraceReader:
         assert kinds[-1] == "RunCompleteEvent"
         starts = [e for e in events if isinstance(e, TxnStartEvent)]
         assert [s.static_id for s in starts] == [42, 1_000_007, 42]
-        (conflict,) = [e for e in events if isinstance(e, ConflictEvent)]
+        (conflict,) = [e for e in events if isinstance(e, ConflictRecord)]
         assert conflict.is_false and conflict.requester_mask == 0b0011
         assert conflict.ctype is ConflictType.WAR
         (abort,) = [e for e in events if isinstance(e, TxnAbortEvent)]
@@ -200,14 +199,18 @@ class TestTraceReader:
         )
         conflict.update(event="conflict", ctype="WAR", is_false=True,
                         requester_is_write=True, forced_waw=False)
-        bad_lines = {  # missing field, beyond 64 bits, negative mask, not a list
-            "txn_start": '{"event":"txn_start","core":0}',
-            "txn_commit": '{"event":"txn_commit","core":0,"time":%s}' % ("9" * 400),
-            "conflict": json.dumps({**conflict, "requester_mask": -3}),
-            "run_complete": '{"event":"run_complete","execution_cycles":1,'
-                            '"per_core_cycles":"12"}',
-        }
-        for kind, line in bad_lines.items():
+        forced_waw_missing = {k: v for k, v in conflict.items() if k != "forced_waw"}
+        # missing field, beyond 64 bits, negative mask, a conflict without
+        # forced_waw (it has no default), not a list
+        bad_lines = [
+            ("txn_start", '{"event":"txn_start","core":0}'),
+            ("txn_commit", '{"event":"txn_commit","core":0,"time":%s}' % ("9" * 400)),
+            ("conflict", json.dumps({**conflict, "requester_mask": -3})),
+            ("conflict", json.dumps({**forced_waw_missing, "requester_mask": 3})),
+            ("run_complete", '{"event":"run_complete","execution_cycles":1,'
+                             '"per_core_cycles":"12"}'),
+        ]
+        for kind, line in bad_lines:
             path.write_text(header + line + "\n")
             with pytest.raises(ConfigError, match=f"bad.jsonl:2: malformed '{kind}'"):
                 list(TraceReader(str(path)))
@@ -357,10 +360,10 @@ def mutate(lines, data) -> list[bytes]:
 REF_INT_LIMIT = 1 << 64
 
 
-def ref_decode_conflict(p: dict) -> ConflictEvent:
+def ref_decode_conflict(p: dict) -> ConflictRecord:
     if min(p["requester_mask"], p["victim_read_mask"], p["victim_write_mask"]) < 0:
         raise ValueError("negative byte mask")
-    return ConflictEvent(
+    return ConflictRecord(
         time=p["time"], requester_core=p["requester_core"],
         victim_core=p["victim_core"], requester_txn=p["requester_txn"],
         victim_txn=p["victim_txn"], line_addr=p["line_addr"],
@@ -420,7 +423,7 @@ REF_FIELD_TYPES = {
         if f.type in REF_JSON_TYPES
     )
     for cls in (
-        TxnStartEvent, TxnCommitEvent, TxnAbortEvent, ConflictEvent,
+        TxnStartEvent, TxnCommitEvent, TxnAbortEvent, ConflictRecord,
         AccessEvent, BackoffEvent, StallEvent, DirtyReprobeEvent, FillEvent,
         RunCompleteEvent,
     )
@@ -580,9 +583,8 @@ class TestCounterParity:
 
 
 def conflict_fields(events) -> list[tuple]:
-    """Each conflict as the tuple of its trace fields (a live
-    ``ConflictRecord`` and a replayed ``ConflictEvent`` compare equal)."""
-    names = [f.name for f in fields(ConflictEvent)]
+    """Each conflict as the tuple of its trace fields."""
+    names = [f.name for f in fields(ConflictRecord)]
     return [tuple(getattr(c, name) for name in names) for c in events]
 
 

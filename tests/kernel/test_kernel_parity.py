@@ -20,6 +20,7 @@ from repro.errors import ProtocolError
 from repro.htm.machine import HtmMachine
 from repro.htm.ops import OpKind
 from repro.kernel import FlatTxnMachine, build_machine
+from repro.kernel.state import MOESI_M
 from repro.sim.engine import SimulationEngine
 from repro.sim.parallel import RunSpec, run_many
 from repro.sim.runner import run_workload
@@ -71,7 +72,7 @@ def test_kernel_parity_grid(scheme, workload, check_atomicity):
                          ids=lambda s: s.value)
 def test_kernel_parity_deep(scheme):
     """Summaries and the committed memory image match, and
-    the array state passes the vectorized MOESI audit."""
+    the array state passes the MOESI audit."""
     wl = get_workload("vacation", txns_per_core=12)
     engines = {}
     for kernel in ("object", "flat"):
@@ -167,9 +168,10 @@ def test_audit_rejects_holders_bit_on_wrong_core():
         state.audit_coherence()
 
 
-def test_plane_matrix_covers_exactly_the_interned_lines():
-    """Planes grow in chunks past the interned lines; a snapshot still
-    holds one column per interned line and nothing more."""
+def test_audit_reads_every_interned_line_and_no_slot_past_them():
+    """Planes grow in chunks past the interned lines: the audit checks
+    each interned line, the last one included, and reads no slot past
+    ``n_lines``."""
     cfg = default_system().with_scheme(DetectionScheme.SUBBLOCK)
     eng = SimulationEngine(
         cfg, get_workload("vacation", txns_per_core=6).build(cfg.n_cores, 3),
@@ -177,7 +179,14 @@ def test_plane_matrix_covers_exactly_the_interned_lines():
     )
     eng.run()
     state = eng.machine.state
-    assert 0 < state.n_lines < state.capacity
-    for name in ("moesi", "rmask", "sowner"):
-        assert state.plane_matrix(name).shape == (cfg.n_cores, state.n_lines)
-    assert (state.plane_matrix("moesi") != 0).any()
+    n = state.n_lines
+    assert 0 < n < state.capacity
+    for row in state.moesi:  # two M copies of a line nobody interned
+        row[n] = MOESI_M
+    state.holders[n] = 1
+    state.audit_coherence()
+    for row in state.moesi:
+        row[n - 1] = MOESI_M
+    with pytest.raises(ProtocolError, match=f"line {state.line_addrs[n - 1]:#x}: "
+                       "multiple exclusive owners"):
+        state.audit_coherence()

@@ -73,9 +73,14 @@ class TestExecutorSpecGrammar:
         ]
 
     def test_remote_default(self):
-        cfg = parse_executor_spec("remote")
-        assert cfg.backend == "remote" and cfg.bind == "127.0.0.1:0"
-        assert cfg.launch == ()
+        """Without a hosts file nothing launches a worker, so the spec must
+        name a port one can attach to: the bare form and port 0 are
+        refused with the accepted forms."""
+        for spec in ("remote", "remote:0", "remote:10.0.0.5:0"):
+            with pytest.raises(ConfigError, match=(
+                "names no port .* remote:PORT or remote:HOST:PORT .* remote:HOSTS_FILE"
+            )):
+                parse_executor_spec(spec)
 
     def test_remote_port(self):
         assert parse_executor_spec("remote:7341").bind == "0.0.0.0:7341"
@@ -169,7 +174,7 @@ class TestBuildExecutor:
         assert isinstance(build_executor("serial"), SerialExecutor)
         assert isinstance(build_executor("process:2"), RemoteExecutor)
         assert isinstance(build_executor("serial"), Executor)
-        assert isinstance(build_executor("remote"), RemoteExecutor)
+        assert isinstance(build_executor("remote:7341"), RemoteExecutor)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):

@@ -175,6 +175,29 @@ class TestTransferModes:
         assert res.stats.workload == "kmeans"
         assert res.stats.seed == 1
 
+    def test_summary_is_the_one_the_engine_counted_into(self, monkeypatch):
+        """No snapshot copy: the engine counts into a RunSummary, and
+        execute_spec stamps the run's identity on that very object."""
+        from repro.sim.engine import SimulationEngine
+
+        engines = []
+        init = SimulationEngine.__init__
+
+        def spy(engine, *args, **kwargs):
+            init(engine, *args, **kwargs)
+            engines.append(engine)
+
+        monkeypatch.setattr(SimulationEngine, "__init__", spy)
+        spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, seed=2)
+        res = par.execute_spec(spec)
+        (engine,) = engines
+        assert res.stats is engine.stats
+        assert type(res.stats) is RunSummary
+        stamped = res.stats
+        assert (stamped.workload, stamped.scheme, stamped.seed, stamped.label) == (
+            "kmeans", res.scheme, 2, "kmeans:subblock",
+        )
+
     def test_auto_keeps_full_for_event_recorders(self):
         spec = spec_for("kmeans", DetectionScheme.SUBBLOCK, record_detail=True)
         (res,) = run_many([spec], "serial")

@@ -2,10 +2,9 @@
 
 Three guarantees under test:
 
-* **Streaming parity** — consuming ``iter_many`` through a
-  :class:`SummaryAccumulator` / :class:`MetricsAccumulator` produces
-  bit-for-bit the same aggregate as the batch ``run_many`` +
-  ``merge_summaries`` / ``aggregate_metrics`` path, on a 3-scheme ×
+* **Streaming parity** — folding the ``iter_many`` stream with
+  ``merge_summaries`` / ``aggregate_metrics`` produces bit-for-bit the
+  same aggregate as folding the batch ``run_many`` list, on a 3-scheme ×
   3-workload grid.
 * **Crash/resume fidelity** — a sweep interrupted mid-flight and resumed
   against the same results store yields a merged summary identical to an
@@ -25,9 +24,7 @@ from repro.sim.parallel import RunSpec, iter_many, run_many
 from repro.sim.runner import RunResult
 from repro.store import ResultsStore
 from repro.telemetry.summary import (
-    MetricsAccumulator,
     RunSummary,
-    SummaryAccumulator,
     aggregate_metrics,
     merge_summaries,
 )
@@ -58,21 +55,21 @@ def specs_for_grid() -> list[RunSpec]:
 
 class TestStreamingParity:
     def test_streamed_merge_equals_batch_merge(self):
-        """Satellite guarantee: stream + accumulator == batch + merge."""
-        acc = SummaryAccumulator()
-        for _i, res in iter_many(specs_for_grid(), "serial"):
-            acc.add(res.stats)
+        """The merge folded over the stream equals it over the batch."""
+        streamed = merge_summaries(
+            res.stats for _i, res in iter_many(specs_for_grid(), "serial")
+        )
         batch = run_many(specs_for_grid(), "serial")
         merged = merge_summaries([r.stats for r in batch])
-        assert acc.count == len(batch)
-        assert acc.merged().to_dict() == merged.to_dict()
+        assert streamed.n_runs == len(batch)
+        assert streamed.to_dict() == merged.to_dict()
 
     def test_streamed_metrics_equal_batch_metrics(self):
-        macc = MetricsAccumulator()
-        for _i, res in iter_many(specs_for_grid(), "serial"):
-            macc.add(res.stats)
+        streamed = aggregate_metrics(
+            res.stats for _i, res in iter_many(specs_for_grid(), "serial")
+        )
         batch = run_many(specs_for_grid(), "serial")
-        assert macc.stats() == aggregate_metrics(r.stats for r in batch)
+        assert streamed == aggregate_metrics([r.stats for r in batch])
 
     def test_pooled_stream_counters_equal_serial(self):
         """Completion order is nondeterministic; the counters are not."""
@@ -112,18 +109,18 @@ class TestStoreResume:
         with ResultsStore(tmp_path) as resumed_store:
             resumed_cfg = ExecConfig(backend="serial", store=resumed_store)
             resumed = run_many(specs_for_grid(), resumed_cfg)
-            acc = SummaryAccumulator()
-            for i, res in iter_many(
-                specs_for_grid(), resumed_cfg, stream_stats=stream_stats,
-            ):
-                acc.add(res.stats)
+            streamed = merge_summaries(
+                res.stats for _i, res in iter_many(
+                    specs_for_grid(), resumed_cfg, stream_stats=stream_stats,
+                )
+            )
 
         assert merge_summaries(
             [r.stats for r in resumed]
         ).to_dict() == ref_merged.to_dict()
         # The second full pass was served entirely from the store.
         assert stream_stats["served_from_store"] == len(ref)
-        assert acc.merged().to_dict() == ref_merged.to_dict()
+        assert streamed.to_dict() == ref_merged.to_dict()
 
     def test_resume_skips_only_completed_specs(self, tmp_path):
         specs = specs_for_grid()
@@ -200,11 +197,9 @@ class TestBoundedMemory:
             RunSpec(workload="synthetic", config=cfg, seed=i)
             for i in range(10_000)
         ]
-        acc = SummaryAccumulator()
-        for _i, res in iter_many(specs, "serial"):
-            acc.add(res.stats)
-        assert acc.count == 10_000
-        assert acc.merged().txn_commits == 10_000
+        merged = merge_summaries(res.stats for _i, res in iter_many(specs, "serial"))
+        assert merged.n_runs == 10_000
+        assert merged.txn_commits == 10_000
         # One worker × a small constant: the loop variable, the yield slot —
         # never an O(sweep) buffer.
         assert _TrackedSummary.counters["peak"] <= 4

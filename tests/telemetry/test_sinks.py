@@ -25,13 +25,13 @@ from repro.htm.txn import AbortCause
 from repro.sim.engine import SimulationEngine
 from repro.sim.parallel import compiled_scripts
 from repro.sim.runner import run_workload
-from repro.telemetry.events import ConflictEvent, EventSink, NullSink
+from repro.telemetry.events import EventSink, NullSink
 from repro.telemetry.sinks import (
-    SUMMARY_KEYS,
     CounterSink,
     DetailSink,
     JsonlTraceSink,
 )
+from repro.telemetry.summary import RunSummary
 from repro.workloads.registry import get_workload
 
 
@@ -93,7 +93,16 @@ class TestCounterSink:
     def test_summary_keys_are_stable(self):
         s = CounterSink()
         drive(s)
-        assert tuple(s.summary()) == SUMMARY_KEYS
+        assert tuple(s.summary()) == (
+            "txn_attempts", "txn_commits", "aborts_total",
+            "aborts_conflict_true", "aborts_conflict_false", "aborts_capacity",
+            "aborts_user", "aborts_validation", "conflicts_total",
+            "conflicts_false", "false_rate", "avg_retries", "execution_cycles",
+            "wasted_cycles", "backoff_cycles", "l1_hits", "l1_misses",
+            "dirty_reprobes", "forced_waw_aborts", "fills_l2", "fills_l3",
+            "fills_memory", "fills_remote", "stalls", "stall_cycles",
+            "stall_aborts", "arbitration_aborts",
+        )
 
 
 class TestDetailSink:
@@ -216,7 +225,7 @@ INTS = st.one_of(st.integers(), st.integers(2**63, 2**80), st.integers(-(2**80),
 CAUSES = st.one_of(st.sampled_from([c.value for c in AbortCause]), st.text(max_size=6))
 LEVELS = st.one_of(st.sampled_from(["L2", "L3", "remote", "memory"]), st.text(max_size=6))
 RECORDS = st.builds(
-    ConflictEvent, INTS, INTS, INTS, INTS, INTS, INTS, INTS,
+    ConflictRecord, INTS, INTS, INTS, INTS, INTS, INTS, INTS,
     st.sampled_from(ConflictType), st.booleans(), st.booleans(), INTS, INTS, INTS,
     st.booleans(), st.booleans(),
 )
@@ -303,7 +312,7 @@ class TestBuildSink:
 
     def test_auto_respects_caller_flags(self):
         lean = engine(record_detail=False)
-        assert type(lean.stats) is CounterSink
+        assert type(lean.stats) is RunSummary
         assert lean.sink is lean.stats
         detail = engine().stats  # interactive default
         assert type(detail) is DetailSink
@@ -316,7 +325,7 @@ class TestBuildSink:
         assert isinstance(eng.sink, JsonlTraceSink)
         assert eng.sink.inner is eng.stats
         # A trace does not switch detail on.
-        assert type(eng.stats) is CounterSink
+        assert type(eng.stats) is RunSummary
         eng.sink.close()
         # One rule for a caller-supplied sink too: it is wrapped as well.
         own = DetailSink()

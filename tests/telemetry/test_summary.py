@@ -1,5 +1,5 @@
 """RunSummary transfer objects: snapshot fidelity, pickling cost,
-merging and multi-seed metric aggregation."""
+merging and multi-seed metric aggregation, both folds over streams."""
 
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ from repro.sim.runner import run_workload
 from repro.telemetry.sinks import COUNTER_FIELDS
 from repro.telemetry.summary import (
     MetricStats,
-    MetricsAccumulator,
     RunSummary,
-    SummaryAccumulator,
     aggregate_metrics,
     merge_summaries,
 )
@@ -88,34 +86,30 @@ class TestMerge:
             merge_summaries([])
 
 
-class TestAccumulators:
-    def test_incremental_equals_batch(self):
+class TestFolds:
+    """``merge_summaries`` and ``aggregate_metrics`` fold a lazy stream
+    one run at a time, exactly as they fold a list."""
+
+    def test_merge_folds_a_lazy_stream(self):
         summaries = [
             RunSummary.from_sink(run(seed=s).stats, workload="kmeans",
                                  scheme="subblock", seed=s)
             for s in (1, 2, 3)
         ]
-        acc = SummaryAccumulator()
-        for s in summaries:
-            acc.add(s)
-        assert acc.count == 3
-        assert acc.merged().to_dict() == merge_summaries(summaries).to_dict()
+        merged = merge_summaries(s for s in summaries)
+        assert merged.n_runs == 3
+        assert merged.to_dict() == merge_summaries(summaries).to_dict()
 
-    def test_empty_accumulator_rejected(self):
-        acc = SummaryAccumulator()
-        assert acc.count == 0
+    def test_merge_rejects_an_empty_stream(self):
         with pytest.raises(ValueError):
-            acc.merged()
+            merge_summaries(s for s in ())
 
-    def test_metrics_accumulator_equals_batch(self):
+    def test_aggregate_folds_a_lazy_stream(self):
         summaries = [RunSummary.from_sink(run(seed=s).stats) for s in (1, 2)]
-        macc = MetricsAccumulator()
-        for s in summaries:
-            macc.add(s)
-        assert macc.stats() == aggregate_metrics(summaries)
+        assert aggregate_metrics(s for s in summaries) == aggregate_metrics(summaries)
 
-    def test_metrics_accumulator_empty(self):
-        assert MetricsAccumulator().stats() == {}
+    def test_aggregate_of_an_empty_stream_is_empty(self):
+        assert aggregate_metrics(s for s in ()) == {}
 
 
 class TestDictRoundTrip:

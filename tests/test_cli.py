@@ -109,7 +109,8 @@ class TestInputErrors:
     """Bad input ends in one error line and status 2, never a traceback."""
 
     @pytest.mark.parametrize(
-        "spec", ["bogus", "remote:99999", "process:100000000000000000000"]
+        "spec", ["bogus", "remote:99999", "process:100000000000000000000",
+                 "remote", "remote:0", "remote:127.0.0.1:0"]
     )
     def test_bad_executor_spec(self, capsys, spec):
         assert main(["run", "kmeans", "--txns", "4", "--executor", spec]) == 2
@@ -251,8 +252,15 @@ class TestInputErrors:
         (["analyze", "{trace}", "--top", "-1"], "--top must be at least 0, got -1"),
         (["analyze", "{trace}", "--cascade-window", "-1"],
          "--cascade-window must be at least 0, got -1"),
+        (["analyze", "{trace}", "--fig", "4", "--bins", "0"], "--bins must be at least 1, got 0"),
+        (["analyze", "{trace}", "--subblocks", "3"],
+         "--subblocks must divide the trace's 64-byte line, got 3"),
+        (["run", "labyrinth", "--txns", "-5"], "txns_per_core must be positive"),
+        (["save-scripts", "labyrinth", "{program}", "--txns", "0", "--cores", "2"],
+         "txns_per_core must be positive"),
     ], ids=["run-seeds", "suite-seeds", "save-scripts-cores", "save-scripts-negative-cores",
-            "analyze-top", "analyze-cascade-window"])
+            "analyze-top", "analyze-cascade-window", "analyze-bins", "analyze-subblocks",
+            "run-labyrinth-txns", "save-scripts-labyrinth-txns"])
     def test_count_out_of_range(self, tmp_path, capsys, argv, message):
         """A count below its bound is refused before any work starts:
         nothing runs, prints or is written."""
@@ -625,6 +633,23 @@ class TestCheckpoint:
 
 
 class TestSeedFigures:
+    def test_suite_seeds_simulates_each_cell_once(self, capsys, monkeypatch):
+        """The suite's runs are the first seed of the sweep: ten
+        benchmarks × three systems × two seeds is 60 simulations."""
+        from repro.sim import parallel
+
+        execute = parallel.execute_spec
+        cells = []
+
+        def counting(spec):
+            cells.append((spec.workload, spec.config.htm.scheme, spec.seed))
+            return execute(spec)
+
+        monkeypatch.setattr(parallel, "execute_spec", counting)
+        assert main(["suite", "--txns", "4", "--seeds", "2"]) == 0
+        assert "mean ± stdev over 2 seeds" in capsys.readouterr().out
+        assert len(cells) == len(set(cells)) == 60
+
     def test_suite_seeds_renders_error_bar_figures(self, capsys):
         assert main(["suite", "--txns", "6", "--seeds", "2"]) == 0
         out = capsys.readouterr().out
