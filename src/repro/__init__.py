@@ -108,6 +108,15 @@ gone.  A ``remote`` executor spec must name a fixed port or a hosts
 file: ``remote``, ``remote:0`` and ``remote:HOST:0`` launched no worker
 and are now refused.
 
+Version 7.1.0 adds ``repro.htm.conflict.ConflictRecord.detect``, the one
+place a conflict is classified: it derives ``ctype`` and ``is_false``
+from the access direction and the byte masks, and both kernels build
+every conflict record through it.  Nothing public is removed and no
+result changes.  ``analyze_trace`` and ``render_trace_report`` now
+refuse a ``bins`` below 1, a negative ``top`` or ``cascade_window``, and
+an ``n_subblocks`` that does not divide the trace's line, whatever
+figures are drawn.
+
 Layering (each layer only depends on the ones above it):
 
 * :mod:`repro.util`, :mod:`repro.config`, :mod:`repro.errors`
@@ -176,7 +185,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-time only
     from repro.telemetry import RunSummary, aggregate_metrics, merge_summaries
     from repro.workloads.registry import BENCHMARK_NAMES, all_workloads, get_workload
 
-__version__ = "7.0.0"
+__version__ = "7.1.0"
 
 __all__ = [
     "AtomicityViolation",

@@ -639,6 +639,23 @@ def _check_figures(figs: tuple[str, ...]) -> None:
         )
 
 
+def _check_counts(bins: int, top: int, cascade_window: int) -> None:
+    """Reject a report count below its bound, whatever ``figs`` holds."""
+    for name, value, low in (
+        ("bins", bins, 1), ("top", top, 0), ("cascade_window", cascade_window, 0)
+    ):
+        if value < low:
+            raise ConfigError(f"{name} must be at least {low}, got {value}")
+
+
+def _check_subblocks(n_subblocks: int, line_size: int) -> None:
+    if n_subblocks < 1 or line_size % n_subblocks:
+        raise ConfigError(
+            f"n_subblocks must divide the trace's {line_size}-byte line, "
+            f"got {n_subblocks}"
+        )
+
+
 def render_trace_report(
     timeline: ConflictTimeline,
     figs: tuple[str, ...] = TRACE_FIGURES,
@@ -651,9 +668,15 @@ def render_trace_report(
     """Full post-mortem report over one reconstructed run, as printable text.
 
     ``figs`` selects which of the Fig. 3/4/5 reconstructions to include;
-    the counter table and forensics report are always rendered.
+    the counter table and forensics report are always rendered.  An
+    unknown selector, a ``bins`` below 1, a negative ``top`` or
+    ``cascade_window``, or an ``n_subblocks`` that does not divide the
+    line raises :class:`~repro.errors.ConfigError`, whatever ``figs``
+    holds.
     """
     _check_figures(figs)
+    _check_counts(bins, top, cascade_window)
+    _check_subblocks(n_subblocks, timeline.line_size)
     parts = [render_trace_counters(timeline)]
     if "3" in figs:
         parts.append(render_trace_fig3(timeline, bins=bins, n_points=n_points))
@@ -679,10 +702,15 @@ def analyze_trace(
     """:func:`render_trace_report` over the trace at ``path``.
 
     This is exactly what ``repro-asf analyze`` prints.  An unknown figure
-    selector fails before the file is opened.
+    selector or a count out of range fails before the file is opened, and
+    an ``n_subblocks`` that does not divide the header's line size before
+    any event is decoded.
     """
     _check_figures(figs)
+    _check_counts(bins, top, cascade_window)
+    with TraceReader(path) as reader:
+        _check_subblocks(n_subblocks, reader.header.line_size)
+        timeline = ConflictTimeline.from_trace(reader)
     return render_trace_report(
-        ConflictTimeline.from_trace(path), figs, bins, n_points, top,
-        n_subblocks, cascade_window,
+        timeline, figs, bins, n_points, top, n_subblocks, cascade_window
     )

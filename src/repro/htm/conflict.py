@@ -86,6 +86,42 @@ class ConflictRecord:
     forced_waw: bool
     at_commit: bool = False
 
+    @classmethod
+    def detect(
+        cls,
+        time: int,
+        requester_core: int,
+        victim_core: int,
+        requester_txn: int,
+        victim_txn: int,
+        line_addr: int,
+        line_index: int,
+        requester_is_write: bool,
+        requester_mask: int,
+        victim_read_mask: int,
+        victim_write_mask: int,
+        forced_waw: bool,
+        at_commit: bool = False,
+    ) -> ConflictRecord:
+        """The record of a detected conflict, classified from its masks.
+
+        ``ctype`` comes from :func:`classify_type`.  ``is_false`` holds when
+        the requester's bytes miss the victim's written bytes, plus its read
+        bytes when the requester is a store: the rule :attr:`overlap_mask`
+        states.  Every kernel builds its records here, so the
+        classification has one owner.
+        """
+        victim = victim_write_mask
+        if requester_is_write:
+            victim |= victim_read_mask
+        return cls(
+            time, requester_core, victim_core, requester_txn, victim_txn,
+            line_addr, line_index,
+            classify_type(requester_is_write, victim_read_mask, victim_write_mask),
+            (requester_mask & victim) == 0, requester_is_write, requester_mask,
+            victim_read_mask, victim_write_mask, forced_waw, at_commit,
+        )
+
     @property
     def overlap_mask(self) -> int:
         """Bytes genuinely shared by requester and victim (0 for false)."""

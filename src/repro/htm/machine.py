@@ -28,7 +28,7 @@ from repro.config import (
     VersionMgmt,
 )
 from repro.errors import ProtocolError
-from repro.htm.conflict import ConflictRecord, classify_type
+from repro.htm.conflict import ConflictRecord
 from repro.htm.detector import make_detector
 from repro.htm.ops import TxnOp
 from repro.htm.specstate import SpecLineState
@@ -57,6 +57,9 @@ NON_TXN_UID = 0
 #: the 2-way L1 (without it, any transaction touching three same-set lines
 #: would capacity-abort deterministically and livelock).
 SPEC_OVERFLOW_WAYS = 6
+
+#: The victim's abort cause, keyed by the conflict record's ``is_false``.
+_CONFLICT_CAUSE = {False: AbortCause.CONFLICT_TRUE, True: AbortCause.CONFLICT_FALSE}
 
 
 class _RequesterAborted(Exception):
@@ -283,8 +286,7 @@ class HtmMachine:
                 check = self.detector.arbitrate(rst, mask)
                 if not check.conflict:
                     continue
-                is_false = (mask & (rst.write_mask | rst.read_mask)) == 0
-                rec = ConflictRecord(
+                rec = ConflictRecord.detect(
                     time=time,
                     requester_core=core,
                     victim_core=r,
@@ -292,8 +294,6 @@ class HtmMachine:
                     victim_txn=victim.uid,
                     line_addr=line_addr,
                     line_index=self.amap.line_index(line_addr),
-                    ctype=classify_type(True, rst.read_mask, rst.write_mask),
-                    is_false=is_false,
                     requester_is_write=True,
                     requester_mask=mask,
                     victim_read_mask=rst.read_mask,
@@ -302,10 +302,7 @@ class HtmMachine:
                     at_commit=True,
                 )
                 self.sink.on_conflict(rec)
-                cause = (
-                    AbortCause.CONFLICT_FALSE if is_false else AbortCause.CONFLICT_TRUE
-                )
-                self._abort(r, time, cause)
+                self._abort(r, time, _CONFLICT_CAUSE[rec.is_false])
 
     # ------------------------------------------------------------------ access
 
@@ -449,9 +446,7 @@ class HtmMachine:
                 probed = True
                 try:
                     out.conflicts.extend(
-                        self._broadcast_probe(
-                            core, line_addr, mask, True, time, txn, True
-                        )
+                        self._broadcast_probe(core, line_addr, mask, time, txn, True)
                     )
                 except _RequesterAborted as aborted:
                     out.conflicts.extend(aborted.records)
@@ -485,9 +480,7 @@ class HtmMachine:
                 probed = True
                 try:
                     out.conflicts.extend(
-                        self._broadcast_probe(
-                            core, line_addr, mask, False, time, txn, False
-                        )
+                        self._broadcast_probe(core, line_addr, mask, time, txn, False)
                     )
                 except _RequesterAborted as aborted:
                     out.conflicts.extend(aborted.records)
@@ -564,11 +557,13 @@ class HtmMachine:
         core: int,
         line_addr: int,
         mask: int,
-        invalidating: bool,
         time: int,
         txn: Transaction | None,
         is_write: bool,
     ) -> list[ConflictRecord]:
+        """Deliver the access's probe (invalidating for a store) to the
+        line's speculative holders in snoop order and resolve each
+        conflict; returns the records of the conflicts it acted on."""
         records: list[ConflictRecord] = []
         for r in self._rr_order(core, self.spec_holders.get(line_addr, 0)):
             rst = self.spec_tables[r].get(line_addr)
@@ -577,12 +572,10 @@ class HtmMachine:
             victim = self.active[r]
             if victim is None or rst.owner_txn != victim.uid:
                 continue  # dirty-only or stale state: no active speculation
-            check = self.detector.check_probe(rst, mask, invalidating)
+            check = self.detector.check_probe(rst, mask, is_write)
             if not check.conflict:
                 continue
-            victim_footprint = rst.write_mask | (rst.read_mask if invalidating else 0)
-            is_false = (mask & victim_footprint) == 0
-            rec = ConflictRecord(
+            rec = ConflictRecord.detect(
                 time=time,
                 requester_core=core,
                 victim_core=r,
@@ -590,15 +583,13 @@ class HtmMachine:
                 victim_txn=victim.uid,
                 line_addr=line_addr,
                 line_index=self.amap.line_index(line_addr),
-                ctype=classify_type(is_write, rst.read_mask, rst.write_mask),
-                is_false=is_false,
                 requester_is_write=is_write,
                 requester_mask=mask,
                 victim_read_mask=rst.read_mask,
                 victim_write_mask=rst.write_mask,
                 forced_waw=check.forced_waw,
             )
-            cause = AbortCause.CONFLICT_FALSE if is_false else AbortCause.CONFLICT_TRUE
+            cause = _CONFLICT_CAUSE[rec.is_false]
             if self._stall_res and txn is not None:
                 # Stall/backoff resolution: nobody aborts if the requester
                 # can park.  The decision is made at the first conflicting
@@ -863,11 +854,27 @@ class HtmMachine:
             # A stalled core can die remotely; free its queue slot.
             self._stalled[core] = False
             self._stall_count -= 1
+        self._release_spec_lines(core, txn, aborted=True)
+        txn.mark_aborted(time, cause)
+        self.active[core] = None
+        self.sink.on_txn_abort(core, time, cause.value, txn.wasted_cycles)
+        return txn
+
+    def _release_spec_lines(
+        self, core: int, txn: Transaction, aborted: bool = False
+    ) -> None:
+        """Gang-clear at commit or abort: unpin the footprint and clear its
+        speculative state.
+
+        Invalidated-but-retained lines hold stale data and leave the cache
+        either way; an aborted transaction's written lines leave it too,
+        valid or not.  Write lines are walked before read-only lines
+        instead of allocating the footprint union; per-line cleanup only
+        touches that line's state, so iteration order cannot change the
+        final machine state.
+        """
         l1 = self.mem.l1s[core]
         table = self.spec_tables[core]
-        # Walk write lines then read-only lines instead of allocating the
-        # footprint union; per-line cleanup only touches that line's state,
-        # so iteration order cannot change the final machine state.
         write_lines = txn.write_lines
         for written, lines in ((True, write_lines), (False, txn.read_lines)):
             for line_addr in lines:
@@ -877,32 +884,7 @@ class HtmMachine:
                 empty = self.detector.clear_spec(st) if st is not None else True
                 l1.unpin(line_addr)
                 line = l1.lookup(line_addr, touch=False)
-                if line is not None and (written or not line.valid):
-                    # Discard speculatively written / stale retained lines.
-                    l1.drop(line_addr)
-                    line = None
-                if st is not None and (empty or line is None):
-                    self._spec_discard(core, line_addr)
-        txn.mark_aborted(time, cause)
-        self.active[core] = None
-        self.sink.on_txn_abort(core, time, cause.value, txn.wasted_cycles)
-        return txn
-
-    def _release_spec_lines(self, core: int, txn: Transaction) -> None:
-        """Commit-path cleanup: unpin and gang-clear speculative state."""
-        l1 = self.mem.l1s[core]
-        table = self.spec_tables[core]
-        write_lines = txn.write_lines
-        for first, lines in ((True, write_lines), (False, txn.read_lines)):
-            for line_addr in lines:
-                if not first and line_addr in write_lines:
-                    continue
-                st = table.get(line_addr)
-                empty = self.detector.clear_spec(st) if st is not None else True
-                l1.unpin(line_addr)
-                line = l1.lookup(line_addr, touch=False)
-                if line is not None and not line.valid:
-                    # Invalidated-but-retained line: data is stale, drop it.
+                if line is not None and (not line.valid or (aborted and written)):
                     l1.drop(line_addr)
                     line = None
                 if st is not None and (empty or line is None):

@@ -11,11 +11,16 @@ It is a *bit-exact mirror* of the object machine — same telemetry events
 in the same order, same latencies, same conflict records, same LRU and
 probe delivery order — which the kernel-parity grid and the hypothesis
 replay suite assert.  Anything off the hot path (``begin_txn``, read-set
-validation, uid allocation, the rare multi-line access split) is inherited
-from the base class unchanged; the base delegates its
+validation, uid allocation, ``_abort``, the rare multi-line access split)
+is inherited from the base class unchanged; the base delegates its
 representation-touching steps to the private methods overridden here
-(``_access_line``, ``_abort``, ``_release_spec_lines``,
-``_commit_arbitrate``, ``_commit_invalidate``).
+(``_access_line``, ``_release_spec_lines``, ``_commit_arbitrate``,
+``_commit_invalidate``).  Each kernel rule has one copy here: every
+single-line access runs through :meth:`FlatTxnMachine.access`, whose
+no-traffic hit and :meth:`~FlatTxnMachine._coherence` leg share one
+speculative-bookkeeping block and one data-movement block; commit and
+abort share one gang-clear; conflicts are classified by
+:meth:`ConflictRecord.detect`.
 
 Parity-critical mirroring rules (each encodes an observable behaviour of
 the object model — change them only together with the object path):
@@ -60,10 +65,11 @@ On top of the view recycling the hot lifecycle is specialised:
   memory dict (redo keys are word-aligned by construction, so the
   alignment guard is skipped), inline status flip, no ``mark_committed``
   guard re-check after ``_require_txn``;
-* fast L1 hits return one preallocated :class:`AccessOutcome` (the engine
-  and any wrapper of ``access`` consume its scalars immediately and never
-  retain it); miss outcomes reuse a second preallocated outcome whose fields are
-  all rewritten per call;
+* no-traffic L1 hits return one preallocated :class:`AccessOutcome` (the
+  engine and any wrapper of ``access`` consume its scalars immediately and
+  never retain it); every other access reuses a second preallocated
+  outcome, whose fields :meth:`~FlatTxnMachine._coherence` rewrites per
+  call;
 * when no atomicity checker is attached and the scheme does not need
   commit-time validation, transactional *loads* skip token bookkeeping
   entirely — ``observed`` is consumed only by the checker and by lazy
@@ -75,8 +81,9 @@ from __future__ import annotations
 
 from repro.config import ConflictResolution, DetectionScheme, SystemConfig
 from repro.errors import ProtocolError
-from repro.htm.conflict import ConflictRecord, classify_type
+from repro.htm.conflict import ConflictRecord
 from repro.htm.machine import (
+    _CONFLICT_CAUSE,
     SPEC_OVERFLOW_WAYS,
     AccessOutcome,
     HtmMachine,
@@ -85,7 +92,6 @@ from repro.htm.machine import (
 )
 from repro.htm.ops import TxnOp
 from repro.htm.txn import AbortCause, Transaction, TxnStatus
-from repro.htm.versioning import restore_undo
 from repro.kernel.state import (
     MOESI_E,
     MOESI_I,
@@ -294,14 +300,16 @@ class FlatTxnMachine(HtmMachine):
     def access(
         self, core: int, addr: int, size: int, is_write: bool, time: int
     ) -> AccessOutcome:
-        """Per-access entry with the no-traffic L1 hit fully inlined.
+        """Perform one access; every single-line access runs here.
 
-        A valid L1 hit that needs neither a probe nor a fill — a read of
-        reliable data, or a silent store on an M/E copy — is served here:
-        every condition is checked before any state is touched, the
-        sub-block memo is probed inline, and the hit returns the machine's
-        preallocated outcome.  Misses fall through to :meth:`_access_line`;
-        the rare multi-line access goes to the base class splitter.
+        A valid L1 hit that needs neither a probe nor a fill (a read of
+        reliable data, or a silent store on an M/E copy) is decided first,
+        before any state changes and without a call, and uses the
+        machine's preallocated hit outcome.  Any other access makes one
+        call, to :meth:`_coherence`.  Both legs then share one speculative
+        bookkeeping block and one data-movement block, and ``on_access``
+        comes last.  A multi-line access goes to the base class splitter,
+        which calls back in once per line through :meth:`_access_line`.
         """
         if self._stall_res and self._stalled[core]:
             # The stall delay elapsed; the core leaves the queue and
@@ -321,46 +329,53 @@ class FlatTxnMachine(HtmMachine):
             li = s.add_line(line_addr)  # fresh line: MOESI_I, misses below
         moesi_c = s.moesi[core]
         code = moesi_c[li]
-        if not code or (is_write and code < MOESI_E):
-            return self._access_line(
-                core, line_addr, offset, size, is_write, time, txn, li
-            )
         mask = ((1 << size) - 1) << offset
-        sub = -1
-        if self._dirty_en and (s.spec_mask[li] >> core) & 1:
-            dirty = s.wr[core][li] & ~s.spec[core][li]
-            if is_write:
-                if dirty:
-                    return self._access_line(
-                        core, line_addr, offset, size, is_write, time, txn, li
-                    )
-                rrb = s.rr[core][li]
-                if rrb:
+        set_d = s.l1_sets[core][s.set1[li]]
+        sub = -1  # lazily reduced sub-block mask of this access
+        stale = force_probe = False
+        if code:
+            # LRU touch (only valid lookups move to MRU).
+            del set_d[li]
+            set_d[li] = None
+            if self._dirty_en and (s.spec_mask[li] >> core) & 1:
+                # Two reasons a valid copy cannot serve silently: Dirty
+                # sub-blocks (speculatively forwarded remote data) make it
+                # stale, so it is probed and refetched; a store into a
+                # sub-block with retained remote speculation (rr) must
+                # probe, but its own data stays.
+                dirty = s.wr[core][li] & ~s.spec[core][li]
+                if is_write:
+                    if dirty:
+                        stale = force_probe = True
+                    else:
+                        rrb = s.rr[core][li]
+                        if rrb:
+                            sub = self._sub_memo.get(mask)
+                            if sub is None:
+                                sub = self._subblocks(mask)
+                            force_probe = (sub & rrb) != 0
+                elif dirty:
                     sub = self._sub_memo.get(mask)
                     if sub is None:
                         sub = self._subblocks(mask)
-                    if sub & rrb:
-                        return self._access_line(
-                            core, line_addr, offset, size, is_write, time, txn, li
-                        )
-            elif dirty:
-                sub = self._sub_memo.get(mask)
-                if sub is None:
-                    sub = self._subblocks(mask)
-                if sub & dirty:
-                    return self._access_line(
-                        core, line_addr, offset, size, is_write, time, txn, li
-                    )
-        # ---- no-traffic L1 hit (the hit legs of _access_line) ----
-        set_d = s.l1_sets[core][s.set1[li]]
-        del set_d[li]
-        set_d[li] = None
-        if txn is None and not is_write:
-            # Non-transactional read hit: LRU touch + telemetry only.
-            self._on_access(core, line_addr, offset, False, True)
-            return self._fast_out
-        if is_write and code != MOESI_M:
-            moesi_c[li] = MOESI_M
+                    stale = force_probe = (sub & dirty) != 0
+        if code and not force_probe and (code >= MOESI_E or not is_write):
+            # ---- no-traffic L1 hit ----
+            if txn is None and not is_write:
+                # Non-transactional read hit: LRU touch + telemetry only.
+                self._on_access(core, line_addr, offset, False, True)
+                return self._fast_out
+            if is_write and code != MOESI_M:
+                moesi_c[li] = MOESI_M  # silent store: E upgrades to M
+            out = self._fast_out
+        else:
+            out = self._miss_out
+            if self._coherence(
+                core, line_addr, li, set_d, mask, is_write, time, txn, stale, force_probe
+            ):
+                return out
+
+        # -- speculative bookkeeping ------------------------------------
         if txn is not None:
             if not (s.spec_mask[li] >> core) & 1:
                 # _ensure_entry inlined (zero-on-create side-state slot).
@@ -406,6 +421,8 @@ class FlatTxnMachine(HtmMachine):
                 s.rmask[core][li] |= mask
                 txn.read_lines.add(line_addr)
             s.pinned[core][li] = 1
+
+        # -- data movement ----------------------------------------------
         if is_write:
             data_line = s.data[core][li]
             w0 = offset >> _WSHIFT
@@ -445,7 +462,7 @@ class FlatTxnMachine(HtmMachine):
                     if checker is not None:
                         checker.record_plain_write(word_addr, token)
                     data_line[wi] = token
-        else:
+        elif txn is not None:
             checker = self.checker
             if checker is not None or self._lazy:
                 # Load token bookkeeping feeds only the checker and lazy
@@ -464,8 +481,27 @@ class FlatTxnMachine(HtmMachine):
                             observed[word_addr] = token
                             if checker is not None:
                                 checker.observe_read(txn, word_addr, token)
-        self._on_access(core, line_addr, offset, is_write, True)
-        return self._fast_out
+        self._on_access(core, line_addr, offset, is_write, out.hit_l1)
+        return out
+
+    def _access_line(
+        self,
+        core: int,
+        line_addr: int,
+        offset: int,
+        size: int,
+        is_write: bool,
+        time: int,
+        txn: Transaction | None,
+    ) -> AccessOutcome:
+        """The base splitter's per-line callback.
+
+        It calls :meth:`access` on the class, not on the instance, so a
+        wrapper installed on the instance's ``access`` sees a line-straddling
+        access once.  ``txn`` is the core's active transaction, which
+        :meth:`access` reads itself.
+        """
+        return FlatTxnMachine.access(self, core, line_addr + offset, size, is_write, time)
 
     def _invalidate_remote_copies(self, core: int, li: int) -> None:
         """Invalidate every other valid copy, ascending core ids."""
@@ -501,23 +537,19 @@ class FlatTxnMachine(HtmMachine):
                     # Dirty-only info dies with the discarded copy.
                     s.spec_mask[li] &= ~(1 << r)
 
-    def _abort(self, core: int, time: int, cause: AbortCause) -> Transaction:
-        """Abort with the gang-clear inlined.
+    def _release_spec_lines(
+        self, core: int, txn: Transaction, aborted: bool = False
+    ) -> None:
+        """Gang-clear at commit or abort (the inlined object-model walk).
 
-        The plane rows and the gang-clear body are hoisted out of the loop
-        so each footprint line costs a handful of list indexings instead
-        of method calls.  Written lines first, then read-only lines: that
-        avoids allocating the footprint union set, and per-line cleanup
-        only touches that line's state, so the order is unobservable.
+        The plane rows are hoisted out of the loop so each footprint line
+        costs a handful of list indexings instead of method calls.  Written
+        lines first, then read-only lines: that avoids allocating the
+        footprint union set, and per-line cleanup only touches that line's
+        state, so the order is unobservable.  Invalidated-but-retained
+        lines hold stale data and leave the cache either way; an aborted
+        transaction's written lines leave it too, valid or not.
         """
-        txn = self._require_txn(core)
-        self.versions.on_abort(txn.uid)
-        if self._eager_vm and txn.undo:
-            restore_undo(self._memory, txn.undo)
-        if self._stall_res and self._stalled[core]:
-            # A stalled core can die remotely; free its queue slot.
-            self._stalled[core] = False
-            self._stall_count -= 1
         s = self.state
         imap = s.intern_map
         moesi_c = s.moesi[core]
@@ -556,63 +588,12 @@ class FlatTxnMachine(HtmMachine):
                 pinned_c[li] = 0
                 set_d = l1_sets_c[set1[li]]
                 resident = li in set_d
-                if resident and (written or moesi_c[li] == MOESI_I):
-                    # Discard speculatively written / stale retained lines.
+                if resident and (moesi_c[li] == MOESI_I or (aborted and written)):
                     if moesi_c[li] != MOESI_I:
                         moesi_c[li] = MOESI_I
                         holders[li] &= ~bit
                         if owner[li] == core:
                             owner[li] = -1
-                    del set_d[li]
-                    data_c[li] = None
-                    resident = False
-                if member and (empty or not resident):
-                    spec_mask[li] &= ~bit
-        txn.mark_aborted(time, cause)
-        self.active[core] = None
-        self.sink.on_txn_abort(core, time, cause.value, txn.wasted_cycles)
-        return txn
-
-    def _release_spec_lines(self, core: int, txn: Transaction) -> None:
-        """Commit-path cleanup: unpin and gang-clear (inlined) spec state."""
-        s = self.state
-        imap = s.intern_map
-        moesi_c = s.moesi[core]
-        rmask_c = s.rmask[core]
-        wmask_c = s.wmask[core]
-        spec_c = s.spec[core]
-        wr_c = s.wr[core]
-        rr_c = s.rr[core]
-        sowner_c = s.sowner[core]
-        pinned_c = s.pinned[core]
-        data_c = s.data[core]
-        l1_sets_c = s.l1_sets[core]
-        set1 = s.set1
-        spec_mask = s.spec_mask
-        bit = 1 << core
-        write_lines = txn.write_lines
-        for first, lines in ((True, write_lines), (False, txn.read_lines)):
-            for line_addr in lines:
-                if not first and line_addr in write_lines:
-                    continue
-                li = imap[line_addr]
-                if spec_mask[li] & bit:
-                    member = True
-                    rmask_c[li] = 0
-                    wmask_c[li] = 0
-                    wr = wr_c[li] & ~spec_c[li]
-                    wr_c[li] = wr
-                    spec_c[li] = 0
-                    sowner_c[li] = -1
-                    empty = wr == 0 and rr_c[li] == 0
-                else:
-                    member = False
-                    empty = True
-                pinned_c[li] = 0
-                set_d = l1_sets_c[set1[li]]
-                resident = li in set_d
-                if resident and moesi_c[li] == MOESI_I:
-                    # Invalidated-but-retained line: data is stale, drop it.
                     del set_d[li]
                     data_c[li] = None
                     resident = False
@@ -712,60 +693,33 @@ class FlatTxnMachine(HtmMachine):
             l3d[li] = None
         return data, latency
 
-    def _access_line(
+    def _coherence(
         self,
         core: int,
         line_addr: int,
-        offset: int,
-        size: int,
+        li: int,
+        set_d: dict,
+        mask: int,
         is_write: bool,
         time: int,
         txn: Transaction | None,
-        li: int = -1,
-    ) -> AccessOutcome:
-        s = self.state
-        if li < 0:
-            # Callers that already interned the line (our own ``access``)
-            # pass ``li``; the base class multi-line splitter does not.
-            li0 = s.intern_map.get(line_addr)
-            li = s.add_line(line_addr) if li0 is None else li0
-        moesi_c = s.moesi[core]
-        code = moesi_c[li]
-        set_d = s.l1_sets[core][s.set1[li]]
-        mask = ((1 << size) - 1) << offset
-        bit = 1 << core
-        valid = code != MOESI_I
-        if valid:
-            # LRU touch (only valid lookups move to MRU).
-            del set_d[li]
-            set_d[li] = None
-        member = (s.spec_mask[li] & bit) != 0
+        stale: bool,
+        force_probe: bool,
+    ) -> bool:
+        """The coherence leg of an access that is not a no-traffic hit.
 
-        stale = False
-        force_probe = False
-        sub = -1  # lazily reduced sub-block mask of this access
-        if member and valid and self._dirty_en:
-            dirty = s.wr[core][li] & ~s.spec[core][li]
-            if is_write:
-                stale = dirty != 0
-                if stale:
-                    force_probe = True
-                else:
-                    rrb = s.rr[core][li]
-                    if rrb:
-                        sub = self._sub_memo.get(mask)
-                        if sub is None:
-                            sub = self._subblocks(mask)
-                        force_probe = (sub & rrb) != 0
-            elif dirty:
-                sub = self._sub_memo.get(mask)
-                if sub is None:
-                    sub = self._subblocks(mask)
-                stale = (sub & dirty) != 0
-                force_probe = stale
+        It emits ``on_dirty_reprobe``, probes the line's speculative
+        holders, then fetches and fills the line (a store to a valid, clean
+        copy upgrades it in place instead), takes the probe-survivor ``rr``
+        snapshot and recomputes Dirty from a fill's piggy-back bits.  It
+        writes the machine's miss outcome and returns True when the access
+        already ended: the requester aborted or stalled, or a
+        non-transactional access bypassed a fully pinned set (no
+        ``on_access`` follows).
+        """
+        s = self.state
         if force_probe:
             self.sink.on_dirty_reprobe(core, line_addr, time)
-
         out = self._miss_out
         out.latency = 0
         out.hit_l1 = False
@@ -773,72 +727,44 @@ class FlatTxnMachine(HtmMachine):
         out.self_abort = None
         out.dirty_reprobe = force_probe
         out.stall_cycles = 0
-        filled = False
-        probed = False
-        piggy = 0
-
-        remote_spec = 0
-        fill_code = -1
-        if is_write:
-            if valid and code >= MOESI_E and not force_probe:
-                # Silent store: M stays M, E upgrades to M without traffic.
-                moesi_c[li] = MOESI_M
-                out.latency += self._lat_l1
-                out.hit_l1 = True
-            else:
-                probed = True
-                # With no other core holding speculative state on the line
-                # the probe is a no-op (snoop order excludes the requester)
-                # and the fused walk yields zero masks, so both are elided.
-                if s.spec_mask[li] & ~bit:
-                    try:
-                        recs = self._probe(core, li, line_addr, mask, True, time, txn, True)
-                    except _RequesterAborted as aborted:
-                        # _probe builds a fresh records list per call, so
-                        # the outcome can own it outright.
-                        out.conflicts = aborted.records
-                        out.self_abort = aborted.cause
-                        return out
-                    except _RequesterStalled as stalled:
-                        out.stall_cycles = stalled.cycles
-                        return out
-                    if recs:
-                        out.conflicts = recs
-                    remote_spec, piggy = self._post_probe_walk(core, li)
-                if valid and not stale:
-                    # Ownership upgrade -> M with a probe; data already
-                    # local and clean.
-                    if s.holders[li] & ~bit:
-                        self._invalidate_remote_copies(core, li)
-                    moesi_c[li] = MOESI_M
-                    s.owner[li] = core
-                    out.latency += self._lat_upgrade
-                    out.hit_l1 = True
-                else:
-                    data, fill_lat = self._fetch_piggy(core, li, line_addr)
-                    if s.holders[li] & ~bit:
-                        self._invalidate_remote_copies(core, li)
-                    fill_code = MOESI_M
+        moesi_c = s.moesi[core]
+        bit = 1 << core
+        remote_spec = piggy = 0
+        # With no other core holding speculative state on the line the
+        # probe is a no-op (snoop order excludes the requester) and the
+        # fused walk yields zero masks, so both are elided.
+        if s.spec_mask[li] & ~bit:
+            try:
+                recs = self._probe(core, li, line_addr, mask, time, txn, is_write)
+            except _RequesterAborted as aborted:
+                # _probe builds a fresh records list per call, so the
+                # outcome can own it outright.
+                out.conflicts = aborted.records
+                out.self_abort = aborted.cause
+                return True
+            except _RequesterStalled as stalled:
+                out.stall_cycles = stalled.cycles
+                return True
+            if recs:
+                out.conflicts = recs
+            remote_spec, piggy = self._post_probe_walk(core, li)
+        if is_write and moesi_c[li] != MOESI_I and not stale:
+            # Ownership upgrade -> M with a probe; data already local and
+            # clean.
+            if s.holders[li] & ~bit:
+                self._invalidate_remote_copies(core, li)
+            moesi_c[li] = MOESI_M
+            s.owner[li] = core
+            out.latency = self._lat_upgrade
+            out.hit_l1 = True
+            filled = False
         else:
-            if valid and not stale:
-                out.latency += self._lat_l1
-                out.hit_l1 = True
+            data, fill_lat = self._fetch_piggy(core, li, line_addr)
+            if is_write:
+                if s.holders[li] & ~bit:
+                    self._invalidate_remote_copies(core, li)
+                fill_code = MOESI_M
             else:
-                probed = True
-                if s.spec_mask[li] & ~bit:
-                    try:
-                        recs = self._probe(core, li, line_addr, mask, False, time, txn, False)
-                    except _RequesterAborted as aborted:
-                        out.conflicts = aborted.records
-                        out.self_abort = aborted.cause
-                        return out
-                    except _RequesterStalled as stalled:
-                        out.stall_cycles = stalled.cycles
-                        return out
-                    if recs:
-                        out.conflicts = recs
-                    remote_spec, piggy = self._post_probe_walk(core, li)
-                data, fill_lat = self._fetch_piggy(core, li, line_addr)
                 # Demote does not touch holder bits, so the sharer test
                 # may be hoisted above it to gate the (often no-op) walk.
                 m = s.holders[li] & ~bit
@@ -861,10 +787,8 @@ class FlatTxnMachine(HtmMachine):
                     fill_code = MOESI_S
                 else:
                     fill_code = MOESI_E
-
-        if fill_code >= 0:
-            # ---- L1 fill (single shared site for both miss legs; the
-            # walks above already ran in their leg-specific order) ----
+            # ---- L1 fill (both legs; their walks above already ran in
+            # their leg-specific order) ----
             if txn is not None and line_addr in txn.write_lines:
                 # Overlay the transaction's own buffered stores.
                 redo = txn.redo
@@ -892,12 +816,10 @@ class FlatTxnMachine(HtmMachine):
                             break
                     else:
                         # Every resident line is pinned: grow the set within
-                        # the speculative overflow allowance or report
-                        # capacity-blocked.
+                        # the speculative overflow allowance, or give up.
                         if len(set_d) >= s.l1_assoc + SPEC_OVERFLOW_WAYS:
-                            return self._capacity_bypass_or_abort(
-                                core, time, out
-                            )
+                            self._capacity_abort(core, time, out)
+                            return True
                         evicted_li = -2  # force-fill, no eviction
                     if evicted_li >= 0:
                         del set_d[evicted_li]
@@ -916,13 +838,14 @@ class FlatTxnMachine(HtmMachine):
                         s.spec_mask[evicted_li] &= ~bit
             if fill_code >= MOESI_E:
                 s.owner[li] = core
-            out.latency += fill_lat
+            out.latency = fill_lat
             filled = True
 
         if moesi_c[li] == MOESI_I:  # pragma: no cover - fill guarantees
             raise ProtocolError(f"line {line_addr:#x} not resident after access")
 
-        if probed and self._sub and not self._lazy_cd:
+        member = (s.spec_mask[li] & bit) != 0
+        if self._sub and not self._lazy_cd:
             # Snapshot which sub-blocks other running transactions still
             # hold speculative state on (probe survivors, computed by the
             # fused walk above); see SpecLineState.rr_bits.  The union is
@@ -934,127 +857,16 @@ class FlatTxnMachine(HtmMachine):
                     self._ensure_entry(core, li)
                     member = True
                 s.rr[core][li] = remote_spec
-
-        # -- speculative bookkeeping ------------------------------------
-        if txn is not None:
-            if not member:
-                # _ensure_entry inlined (zero-on-create side-state slot).
-                s.spec_mask[li] |= bit
-                s.rmask[core][li] = 0
-                s.wmask[core][li] = 0
-                s.spec[core][li] = 0
-                s.wr[core][li] = 0
-                s.rr[core][li] = 0
-                s.sowner[core][li] = -1
-            sowner_c = s.sowner[core]
-            so = sowner_c[li]
-            uid = txn.uid
-            if so == -1:
-                sowner_c[li] = uid
-            elif so != uid:
-                raise ProtocolError(
-                    f"stale speculative state on line {line_addr:#x} "
-                    f"(owner {so}, txn {uid})"
-                )
-            if self._sub:
-                spec_c = s.spec[core]
-                wr_c = s.wr[core]
-                if filled and self._dirty_en:
-                    # Fresh data arrived: recompute Dirty from the piggy
-                    # bits of the current responders.
-                    wr_c[li] = (wr_c[li] & spec_c[li]) | (piggy & ~spec_c[li])
-                if sub < 0:
-                    sub = self._sub_memo.get(mask)
-                    if sub is None:
-                        sub = self._subblocks(mask)
-                if is_write:
-                    s.wmask[core][li] |= mask
-                    spec_c[li] |= sub
-                    wr_c[li] |= sub
-                    txn.write_lines.add(line_addr)
-                else:
-                    s.rmask[core][li] |= mask
-                    swr = spec_c[li] & wr_c[li]
-                    spec_c[li] |= sub
-                    wr_c[li] = (wr_c[li] & ~sub) | (swr & sub)
-                    txn.read_lines.add(line_addr)
-            elif is_write:
-                s.wmask[core][li] |= mask
-                txn.write_lines.add(line_addr)
-            else:
-                s.rmask[core][li] |= mask
-                txn.read_lines.add(line_addr)
-            s.pinned[core][li] = 1
-        elif filled and piggy:
-            # Non-transactional fill still records data-validity info.
+        if filled and self._dirty_en and (txn is not None or piggy):
+            # Fresh data arrived: recompute Dirty from the piggy-back bits
+            # of the current responders (a non-transactional fill records
+            # nonzero bits too).  _dirty_en implies the sub-block family.
             if not member:
                 self._ensure_entry(core, li)
             spec_c = s.spec[core]
             wr_c = s.wr[core]
             wr_c[li] = (wr_c[li] & spec_c[li]) | (piggy & ~spec_c[li])
-
-        # -- data movement ----------------------------------------------
-        if is_write:
-            data_line = s.data[core][li]
-            w0 = offset >> _WSHIFT
-            w1 = (offset + size - 1) >> _WSHIFT
-            tokens = self.tokens
-            if txn is not None:
-                t_uid = txn.uid
-                redo = txn.redo
-                if self._eager_vm:
-                    memory = self._memory
-                    undo = txn.undo
-                    for wi in range(w0, w1 + 1):
-                        word_addr = line_addr + wi * WORD_SIZE
-                        token = tokens.allocate(t_uid, word_addr)
-                        redo[word_addr] = token
-                        if word_addr not in undo:
-                            undo[word_addr] = memory.get(word_addr, 0)
-                        memory[word_addr] = token
-                        data_line[wi] = token
-                else:
-                    for wi in range(w0, w1 + 1):
-                        word_addr = line_addr + wi * WORD_SIZE
-                        token = tokens.allocate(t_uid, word_addr)
-                        redo[word_addr] = token
-                        data_line[wi] = token
-            else:
-                memory = self._memory
-                versions = self.versions
-                checker = self.checker
-                for wi in range(w0, w1 + 1):
-                    word_addr = line_addr + wi * WORD_SIZE
-                    self._txn_uid += 1
-                    uid = self._txn_uid
-                    token = tokens.allocate(uid, word_addr)
-                    versions.on_commit(uid)
-                    memory[word_addr] = token
-                    if checker is not None:
-                        checker.record_plain_write(word_addr, token)
-                    data_line[wi] = token
-        elif txn is not None:
-            checker = self.checker
-            if checker is not None or self._lazy:
-                # Same elision as the access() hit path: observed tokens
-                # feed only the checker and lazy commit validation.
-                data_line = s.data[core][li]
-                w0 = offset >> _WSHIFT
-                w1 = (offset + size - 1) >> _WSHIFT
-                redo = txn.redo
-                observed = txn.observed
-                for wi in range(w0, w1 + 1):
-                    word_addr = line_addr + wi * WORD_SIZE
-                    token = redo.get(word_addr)
-                    if token is None:
-                        token = data_line[wi]
-                        if word_addr not in observed:
-                            observed[word_addr] = token
-                            if checker is not None:
-                                checker.observe_read(txn, word_addr, token)
-
-        self._on_access(core, line_addr, offset, is_write, out.hit_l1)
-        return out
+        return False
 
     # ------------------------------------------------------- probe and commit
 
@@ -1064,7 +876,6 @@ class FlatTxnMachine(HtmMachine):
         li: int,
         line_addr: int,
         mask: int,
-        invalidating: bool,
         time: int,
         txn: Transaction | None,
         is_write: bool,
@@ -1091,7 +902,7 @@ class FlatTxnMachine(HtmMachine):
             forced_waw = False
             if sub_family:
                 spec_r = s.spec[r][li]
-                if invalidating:
+                if is_write:
                     if sub & spec_r:
                         pass
                     elif self._forced_waw and spec_r & s.wr[r][li]:
@@ -1102,7 +913,7 @@ class FlatTxnMachine(HtmMachine):
                     continue
             else:
                 wm = s.wmask[r][li]
-                if invalidating:
+                if is_write:
                     if self._decoupled:
                         if not wm:
                             continue
@@ -1110,11 +921,7 @@ class FlatTxnMachine(HtmMachine):
                         continue
                 elif not wm:
                     continue
-            rmask_r = s.rmask[r][li]
-            wmask_r = s.wmask[r][li]
-            victim_footprint = wmask_r | (rmask_r if invalidating else 0)
-            is_false = (mask & victim_footprint) == 0
-            rec = ConflictRecord(
+            rec = ConflictRecord.detect(
                 time=time,
                 requester_core=core,
                 victim_core=r,
@@ -1122,15 +929,13 @@ class FlatTxnMachine(HtmMachine):
                 victim_txn=victim.uid,
                 line_addr=line_addr,
                 line_index=self.amap.line_index(line_addr),
-                ctype=classify_type(is_write, rmask_r, wmask_r),
-                is_false=is_false,
                 requester_is_write=is_write,
                 requester_mask=mask,
-                victim_read_mask=rmask_r,
-                victim_write_mask=wmask_r,
+                victim_read_mask=s.rmask[r][li],
+                victim_write_mask=s.wmask[r][li],
                 forced_waw=forced_waw,
             )
-            cause = AbortCause.CONFLICT_FALSE if is_false else AbortCause.CONFLICT_TRUE
+            cause = _CONFLICT_CAUSE[rec.is_false]
             if self._stall_res and txn is not None:
                 # Stall/backoff resolution: nobody aborts if the requester
                 # can park.  The decision is made at the first conflicting
@@ -1204,8 +1009,7 @@ class FlatTxnMachine(HtmMachine):
                         continue
                 elif not (wmask_r or rmask_r):
                     continue
-                is_false = (mask & (wmask_r | rmask_r)) == 0
-                rec = ConflictRecord(
+                rec = ConflictRecord.detect(
                     time=time,
                     requester_core=core,
                     victim_core=r,
@@ -1213,8 +1017,6 @@ class FlatTxnMachine(HtmMachine):
                     victim_txn=victim.uid,
                     line_addr=line_addr,
                     line_index=self.amap.line_index(line_addr),
-                    ctype=classify_type(True, rmask_r, wmask_r),
-                    is_false=is_false,
                     requester_is_write=True,
                     requester_mask=mask,
                     victim_read_mask=rmask_r,
@@ -1223,10 +1025,7 @@ class FlatTxnMachine(HtmMachine):
                     at_commit=True,
                 )
                 self.sink.on_conflict(rec)
-                cause = (
-                    AbortCause.CONFLICT_FALSE if is_false else AbortCause.CONFLICT_TRUE
-                )
-                self._abort(r, time, cause)
+                self._abort(r, time, _CONFLICT_CAUSE[rec.is_false])
 
     def _commit_invalidate(self, core: int, txn) -> None:
         intern = self.state.intern_map
@@ -1234,17 +1033,3 @@ class FlatTxnMachine(HtmMachine):
             li = intern.get(line_addr)
             if li is not None:
                 self._invalidate_remote_copies(core, li)
-
-    def _capacity_bypass_or_abort(
-        self, core: int, time: int, out: AccessOutcome
-    ) -> AccessOutcome:
-        txn = self.active[core]
-        if txn is None:
-            # Non-transactional access to a set full of pinned lines:
-            # bypass the cache (serve uncached at memory latency).
-            out.latency += self._lat_mem
-            out.self_abort = None
-            return out
-        self._abort(core, time, AbortCause.CAPACITY)
-        out.self_abort = AbortCause.CAPACITY
-        return out

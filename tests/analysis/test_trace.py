@@ -24,6 +24,7 @@ from repro.analysis.trace import (
     render_trace_fig4,
     render_trace_fig5,
     render_trace_forensics,
+    render_trace_report,
 )
 from repro.config import (
     POLICY_PRESETS,
@@ -749,6 +750,42 @@ class TestAnalyzeTrace:
         with pytest.raises(ConfigError, match="figure"):
             analyze_trace(path, figs=("9",))
         assert set(TRACE_FIGURES) == {"3", "4", "5"}
+
+    @pytest.mark.parametrize("kwargs", [
+        {"figs": ("4",), "bins": 0},
+        {"figs": ("4",), "n_subblocks": 3},
+        {"top": -1},
+        {"cascade_window": -1},
+    ], ids=["bins", "n_subblocks", "top", "cascade_window"])
+    def test_out_of_range_argument_rejected(self, tmp_path, kwargs):
+        """A bad count fails naming itself, even when no drawn figure
+        reads it (``top=-1`` would otherwise drop each ranking's last row)."""
+        path, _ = record_trace(tmp_path, txns=4)
+        name = next(key for key in kwargs if key != "figs")
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            analyze_trace(path, **kwargs)
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            render_trace_report(ConflictTimeline.from_trace(path), **kwargs)
+
+    def test_counts_checked_before_open_and_subblocks_before_decode(
+        self, tmp_path, monkeypatch
+    ):
+        missing = str(tmp_path / "missing.jsonl")
+        for kwargs in ({"bins": 0}, {"top": -1}, {"cascade_window": -1}):
+            with pytest.raises(ConfigError, match="must be at least"):
+                analyze_trace(missing, **kwargs)
+        path, _ = record_trace(tmp_path, txns=4)
+        decoded = []
+        next_event = TraceReader.__next__
+
+        def counting_next(reader):
+            decoded.append(reader)
+            return next_event(reader)
+
+        monkeypatch.setattr(TraceReader, "__next__", counting_next)
+        with pytest.raises(ConfigError, match="^n_subblocks must divide"):
+            analyze_trace(path, n_subblocks=3)
+        assert decoded == []
 
     def test_from_events_matches_from_trace(self, tmp_path):
         path, _ = record_trace(tmp_path)

@@ -1,6 +1,8 @@
 """Conflict classification tests (the Section III taxonomy)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.htm.conflict import ConflictRecord, ConflictType, classify_type
 from repro.util.bitops import byte_mask
@@ -25,7 +27,7 @@ class TestClassifyType:
 
 
 def record(req_mask, vr, vw, is_write=True, forced=False):
-    return ConflictRecord(
+    return ConflictRecord.detect(
         time=10,
         requester_core=0,
         victim_core=1,
@@ -33,14 +35,26 @@ def record(req_mask, vr, vw, is_write=True, forced=False):
         victim_txn=6,
         line_addr=0x40,
         line_index=1,
-        ctype=classify_type(is_write, vr, vw),
-        is_false=(req_mask & (vw | (vr if is_write else 0))) == 0,
         requester_is_write=is_write,
         requester_mask=req_mask,
         victim_read_mask=vr,
         victim_write_mask=vw,
         forced_waw=forced,
     )
+
+
+def _union(runs):
+    mask = 0
+    for offset, size in runs:
+        mask |= byte_mask(offset, min(size, 64 - offset))
+    return mask
+
+
+#: Byte masks of a 64-byte line: unions of up to three short runs, so
+#: disjoint and overlapping footprints both occur often.
+LINE_MASKS = st.lists(
+    st.tuples(st.integers(0, 63), st.integers(1, 8)), max_size=3
+).map(_union)
 
 
 class TestConflictRecord:
@@ -72,6 +86,30 @@ class TestConflictRecord:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             record(1, 2, 4).time = 0  # type: ignore[misc]
+
+
+@given(
+    scalars=st.tuples(*[st.integers(-1, 1 << 40)] * 7),
+    requester_is_write=st.booleans(),
+    requester_mask=LINE_MASKS,
+    victim_read_mask=LINE_MASKS,
+    victim_write_mask=LINE_MASKS,
+    forced_waw=st.booleans(),
+    at_commit=st.booleans(),
+)
+def test_detect_derives_type_and_truth_from_the_masks(scalars, **fields):
+    """``detect`` classifies from the direction and the masks alone and
+    passes every other field through."""
+    names = ("time", "requester_core", "victim_core", "requester_txn",
+             "victim_txn", "line_addr", "line_index")
+    fields.update(zip(names, scalars))
+    rec = ConflictRecord.detect(**fields)
+    assert rec.is_false == (rec.overlap_mask == 0)
+    assert rec.ctype is classify_type(
+        fields["requester_is_write"], fields["victim_read_mask"],
+        fields["victim_write_mask"],
+    )
+    assert {name: getattr(rec, name) for name in fields} == fields
 
 
 class TestWawRawBoundary:

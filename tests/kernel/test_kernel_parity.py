@@ -136,6 +136,33 @@ def test_kernel_parity_plain_access_replay():
     assert summaries[0] == summaries[1]
 
 
+@pytest.mark.parametrize("is_write", (False, True), ids=("load", "store"))
+def test_instance_access_wrapper_sees_a_straddling_access_once(is_write):
+    """A wrapper installed on the instance's ``access`` (as perfbench
+    installs one) sees a line-straddling access once on either kernel: the
+    flat kernel's per-line callback re-enters ``access`` on the class.
+    Both kernels return the same outcome."""
+    outcomes = []
+    for kernel in ("object", "flat"):
+        machine = build_machine(default_system().with_kernel(kernel))
+        calls = []
+        inner = machine.access
+
+        def counting_access(*args, inner=inner, calls=calls):
+            calls.append(args)
+            return inner(*args)
+
+        machine.access = counting_access
+        machine.begin_txn(0, machine.new_txn(0, 0, (), 0, 0))
+        out = machine.access(0, 0x80000 + 60, 8, is_write, 1)
+        assert len(calls) == 1
+        txn = machine.active[0]
+        assert (txn.write_lines if is_write else txn.read_lines) == {0x80000, 0x80040}
+        outcomes.append((out.latency, out.hit_l1, out.conflicts, out.self_abort,
+                         out.dirty_reprobe, out.stall_cycles))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("workload", ("vacation", "intruder"))
 def test_kernel_parity_older_wins(workload):
     from repro.config import ConflictResolution

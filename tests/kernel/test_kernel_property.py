@@ -3,11 +3,13 @@
 Hypothesis generates small multi-core transactional programs over a hot
 address space and replays each through the object machine and the flat
 kernel; the two :class:`RunSummary` dicts must be identical — every
-counter, not a statistical envelope.  This covers interleavings the
-curated parity grid cannot enumerate: conflicting sub-block overlaps,
-user-requested aborts, capacity pressure up to the deterministic give-up
-point, retained speculative state, piggybacked fills, and abort/retry
-cascades.
+counter, not a statistical envelope — and so must the conflict records,
+the attempt intervals and the committed memory image, with the flat
+kernel's final array state passing the MOESI audit.  This covers
+interleavings the curated parity grid cannot enumerate: conflicting
+sub-block overlaps, user-requested aborts, capacity pressure up to the
+deterministic give-up point, retained speculative state, piggybacked
+fills, and abort/retry cascades.
 
 Capacity pressure is generated directly: a burst of K distinct lines in
 one L1 set (stride = sets x line = 32 KiB) all written by one
@@ -116,16 +118,30 @@ def programs(draw):
     return n_cores, out
 
 
-def _outcome(kernel, scheme, n_cores, core_scripts, seed):
-    """RunSummary dict on success, or a marker tuple on SimulationError."""
+def _outcome(kernel, scheme, n_cores, core_scripts, seed, policy=None):
+    """What a run leaves behind, or a marker tuple on SimulationError.
+
+    On success: the RunSummary dict, the conflict records, the attempt
+    intervals and the committed memory image.  A flat-kernel run must also
+    leave array state that passes the MOESI audit.
+    """
     cfg = default_system().with_scheme(scheme).with_kernel(kernel)
+    if policy is not None:
+        cfg = cfg.with_policy(policy)
     cfg = dataclasses.replace(cfg, n_cores=n_cores)
     eng = SimulationEngine(cfg, core_scripts, seed=seed, check_atomicity=True)
     try:
         eng.run()
     except SimulationError as exc:
         return ("SimulationError", str(exc))
-    return RunSummary.from_sink(eng.stats).to_dict()
+    if kernel == "flat":
+        eng.machine.state.audit_coherence()
+    return (
+        RunSummary.from_sink(eng.stats).to_dict(),
+        list(eng.stats.conflict_events),
+        list(eng.stats.attempts),
+        dict(eng.machine.mem.memory),
+    )
 
 
 def _assert_parity(scheme, program, seed):
@@ -135,41 +151,25 @@ def _assert_parity(scheme, program, seed):
         assert _outcome(kernel, scheme, n_cores, core_scripts, seed) == ref
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(program=programs(), seed=st.integers(0, 7))
 def test_random_scripts_identical_summaries_subblock(program, seed):
     _assert_parity(DetectionScheme.SUBBLOCK, program, seed)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(program=programs(), seed=st.integers(0, 7))
 def test_random_scripts_identical_summaries_asf(program, seed):
     _assert_parity(DetectionScheme.ASF_BASELINE, program, seed)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(program=programs(), seed=st.integers(0, 7))
 def test_random_scripts_identical_summaries_decoupled(program, seed):
     _assert_parity(DetectionScheme.DECOUPLED, program, seed)
 
 
-def _outcome_policy(kernel, policy, scheme, n_cores, core_scripts, seed):
-    cfg = (
-        default_system()
-        .with_scheme(scheme)
-        .with_kernel(kernel)
-        .with_policy(policy)
-    )
-    cfg = dataclasses.replace(cfg, n_cores=n_cores)
-    eng = SimulationEngine(cfg, core_scripts, seed=seed, check_atomicity=True)
-    try:
-        eng.run()
-    except SimulationError as exc:
-        return ("SimulationError", str(exc))
-    return RunSummary.from_sink(eng.stats).to_dict()
-
-
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     program=programs(),
     policy=st.sampled_from(POLICY_POINTS),
@@ -181,14 +181,12 @@ def _outcome_policy(kernel, policy, scheme, n_cores, core_scripts, seed):
 )
 def test_random_policy_points_identical_summaries(program, policy, scheme, seed):
     """Any valid policy point must agree across both kernels —
-    stall counters, arbitration aborts, everything in the summary."""
+    stall counters, arbitration aborts, conflict records, attempts and the
+    memory image."""
     n_cores, core_scripts = program
-    ref = _outcome_policy(KERNELS[0], policy, scheme, n_cores, core_scripts, seed)
+    ref = _outcome(KERNELS[0], scheme, n_cores, core_scripts, seed, policy)
     for kernel in KERNELS[1:]:
-        assert (
-            _outcome_policy(kernel, policy, scheme, n_cores, core_scripts, seed)
-            == ref
-        )
+        assert _outcome(kernel, scheme, n_cores, core_scripts, seed, policy) == ref
 
 
 def test_capacity_burst_is_fatal_identically_on_all_kernels():
